@@ -1515,6 +1515,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                     dst,
                     downstream: is_device,
                     key: msg_key(msg),
+                    tag: msg.tag(),
                     verdict,
                 });
             }
@@ -1690,6 +1691,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                                 dst: session.device,
                                 downstream: true,
                                 key: msg_key(m),
+                                tag: m.tag(),
                             });
                         }
                         for m in &workload.upstream[s] {
@@ -1700,6 +1702,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                                 dst: session.host,
                                 downstream: false,
                                 key: msg_key(m),
+                                tag: m.tag(),
                             });
                         }
                     }
@@ -1749,6 +1752,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                             dst,
                             downstream,
                             key: msg_key(m),
+                            tag: m.tag(),
                         });
                     }
                 }

@@ -57,6 +57,10 @@ pub struct InjectEvent {
     /// Message identity within its destination (see [`crate::message_key`]);
     /// `(dst, key)` is unique among live messages.
     pub key: u64,
+    /// The message's tag. Workload generators tag message `i` of a stream
+    /// `i as u16`, so within one destination the tag is the message's dense
+    /// stream ordinal — a probe can index by it and keep `key` to verify.
+    pub tag: u16,
 }
 
 /// One message delivered to its destination endpoint: the span-closing
@@ -73,6 +77,8 @@ pub struct DeliverEvent {
     pub downstream: bool,
     /// Message identity within `dst` (pairs with [`InjectEvent::key`]).
     pub key: u64,
+    /// The message's tag (pairs with [`InjectEvent::tag`]).
+    pub tag: u16,
     /// The ground-truth auditor's verdict for this delivery.
     pub verdict: DeliveryVerdict,
 }

@@ -59,7 +59,8 @@ pub mod telemetry;
 pub use arrival::ArrivalProcess;
 pub use matrix::{SessionLoad, TrafficMatrix};
 pub use request::{
-    request_completion_slot, FanoutShape, RequestGenerator, RequestMap, RequestSpec, ShardRef,
+    request_completion_slot, FanoutShape, RequestGenerator, RequestMap, ShardRef,
+    MAX_STREAM_MESSAGES,
 };
 pub use sweep::{detect_knee, LoadPoint, LoadSweep, LoadSweepConfig, LoadSweepReport};
 pub use telemetry::{Histogram, LatencyHistogram, LatencyStats};

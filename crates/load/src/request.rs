@@ -14,9 +14,11 @@
 //!   downstream-only — see [`RequestGenerator::build`] for why the
 //!   schedule is per-session rather than per-request), and
 //! * a [`RequestMap`] recording, for each request, exactly which message
-//!   spans (`(dst, key)` identities — see [`rxl_fabric::message_key`])
-//!   belong to it — the join table the request probe in `rxl-telemetry`
-//!   uses to fold engine delivery events back into request completions.
+//!   spans belong to it — each as `(dst, tag)`, the message's dense
+//!   position in its destination's stream, plus the `(dst, key)` identity
+//!   (see [`rxl_fabric::message_key`]) that verifies it — the join table
+//!   the request probe in `rxl-telemetry` uses to fold engine delivery
+//!   events back into request completions.
 //!
 //! Generation follows the workspace's RNG discipline: all randomness comes
 //! from the caller's `rng` during [`RequestGenerator::build`] (one shared
@@ -85,6 +87,15 @@ impl FanoutShape {
     }
 }
 
+/// Longest message stream one session can carry in a trial:
+/// [`request_stream`] tags message `i` of a stream `i as u16`, so past
+/// `2^16` messages a tag repeats within its command queue and
+/// `DeliveryAuditor::record_sent` refuses the duplicate identity. The same
+/// bound is what makes a shard's tag a *dense* per-destination ordinal — the
+/// invariant the request probe's tag-indexed join in `rxl-telemetry`
+/// (`RequestProbe::new`, which asserts `(dst, tag)` uniqueness) is built on.
+pub const MAX_STREAM_MESSAGES: usize = 1 << 16;
+
 /// One shard of a request: the message span it rides on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardRef {
@@ -96,51 +107,105 @@ pub struct ShardRef {
     /// Engine message key — `(dst, key)` is the workspace's message-span
     /// identity.
     pub key: u64,
-}
-
-/// One request: its arrival slot and the shard spans it fans out into. The
-/// request is complete when **every** shard has been delivered; its
-/// completion slot is the max of its shard delivery slots (see
-/// [`request_completion_slot`]).
-#[derive(Clone, Debug)]
-pub struct RequestSpec {
-    /// Slot the request was dispatched: the earliest release slot among its
-    /// shard messages (shards on other sessions may release a few slots
-    /// later, riding their own stream's cohort schedule).
-    pub arrival_slot: u64,
-    /// The `fanout` shard spans, in shard order.
-    pub shards: Vec<ShardRef>,
+    /// The message's tag: its ordinal in the session's stream, hence dense
+    /// and unique within `dst` (see [`MAX_STREAM_MESSAGES`]).
+    pub tag: u16,
 }
 
 /// The request→shard join table for one trial, in request-arrival order.
+///
+/// Every request has exactly [`Self::fanout`] shards, so the table is two
+/// flat arrays — one arrival slot per request and `fanout` consecutive
+/// [`ShardRef`]s per request — rather than a `Vec` per request: building a
+/// trial's map is two allocations whatever the request count.
+///
+/// A request is complete when **every** shard has been delivered; its
+/// completion slot is the max of its shard delivery slots (see
+/// [`request_completion_slot`]).
+///
+/// # What a consumer may join on
+///
+/// Each [`ShardRef`] names its message twice. `tag` is the message's
+/// ordinal in its session's stream: dense from 0 and unique within `dst`
+/// (one session per device, at most [`MAX_STREAM_MESSAGES`] per stream), so
+/// `(dst, tag)` indexes an array with no hashing. `key` is the engine's
+/// span identity for the same message and serves as the verifier that an
+/// event at `(dst, tag)` really is this shard. `RequestProbe` in
+/// `rxl-telemetry` joins exactly this way — one indexed load per event, the
+/// first delivery of a shard wins — and has no hashed fallback, because the
+/// index does not depend on the order events arrive in.
 #[derive(Clone, Debug)]
 pub struct RequestMap {
     /// Shards per request.
     pub fanout: usize,
     /// Fanout-shape label (for reports).
     pub shape: String,
-    /// Every request of the trial, in dispatch (request-index) order.
-    /// Arrival slots are approximately ascending; per-session shard release
-    /// slots are exactly non-decreasing.
-    pub requests: Vec<RequestSpec>,
     /// The sessions shards were placed on, ascending.
     pub loaded_sessions: Vec<usize>,
+    /// Arrival slot of each request, in dispatch (request-index) order.
+    arrivals: Vec<u64>,
+    /// `fanout` shards per request, request-major.
+    shards: Vec<ShardRef>,
 }
 
 impl RequestMap {
+    /// A map over `arrivals.len()` requests, request `r` owning
+    /// `shards[r * fanout..(r + 1) * fanout]`. Panics unless `shards` holds
+    /// exactly `fanout` entries per request.
+    pub fn new(
+        fanout: usize,
+        shape: String,
+        loaded_sessions: Vec<usize>,
+        arrivals: Vec<u64>,
+        shards: Vec<ShardRef>,
+    ) -> Self {
+        assert_eq!(
+            shards.len(),
+            arrivals.len() * fanout,
+            "a request map holds exactly `fanout` shards per request"
+        );
+        RequestMap {
+            fanout,
+            shape,
+            loaded_sessions,
+            arrivals,
+            shards,
+        }
+    }
+
+    /// Requests in the trial.
+    pub fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// `true` for a map without requests.
+    pub fn is_empty(&self) -> bool {
+        self.arrivals.is_empty()
+    }
+
+    /// Slot request `r` was dispatched: the earliest release slot among its
+    /// shard messages (shards on other sessions may release a few slots
+    /// later, riding their own stream's cohort schedule). Arrival slots are
+    /// approximately ascending in `r`; per-session shard release slots are
+    /// exactly non-decreasing.
+    pub fn arrival_slot(&self, r: usize) -> u64 {
+        self.arrivals[r]
+    }
+
+    /// Request `r`'s `fanout` shard spans, in shard order.
+    pub fn shards(&self, r: usize) -> &[ShardRef] {
+        &self.shards[r * self.fanout..(r + 1) * self.fanout]
+    }
+
     /// Total shard messages across all requests.
     pub fn total_messages(&self) -> usize {
-        self.requests.iter().map(|r| r.shards.len()).sum()
+        self.shards.len()
     }
 
     /// Latest request arrival slot (0 for an empty map). Arrival slots are
     /// only approximately ascending in request order, so this scans.
     pub fn last_arrival(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|r| r.arrival_slot)
-            .max()
-            .unwrap_or(0)
+        self.arrivals.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -174,20 +239,18 @@ pub struct RequestGenerator {
 }
 
 impl RequestGenerator {
-    /// Sessions of request `r`'s shards, in shard order. Deterministic (no
-    /// RNG): placement is part of the workload's identity, not its noise.
-    fn shard_sessions(&self, r: usize, loaded: &[usize], groups: &[Vec<usize>]) -> Vec<usize> {
-        (0..self.fanout)
-            .map(|j| match self.shape {
-                FanoutShape::Uniform | FanoutShape::Incast { .. } => {
-                    loaded[(r * self.fanout + j) % loaded.len()]
-                }
-                FanoutShape::PerLeafShard => {
-                    let group = &groups[j % groups.len()];
-                    group[(r + j / groups.len()) % group.len()]
-                }
-            })
-            .collect()
+    /// Session of shard `j` of request `r`. Deterministic (no RNG):
+    /// placement is part of the workload's identity, not its noise.
+    fn shard_session(&self, r: usize, j: usize, loaded: &[usize], groups: &[Vec<usize>]) -> usize {
+        match self.shape {
+            FanoutShape::Uniform | FanoutShape::Incast { .. } => {
+                loaded[(r * self.fanout + j) % loaded.len()]
+            }
+            FanoutShape::PerLeafShard => {
+                let group = &groups[j % groups.len()];
+                group[(r + j / groups.len()) % group.len()]
+            }
+        }
     }
 
     /// Builds one trial's workload: shard message streams, the pacing that
@@ -249,15 +312,20 @@ impl RequestGenerator {
 
         // Pass 1 — deterministic shard placement, counting messages per
         // session so the per-session streams can be generated in one shot.
-        let placements: Vec<Vec<usize>> = (0..self.requests)
-            .map(|r| self.shard_sessions(r, &loaded, &groups))
-            .collect();
         let mut per_session = vec![0usize; topology.session_count()];
-        for p in &placements {
-            for &s in p {
-                per_session[s] += 1;
+        for r in 0..self.requests {
+            for j in 0..self.fanout {
+                per_session[self.shard_session(r, j, &loaded, &groups)] += 1;
             }
         }
+        let n_max = per_session.iter().copied().max().unwrap_or(0);
+        assert!(
+            n_max <= MAX_STREAM_MESSAGES,
+            "{} requests at fanout {} put {n_max} messages on one session stream; \
+             the limit is {MAX_STREAM_MESSAGES} (16-bit message tags)",
+            self.requests,
+            self.fanout
+        );
 
         // One shared message-arrival schedule realization at the offered
         // per-message load, indexed by each session's own cursor (see the
@@ -269,7 +337,6 @@ impl RequestGenerator {
         // Draw count: exactly one `schedule` call sized to the busiest
         // session, a prefix-consistent function of the message count.
         let scaled = self.arrival.scaled(offered_load);
-        let n_max = per_session.iter().copied().max().unwrap_or(0);
         let template = if n_max == 0 {
             Vec::new()
         } else {
@@ -295,51 +362,47 @@ impl RequestGenerator {
             .collect();
 
         // Pass 2 — walk requests arrival-ascending, consuming each
-        // session's stream in order so per-stream pacing slots are
-        // non-decreasing.
-        let mut workload = FabricWorkload {
-            downstream: vec![Vec::new(); topology.session_count()],
-            upstream: vec![Vec::new(); topology.session_count()],
-        };
-        let mut pacing = InjectionPacing {
-            downstream: vec![Vec::new(); topology.session_count()],
-            upstream: vec![Vec::new(); topology.session_count()],
-        };
+        // session's stream and the shared schedule in order: the stream
+        // cursor is the shard's tag, and each session's pacing is the
+        // schedule prefix its stream covers (non-decreasing by
+        // construction).
         let mut cursor = vec![0usize; topology.session_count()];
-        let mut requests = Vec::with_capacity(self.requests);
-        for placement in &placements {
+        let mut arrivals = Vec::with_capacity(self.requests);
+        let mut shards = Vec::with_capacity(self.requests * self.fanout);
+        for r in 0..self.requests {
             let mut arrival_slot = u64::MAX;
-            let mut shards = Vec::with_capacity(placement.len());
-            for &s in placement {
-                let slot = template[cursor[s]];
-                let msg = streams[s][cursor[s]];
+            for j in 0..self.fanout {
+                let s = self.shard_session(r, j, &loaded, &groups);
+                let msg = &streams[s][cursor[s]];
+                arrival_slot = arrival_slot.min(template[cursor[s]]);
                 cursor[s] += 1;
-                workload.downstream[s].push(msg);
-                pacing.downstream[s].push(slot);
-                arrival_slot = arrival_slot.min(slot);
                 shards.push(ShardRef {
                     session: s,
                     dst: topology.sessions[s].device,
-                    key: message_key(&msg),
+                    key: message_key(msg),
+                    tag: msg.tag(),
                 });
             }
-            requests.push(RequestSpec {
-                arrival_slot,
-                shards,
-            });
+            arrivals.push(arrival_slot);
         }
-        // Streams were sized exactly; reclaim nothing.
+        // Streams were sized exactly, so they are the workload as they are.
         debug_assert!(streams.iter().zip(&cursor).all(|(st, &c)| st.len() == c));
+        let pacing = InjectionPacing {
+            downstream: per_session
+                .iter()
+                .map(|&n| template[..n].to_vec())
+                .collect(),
+            upstream: vec![Vec::new(); topology.session_count()],
+        };
+        let workload = FabricWorkload {
+            downstream: streams,
+            upstream: vec![Vec::new(); topology.session_count()],
+        };
 
         (
             workload,
             pacing,
-            RequestMap {
-                fanout: self.fanout,
-                shape: self.shape.label(),
-                requests,
-                loaded_sessions: loaded,
-            },
+            RequestMap::new(self.fanout, self.shape.label(), loaded, arrivals, shards),
         )
     }
 }
@@ -364,11 +427,11 @@ mod tests {
         let t = FabricTopology::leaf_spine(2, 1, 2);
         let (workload, pacing, map) =
             generator(4, FanoutShape::Uniform).build(&t, 0.2, 7, &mut StdRng::seed_from_u64(1));
-        assert_eq!(map.requests.len(), 40);
+        assert_eq!(map.len(), 40);
         assert_eq!(map.total_messages(), 160);
         assert_eq!(workload.total_messages(), 160);
-        for req in &map.requests {
-            let mut sessions: Vec<usize> = req.shards.iter().map(|s| s.session).collect();
+        for r in 0..map.len() {
+            let mut sessions: Vec<usize> = map.shards(r).iter().map(|s| s.session).collect();
             sessions.sort_unstable();
             sessions.dedup();
             assert_eq!(sessions.len(), 4, "k ≤ S shards land on distinct sessions");
@@ -396,8 +459,8 @@ mod tests {
         assert_eq!(loaded, matrix_loaded);
         let (workload, _, map) =
             shape_build(&t, generator(2, shape), 0.3, &mut StdRng::seed_from_u64(2));
-        for req in &map.requests {
-            for shard in &req.shards {
+        for r in 0..map.len() {
+            for shard in map.shards(r) {
                 assert_eq!(t.endpoints[shard.dst].switch, 1);
             }
         }
@@ -426,15 +489,12 @@ mod tests {
             5,
             &mut StdRng::seed_from_u64(3),
         );
-        for req in &map.requests {
-            let mut leaves: Vec<usize> = req
-                .shards
-                .iter()
-                .map(|s| t.endpoints[s.dst].switch)
-                .collect();
+        for r in 0..map.len() {
+            let shards = map.shards(r);
+            let mut leaves: Vec<usize> = shards.iter().map(|s| t.endpoints[s.dst].switch).collect();
             leaves.sort_unstable();
             leaves.dedup();
-            assert_eq!(leaves.len(), 2, "one shard per leaf: {req:?}");
+            assert_eq!(leaves.len(), 2, "one shard per leaf: {shards:?}");
         }
     }
 
@@ -444,9 +504,11 @@ mod tests {
         let mut ids = std::collections::HashSet::new();
         let (_, _, map) =
             generator(3, FanoutShape::Uniform).build(&t, 0.2, 9, &mut StdRng::seed_from_u64(4));
-        for req in &map.requests {
-            for sh in &req.shards {
+        let mut tags = std::collections::HashSet::new();
+        for r in 0..map.len() {
+            for sh in map.shards(r) {
                 assert!(ids.insert((sh.dst, sh.key)), "duplicate span id {sh:?}");
+                assert!(tags.insert((sh.dst, sh.tag)), "duplicate (dst, tag) {sh:?}");
             }
         }
         // Fixed per-message load: each session's paced message stream at
@@ -465,6 +527,15 @@ mod tests {
             assert_eq!(p1.downstream[s], p4.downstream[s][..n]);
             assert_eq!(w1.downstream[s], w4.downstream[s][..n]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the limit is 65536 (16-bit message tags)")]
+    fn a_stream_past_the_tag_space_is_refused_up_front() {
+        let t = FabricTopology::leaf_spine(2, 1, 2);
+        let mut g = generator(1, FanoutShape::Uniform);
+        g.requests = t.session_count() * MAX_STREAM_MESSAGES + 1;
+        g.build(&t, 0.5, 3, &mut StdRng::seed_from_u64(6));
     }
 
     #[test]

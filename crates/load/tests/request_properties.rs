@@ -86,20 +86,23 @@ proptest! {
             cqids: 8,
         }
         .build(&t, 0.2, seed, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(map.requests.len(), requests);
+        prop_assert_eq!(map.len(), requests);
         prop_assert_eq!(map.fanout, k);
+        prop_assert_eq!(map.total_messages(), requests * k);
         let mut ids = std::collections::HashSet::new();
         let mut cursor = vec![0usize; t.session_count()];
-        for req in &map.requests {
-            prop_assert_eq!(req.shards.len(), k);
+        for r in 0..map.len() {
+            prop_assert_eq!(map.shards(r).len(), k);
             let mut earliest = u64::MAX;
-            for sh in &req.shards {
+            for sh in map.shards(r) {
                 prop_assert!(ids.insert((sh.dst, sh.key)));
+                // The tag is the shard's ordinal in its session's stream.
+                prop_assert_eq!(sh.tag as usize, cursor[sh.session]);
                 earliest = earliest.min(pacing.downstream[sh.session][cursor[sh.session]]);
                 cursor[sh.session] += 1;
             }
-            prop_assert_eq!(req.arrival_slot, earliest);
+            prop_assert_eq!(map.arrival_slot(r), earliest);
         }
-        prop_assert!(map.last_arrival() >= map.requests[0].arrival_slot);
+        prop_assert!(map.last_arrival() >= map.arrival_slot(0));
     }
 }

@@ -197,6 +197,7 @@ mod tests {
             dst,
             downstream: true,
             key,
+            tag: 0,
         }
     }
 
@@ -207,6 +208,7 @@ mod tests {
             dst,
             downstream: true,
             key,
+            tag: 0,
             verdict,
         }
     }

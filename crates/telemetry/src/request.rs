@@ -39,9 +39,12 @@ use rxl_fabric::{
     DeliverEvent, FabricConfig, FabricSim, FabricTopology, InjectEvent, Probe, RoutingTable,
 };
 use rxl_flit::MESSAGES_PER_FLIT;
-use rxl_load::{detect_knee, ArrivalProcess, FanoutShape, LoadPoint, RequestGenerator, RequestMap};
+use rxl_load::{
+    detect_knee, ArrivalProcess, FanoutShape, LoadPoint, RequestGenerator, RequestMap,
+    MAX_STREAM_MESSAGES,
+};
 use rxl_sim::trial_seed;
-use rxl_transport::{DeliveryVerdict, FailureCounts, FastMap};
+use rxl_transport::{DeliveryVerdict, FailureCounts};
 
 use crate::metrics::{BottleneckReport, LinkPressure, MetricsProbe, MetricsRegistry};
 use crate::slo::SloSpec;
@@ -63,16 +66,55 @@ struct RequestState {
     clean: bool,
 }
 
+/// One slot of the dense join, at `join[dst][tag]`.
+#[derive(Clone, Copy, Debug)]
+struct JoinSlot {
+    /// Key of the shard message the slot was built for — the verifier.
+    key: u64,
+    /// Owning request; [`NO_REQUEST`] while vacant and once delivered.
+    request: u32,
+}
+
+/// [`JoinSlot::request`] of a slot no event may match.
+const NO_REQUEST: u32 = u32::MAX;
+
+const VACANT: JoinSlot = JoinSlot {
+    key: 0,
+    request: NO_REQUEST,
+};
+
 /// A [`Probe`] folding engine events into request-level telemetry.
 ///
 /// Construction takes the trial's [`RequestMap`] — the request→shard join
-/// table — and resolves each delivery's `(dst, key)` span identity back to
-/// its request. A request's completion slot is the max of its shard
-/// delivery slots; its latency is `completion − arrival`; its critical path
-/// is attributed to the session of the shard that delivered last (the
-/// *straggler*). Latency lands in the completion slot's window,
-/// availability in the arrival slot's window — the same attribution split
-/// as the message-level [`crate::SloProbe`].
+/// table — and resolves each event's span identity back to its request. A
+/// request's completion slot is the max of its shard delivery slots; its
+/// latency is `completion − arrival`; its critical path is attributed to
+/// the session of the shard that delivered last (the *straggler*). Latency
+/// lands in the completion slot's window, availability in the arrival
+/// slot's window — the same attribution split as the message-level
+/// [`crate::SloProbe`].
+///
+/// # The join
+///
+/// Within one destination a message's position in its stream *is* its
+/// identity: generators tag message `i` of a stream `i as u16` and no stream
+/// exceeds [`MAX_STREAM_MESSAGES`], so `(dst, tag)` is a dense, collision-free
+/// index. The join is therefore one `Vec` per destination endpoint indexed
+/// by tag, each slot holding `(key, request)`:
+///
+/// * **tag = dense per-stream ordinal** — the index; no hashing.
+/// * **key = verifier** — an event matches only if its key equals the
+///   slot's, so foreign traffic (other directions, messages outside the
+///   map) and out-of-range `(dst, tag)` pairs fall through untouched.
+/// * **first delivery wins** — a delivery retires its slot, so duplicate
+///   deliveries, and injections after the delivery, find nothing.
+///
+/// Cost: one indexed load per event and 16 B per shard message, held for
+/// the life of the trial only ([`Self::finish`] releases it). There is no
+/// hashed fallback: every protocol and every delivery order takes the same
+/// path, because the index never depends on arrival order — only on the
+/// tag uniqueness [`Self::new`] asserts and `RequestSweep::new` /
+/// `RequestGenerator::build` guarantee up front.
 ///
 /// [`RequestProbe::merge`] is exact (windowed-telemetry merge plus counter
 /// addition), so merging per-trial probes in trial order is
@@ -82,7 +124,7 @@ struct RequestState {
 pub struct RequestProbe {
     fanout: usize,
     shape: String,
-    lookup: FastMap<(u64, u64), u32>,
+    join: Vec<Vec<JoinSlot>>,
     states: Vec<RequestState>,
     windows: WindowedTelemetry,
     straggler_counts: Vec<u64>,
@@ -96,16 +138,47 @@ pub struct RequestProbe {
 impl RequestProbe {
     /// A probe joining deliveries through `map`, with `window_slots`-slot
     /// request-level windows and straggler counts over `sessions` sessions.
+    ///
+    /// Panics if two shards of `map` share a `(dst, tag)` — the dense join's
+    /// one precondition, which holds for every stream of at most
+    /// [`MAX_STREAM_MESSAGES`] messages.
     pub fn new(map: &RequestMap, sessions: usize, window_slots: u64) -> Self {
-        let mut lookup = FastMap::default();
-        let mut states = Vec::with_capacity(map.requests.len());
-        for (r, req) in map.requests.iter().enumerate() {
-            for shard in &req.shards {
-                lookup.insert((shard.dst as u64, shard.key), r as u32);
+        assert!(
+            map.len() < NO_REQUEST as usize,
+            "a request map is indexed by u32"
+        );
+        // Tags ascend densely within a destination, so each lane grows by
+        // one slot per shard as the map is walked.
+        let mut join: Vec<Vec<JoinSlot>> = Vec::new();
+        let mut states = Vec::with_capacity(map.len());
+        for r in 0..map.len() {
+            for shard in map.shards(r) {
+                let tag = shard.tag as usize;
+                if join.len() <= shard.dst {
+                    join.resize_with(shard.dst + 1, Vec::new);
+                }
+                let lane = &mut join[shard.dst];
+                if lane.len() <= tag {
+                    lane.resize(tag + 1, VACANT);
+                }
+                let slot = &mut lane[tag];
+                assert!(
+                    slot.request == NO_REQUEST,
+                    "session {} reuses tag {} at destination {}: the dense join needs (dst, tag) \
+                     unique, i.e. at most {MAX_STREAM_MESSAGES} messages per stream \
+                     (rxl_load::MAX_STREAM_MESSAGES)",
+                    shard.session,
+                    shard.tag,
+                    shard.dst
+                );
+                *slot = JoinSlot {
+                    key: shard.key,
+                    request: r as u32,
+                };
             }
             states.push(RequestState {
-                arrival: req.arrival_slot,
-                remaining: req.shards.len() as u32,
+                arrival: map.arrival_slot(r),
+                remaining: map.fanout as u32,
                 injected: 0,
                 last_deliver: 0,
                 straggler_session: 0,
@@ -115,7 +188,7 @@ impl RequestProbe {
         RequestProbe {
             fanout: map.fanout,
             shape: map.shape.clone(),
-            lookup,
+            join,
             states,
             windows: WindowedTelemetry::new(window_slots),
             straggler_counts: vec![0; sessions],
@@ -139,6 +212,26 @@ impl RequestProbe {
             trace: Some(TraceRecorder::new(trace_capacity)),
             ..RequestProbe::new(map, sessions, window_slots)
         }
+    }
+
+    /// Ends the trial: releases the join table and the per-request state
+    /// (both dead once the engine stops emitting events) and keeps what
+    /// [`Self::merge`] and the exports read — windows, straggler counts,
+    /// counters and the trace. A finished probe ignores further events.
+    pub fn finish(self) -> Self {
+        RequestProbe {
+            join: Vec::new(),
+            states: Vec::new(),
+            ..self
+        }
+    }
+
+    /// The live join slot at `(dst, tag)`, if it was built for `key`.
+    fn slot(&mut self, dst: usize, tag: u16, key: u64) -> Option<&mut JoinSlot> {
+        self.join
+            .get_mut(dst)?
+            .get_mut(tag as usize)
+            .filter(|slot| slot.request != NO_REQUEST && slot.key == key)
     }
 
     /// Shards per request.
@@ -311,9 +404,10 @@ impl RequestProbe {
 
 impl Probe for RequestProbe {
     fn on_inject(&mut self, ev: InjectEvent) {
-        let Some(&idx) = self.lookup.get(&(ev.dst as u64, ev.key)) else {
+        let Some(slot) = self.slot(ev.dst, ev.tag, ev.key) else {
             return;
         };
+        let idx = slot.request;
         let state = &mut self.states[idx as usize];
         state.injected += 1;
         if state.injected == 1 {
@@ -328,9 +422,10 @@ impl Probe for RequestProbe {
     }
 
     fn on_deliver(&mut self, ev: DeliverEvent) {
-        // Remove on first delivery: a duplicate finds no entry, matching the
-        // single-span-per-shard semantics.
-        if let Some(idx) = self.lookup.remove(&(ev.dst as u64, ev.key)) {
+        // Retire the slot on first delivery: a duplicate finds nothing,
+        // matching the single-span-per-shard semantics.
+        if let Some(slot) = self.slot(ev.dst, ev.tag, ev.key) {
+            let idx = std::mem::replace(&mut slot.request, NO_REQUEST);
             let state = &mut self.states[idx as usize];
             if ev.verdict != DeliveryVerdict::InOrder {
                 state.clean = false;
@@ -617,6 +712,19 @@ impl RequestSweep {
             "the load ladder must be strictly ascending"
         );
         assert!(sweep.fanout >= 1 && sweep.trials > 0 && sweep.measure_slots > 0);
+        // Message tags are the stream ordinal `as u16`: a longer stream
+        // would repeat identities (the auditor refuses them mid-trial) and
+        // break the `(dst, tag)` uniqueness `RequestProbe::new` asserts.
+        for (rung, &load) in sweep.loads.iter().enumerate() {
+            let per_stream =
+                (load * sweep.measure_slots as f64 * MESSAGES_PER_FLIT as f64).ceil() as usize;
+            assert!(
+                per_stream <= MAX_STREAM_MESSAGES,
+                "rung {rung} (load {load}) offers {per_stream} messages per session stream over \
+                 {} slots; the limit is {MAX_STREAM_MESSAGES} (16-bit message tags)",
+                sweep.measure_slots
+            );
+        }
         RequestSweep {
             topology,
             config,
@@ -723,7 +831,9 @@ impl RequestSweep {
     }
 
     /// One open-system trial: build the request workload from the trial
-    /// seed, run to the horizon (no drain tail), hand back the probes.
+    /// seed, run to the horizon (no drain tail), hand back the finished
+    /// probes — the request join is trial-scoped and is released here, not
+    /// carried into the rung's merge.
     fn run_trial(
         &self,
         routing: &RoutingTable,
@@ -765,7 +875,7 @@ impl RequestSweep {
         let _ = sim.run_to_horizon(horizon);
         let (report, (request_probe, metrics)) = sim.finish_with_probe();
         (
-            request_probe,
+            request_probe.finish(),
             metrics.into_registry(),
             report.slots,
             horizon,
@@ -859,46 +969,25 @@ impl OperatingPoint {
 mod tests {
     use super::*;
     use rxl_link::{ChannelErrorModel, ProtocolVariant};
-    use rxl_load::{RequestSpec, ShardRef};
+    use rxl_load::ShardRef;
+    use rxl_transport::FastMap;
 
+    /// Two requests of two shards, each shard alone on its destination
+    /// (so every tag is 0).
     fn tiny_map() -> RequestMap {
-        RequestMap {
-            fanout: 2,
-            shape: "uniform".to_string(),
-            requests: vec![
-                RequestSpec {
-                    arrival_slot: 10,
-                    shards: vec![
-                        ShardRef {
-                            session: 0,
-                            dst: 4,
-                            key: 100,
-                        },
-                        ShardRef {
-                            session: 1,
-                            dst: 5,
-                            key: 200,
-                        },
-                    ],
-                },
-                RequestSpec {
-                    arrival_slot: 30,
-                    shards: vec![
-                        ShardRef {
-                            session: 2,
-                            dst: 6,
-                            key: 300,
-                        },
-                        ShardRef {
-                            session: 3,
-                            dst: 7,
-                            key: 400,
-                        },
-                    ],
-                },
-            ],
-            loaded_sessions: vec![0, 1, 2, 3],
-        }
+        let shard = |session: usize, key: u64| ShardRef {
+            session,
+            dst: session + 4,
+            key,
+            tag: 0,
+        };
+        RequestMap::new(
+            2,
+            "uniform".to_string(),
+            vec![0, 1, 2, 3],
+            vec![10, 30],
+            vec![shard(0, 100), shard(1, 200), shard(2, 300), shard(3, 400)],
+        )
     }
 
     fn inject(slot: u64, session: usize, dst: usize, key: u64) -> InjectEvent {
@@ -909,6 +998,7 @@ mod tests {
             dst,
             downstream: true,
             key,
+            tag: 0,
         }
     }
 
@@ -919,6 +1009,7 @@ mod tests {
             dst,
             downstream: true,
             key,
+            tag: 0,
             verdict: DeliveryVerdict::InOrder,
         }
     }
@@ -1047,5 +1138,323 @@ mod tests {
         assert!(page.contains("rxl_request_latency_p99{fanout=\"2\""));
         assert!(page.contains("rxl_request_inflight{"));
         assert!(page.contains("rxl_request_straggler_link{"));
+    }
+
+    #[test]
+    #[should_panic(expected = "session 1 reuses tag 7 at destination 4")]
+    fn a_repeated_tag_within_a_destination_is_refused() {
+        let shard = |session: usize, key: u64| ShardRef {
+            session,
+            dst: 4,
+            key,
+            tag: 7,
+        };
+        let map = RequestMap::new(
+            2,
+            "uniform".to_string(),
+            vec![0, 1],
+            vec![0],
+            vec![shard(0, 100), shard(1, 200)],
+        );
+        RequestProbe::new(&map, 2, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "rung 1 (load 0.5) offers 75000 messages per session stream")]
+    fn a_rung_past_the_tag_space_is_refused_at_construction() {
+        RequestSweep::new(
+            FabricTopology::leaf_spine(2, 1, 2),
+            FabricConfig::new(ProtocolVariant::Rxl),
+            RequestSweepConfig {
+                loads: vec![0.05, 0.5],
+                measure_slots: 10_000,
+                ..RequestSweepConfig::default()
+            },
+        );
+    }
+
+    /// The trial-scoped join: what `run_trial` hands the rung merge holds no
+    /// join table and no per-request state, and renders exactly what a
+    /// probe that kept them renders.
+    #[test]
+    fn a_finished_probe_holds_no_join_state_and_renders_the_same() {
+        let sweep = pod_sweep(vec![0.2], FanoutShape::Uniform, 2);
+        let routing = RoutingTable::new(sweep.topology());
+        let generator = RequestGenerator {
+            fanout: 2,
+            requests: sweep.requests_for(0.2, sweep.topology().session_count()),
+            shape: FanoutShape::Uniform,
+            arrival: sweep.sweep.arrival,
+            cqids: sweep.sweep.cqids,
+        };
+        let (finished, registry, slots, _) = sweep.run_trial(&routing, &generator, 0.2, 0);
+        assert!(finished.completed() > 0);
+        assert_eq!(finished.join.capacity(), 0, "join table released");
+        assert_eq!(finished.states.capacity(), 0, "request state released");
+
+        // The same trial with the join state kept alive to the end.
+        let engine_seed = trial_seed(sweep.config.seed, 0);
+        let mut rng =
+            StdRng::seed_from_u64(trial_seed(sweep.config.seed ^ REQUEST_ARRIVAL_SALT, 0));
+        let (workload, pacing, map) = generator.build(sweep.topology(), 0.2, engine_seed, &mut rng);
+        let kept = RequestProbe::new(&map, sweep.topology().session_count(), 300);
+        let config = FabricConfig {
+            seed: engine_seed,
+            max_slots: u64::MAX,
+            ..sweep.config
+        };
+        let mut sim = FabricSim::with_probe(sweep.topology(), &routing, config, kept);
+        sim.begin_paced(&workload, &pacing);
+        let _ = sim.run_to_horizon(map.last_arrival() + 300);
+        let (_, kept) = sim.finish_with_probe();
+        assert!(!kept.join.is_empty() && kept.states.len() == map.len());
+
+        let bottleneck = BottleneckReport::analyze(sweep.topology(), &registry, slots);
+        let steady = finished.windows().steady_state(1, u64::MAX);
+        assert_eq!(
+            finished.prometheus(sweep.topology(), &steady, &bottleneck),
+            kept.prometheus(sweep.topology(), &steady, &bottleneck)
+        );
+        assert_eq!(
+            format!(
+                "{:?}",
+                finished.straggler_attribution(sweep.topology(), &bottleneck)
+            ),
+            format!(
+                "{:?}",
+                kept.straggler_attribution(sweep.topology(), &bottleneck)
+            )
+        );
+        assert_eq!(
+            format!("{:?}", finished.windows()),
+            format!("{:?}", kept.windows())
+        );
+    }
+
+    /// The hashed join the dense one replaced, kept as the differential
+    /// reference: `(dst, key) → request` in a map, removed on delivery.
+    struct ReferenceJoin {
+        lookup: FastMap<(u64, u64), u32>,
+        states: Vec<RequestState>,
+        windows: WindowedTelemetry,
+        straggler_counts: Vec<u64>,
+        completed: u64,
+        started: u64,
+        inflight: u64,
+        peak_inflight: u64,
+    }
+
+    impl ReferenceJoin {
+        fn new(map: &RequestMap, sessions: usize, window_slots: u64) -> Self {
+            let mut lookup = FastMap::default();
+            let mut states = Vec::new();
+            for r in 0..map.len() {
+                for shard in map.shards(r) {
+                    lookup.insert((shard.dst as u64, shard.key), r as u32);
+                }
+                states.push(RequestState {
+                    arrival: map.arrival_slot(r),
+                    remaining: map.fanout as u32,
+                    injected: 0,
+                    last_deliver: 0,
+                    straggler_session: 0,
+                    clean: true,
+                });
+            }
+            ReferenceJoin {
+                lookup,
+                states,
+                windows: WindowedTelemetry::new(window_slots),
+                straggler_counts: vec![0; sessions],
+                completed: 0,
+                started: 0,
+                inflight: 0,
+                peak_inflight: 0,
+            }
+        }
+    }
+
+    impl Probe for ReferenceJoin {
+        fn on_inject(&mut self, ev: InjectEvent) {
+            let Some(&idx) = self.lookup.get(&(ev.dst as u64, ev.key)) else {
+                return;
+            };
+            let state = &mut self.states[idx as usize];
+            state.injected += 1;
+            if state.injected == 1 {
+                self.windows.record_inject(state.arrival);
+                self.started += 1;
+                self.inflight += 1;
+                self.peak_inflight = self.peak_inflight.max(self.inflight);
+            }
+        }
+
+        fn on_deliver(&mut self, ev: DeliverEvent) {
+            let Some(idx) = self.lookup.remove(&(ev.dst as u64, ev.key)) else {
+                return;
+            };
+            let state = &mut self.states[idx as usize];
+            if ev.verdict != DeliveryVerdict::InOrder {
+                state.clean = false;
+            }
+            if ev.slot >= state.last_deliver {
+                state.last_deliver = ev.slot;
+                state.straggler_session = ev.session as u32;
+            }
+            state.remaining -= 1;
+            if state.remaining == 0 {
+                let latency = state.last_deliver.saturating_sub(state.arrival);
+                self.windows.record_latency(state.last_deliver, latency);
+                self.windows.record_outcome(state.arrival, state.clean);
+                self.straggler_counts[state.straggler_session as usize] += 1;
+                self.completed += 1;
+                self.inflight -= 1;
+            }
+        }
+    }
+
+    /// Endpoint the differential map's session `s` delivers to.
+    const DIFF_DST_BASE: usize = 3;
+
+    /// A map of `requests` requests at fanout `k` round-robined over
+    /// `sessions` sessions, shaped like `RequestGenerator::build`'s: tags
+    /// are per-session stream ordinals, keys are engine-style mixed hashes.
+    fn differential_map(sessions: usize, k: usize, requests: usize) -> RequestMap {
+        let mut cursor = vec![0u16; sessions];
+        let mut arrivals = Vec::new();
+        let mut shards = Vec::new();
+        for r in 0..requests {
+            arrivals.push(7 * r as u64);
+            for j in 0..k {
+                let session = (r * k + j) % sessions;
+                let tag = cursor[session];
+                cursor[session] += 1;
+                shards.push(ShardRef {
+                    session,
+                    dst: DIFF_DST_BASE + session,
+                    key: rxl_transport::mix64(((session as u64) << 32) | tag as u64),
+                    tag,
+                });
+            }
+        }
+        RequestMap::new(
+            k,
+            "uniform".to_string(),
+            (0..sessions).collect(),
+            arrivals,
+            shards,
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense tag-indexed join and the hashed reference agree on
+        /// every observable for any event sequence: shards injected and
+        /// delivered in any order across and within sessions, duplicate
+        /// deliveries, injections after delivery, non-`InOrder` verdicts,
+        /// and events that belong to no shard of the map (unknown key at a
+        /// live `(dst, tag)`, tag past the stream, destination outside the
+        /// map, a known key under the wrong tag).
+        #[test]
+        fn dense_join_matches_the_hashed_reference(
+            sessions in 1usize..=4,
+            k in 1usize..=3,
+            requests in 1usize..12,
+            ops in proptest::collection::vec(
+                (0u8..10, any::<u32>(), 0u64..40, any::<bool>()),
+                0..160,
+            ),
+        ) {
+            let map = differential_map(sessions, k, requests);
+            let flat: Vec<ShardRef> = (0..map.len()).flat_map(|r| map.shards(r).to_vec()).collect();
+            let mut dense = RequestProbe::new(&map, sessions, 50);
+            let mut reference = ReferenceJoin::new(&map, sessions, 50);
+            let mut injected = vec![false; flat.len()];
+            let mut slot = 0u64;
+            for (kind, pick, advance, clean) in ops {
+                slot += advance;
+                let i = pick as usize % flat.len();
+                let sh = flat[i];
+                let inject = |dst: usize, key: u64, tag: u16| InjectEvent {
+                    slot,
+                    session: sh.session,
+                    src: 0,
+                    dst,
+                    downstream: true,
+                    key,
+                    tag,
+                };
+                let deliver = |dst: usize, key: u64, tag: u16| DeliverEvent {
+                    slot,
+                    session: sh.session,
+                    dst,
+                    downstream: true,
+                    key,
+                    tag,
+                    verdict: if clean {
+                        DeliveryVerdict::InOrder
+                    } else {
+                        DeliveryVerdict::OutOfOrder
+                    },
+                };
+                let mut injects = Vec::new();
+                let mut delivers = Vec::new();
+                match kind {
+                    0..=2 => {
+                        injected[i] = true;
+                        injects.push(inject(sh.dst, sh.key, sh.tag));
+                    }
+                    3..=6 => {
+                        // The engine never delivers what it has not
+                        // injected (and a request completing unstarted
+                        // would underflow `inflight` in both joins).
+                        if !injected[i] {
+                            injected[i] = true;
+                            injects.push(inject(sh.dst, sh.key, sh.tag));
+                        }
+                        delivers.push(deliver(sh.dst, sh.key, sh.tag));
+                    }
+                    7 => {
+                        // Foreign traffic at a live (dst, tag): wrong key.
+                        injects.push(inject(sh.dst, sh.key ^ 1, sh.tag));
+                        delivers.push(deliver(sh.dst, sh.key ^ 1, sh.tag));
+                    }
+                    8 => {
+                        // Past the stream, and outside the map's endpoints.
+                        delivers.push(deliver(sh.dst, sh.key ^ 2, u16::MAX));
+                        injects.push(inject(DIFF_DST_BASE + sessions + 1, sh.key, sh.tag));
+                        delivers.push(deliver(0, sh.key, sh.tag));
+                    }
+                    _ => {
+                        // Another session's key under this shard's tag:
+                        // the map has no such (dst, key) either.
+                        let other = flat[(i + 1) % flat.len()];
+                        if other.dst != sh.dst {
+                            delivers.push(deliver(sh.dst, other.key, sh.tag));
+                        }
+                    }
+                }
+                for ev in injects {
+                    dense.on_inject(ev);
+                    reference.on_inject(ev);
+                }
+                for ev in delivers {
+                    dense.on_deliver(ev);
+                    reference.on_deliver(ev);
+                }
+                prop_assert_eq!(dense.completed(), reference.completed);
+                prop_assert_eq!(dense.started(), reference.started);
+                prop_assert_eq!(dense.inflight(), reference.inflight);
+                prop_assert_eq!(dense.peak_inflight(), reference.peak_inflight);
+            }
+            prop_assert_eq!(dense.straggler_counts(), &reference.straggler_counts[..]);
+            prop_assert_eq!(
+                format!("{:?}", dense.windows()),
+                format!("{:?}", reference.windows)
+            );
+        }
     }
 }

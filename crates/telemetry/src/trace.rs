@@ -332,6 +332,7 @@ mod tests {
             dst,
             downstream: true,
             key,
+            tag: 0,
         }
     }
 

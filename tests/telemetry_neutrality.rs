@@ -311,7 +311,7 @@ fn request_probe_observes_a_bit_identical_open_system_trial() {
         assert!(probe.completed() > 0, "{variant:?}: probe saw completions");
         assert_eq!(
             probe.started(),
-            map.requests.len() as u64,
+            map.len() as u64,
             "{variant:?}: every request's first shard passed the probe"
         );
     }
