@@ -38,7 +38,8 @@ use rxl_flit::{
     CxlFlitCodec, Flit256, Message, RxlFlitCodec, WireFlit, MESSAGES_PER_FLIT, WIRE_FLIT_LEN,
 };
 use rxl_link::{
-    Channel, ChannelErrorModel, EventCursor, LinkConfig, LinkEndpoint, LinkStats, ProtocolVariant,
+    Channel, ChannelErrorModel, EventCursor, FlitRef, LinkConfig, LinkEndpoint, LinkStats,
+    ProtocolVariant,
 };
 use rxl_switch::{
     InternalErrorModel, LinkCrcMode, ProcessVerdict, Switch, SwitchConfig, SwitchStats, VcArbiter,
@@ -524,21 +525,32 @@ impl SimCodec {
     }
 }
 
-/// The payload of an in-fabric flit: either the *logical* flit plus its
-/// bound sequence number (no wire bytes materialised yet — the state every
-/// flit starts in and, on a quiet link, stays in for its whole journey), or
-/// the explicit 256-byte wire image (forced the moment a channel corrupts
-/// the flit or a switch pipeline needs real bytes).
+/// The payload of an in-fabric flit: either a handle to the *logical* flit
+/// plus its bound sequence number (no wire bytes materialised yet — the state
+/// every flit starts in and, on a quiet link, stays in for its whole
+/// journey), or the explicit 256-byte wire image (forced the moment a channel
+/// corrupts the flit or a switch pipeline needs real bytes).
 ///
 /// Because a clean wire image is a pure function of `(flit, seq)`, deferring
 /// the encode is invisible to the simulation: a flit that reaches its
 /// destination still `Clean` is handed to [`LinkEndpoint::receive_trusted`],
 /// whose outcome is provably identical to encode-then-`receive` (see the
 /// equivalence argument on [`rxl_link::LinkRx::receive_trusted`]).
+///
+/// # Ownership
+///
+/// `Clean` holds the very [`FlitRef`] the transmitter emitted — the same
+/// allocation its replay buffer retains — from injection until delivery (or
+/// a drop), so a clean hop moves a pointer and a retransmission re-injects
+/// the same flit, not a copy. The shared flit is never written through this
+/// handle: [`Self::materialize`] encodes it into a private `Box<WireFlit>`,
+/// which is what corruption and FEC correction mutate, and releases the
+/// handle. `Wire` is boxed because it is the rare state (< 1 % of hops at
+/// realistic BER); inline it would make every queued flit 256 bytes.
 #[derive(Clone)]
 enum FlitPayload {
-    Clean { flit: Flit256, seq: u16 },
-    Wire(WireFlit),
+    Clean { flit: FlitRef, seq: u16 },
+    Wire(Box<WireFlit>),
 }
 
 impl FlitPayload {
@@ -547,7 +559,7 @@ impl FlitPayload {
     #[inline]
     fn materialize(&mut self, codec: &SimCodec) -> &mut WireFlit {
         if let FlitPayload::Clean { flit, seq } = self {
-            *self = FlitPayload::Wire(codec.encode(flit, *seq));
+            *self = FlitPayload::Wire(Box::new(codec.encode(flit, *seq)));
         }
         match self {
             FlitPayload::Wire(wire) => wire,
@@ -578,6 +590,10 @@ struct RoutedFlit {
     /// hop in that dimension is 1.
     crossed: u8,
 }
+
+// A hop moves a `RoutedFlit` by value three times (queue pop, transmit,
+// stage); it must stay a handle plus metadata, never a payload.
+const _: () = assert!(std::mem::size_of::<RoutedFlit>() <= 32);
 
 /// What sits on the far side of a switch port.
 #[derive(Clone, Copy, Debug)]
@@ -1826,20 +1842,15 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                         self.probe.on_nack(self.slots, e, self.session_of[e]);
                     }
                 }
-                if let Some(flit) = emission.flit() {
+                if let Some((flit, seq)) = emission.into_flit() {
                     all_endpoints_idle = false;
                     // The wire image is *not* encoded here: the flit enters
-                    // the fabric in deferred (`Clean`) form, bound to the
-                    // sequence number its transmitter assigned, and only a
-                    // corrupting traversal forces the encode.
-                    let seq = emission
-                        .bound_seq()
-                        .expect("non-idle emission has a bound seq");
+                    // the fabric in deferred (`Clean`) form — the emission's
+                    // own handle, bound to the sequence number its
+                    // transmitter assigned — and only a corrupting traversal
+                    // forces the encode.
                     let rf = RoutedFlit {
-                        payload: FlitPayload::Clean {
-                            flit: flit.clone(),
-                            seq,
-                        },
+                        payload: FlitPayload::Clean { flit, seq },
                         dst: self.peer_of[e],
                         protocol,
                         retransmission,

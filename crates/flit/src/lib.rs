@@ -48,5 +48,6 @@ pub use flit68::Flit68;
 pub use header::{FlitHeader, FlitType, ReplayCmd, FSN_BITS, FSN_MASK};
 pub use message::{MemOp, Message, RspStatus};
 pub use slots::{
-    pack_messages, pack_messages_into, unpack_messages, SlotError, MESSAGES_PER_FLIT, SLOT_LEN,
+    pack_messages, pack_messages_into, unpack_messages, unpack_messages_into, SlotError,
+    MESSAGES_PER_FLIT, SLOT_LEN,
 };

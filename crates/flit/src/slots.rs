@@ -182,6 +182,32 @@ pub fn unpack_messages(payload: &[u8]) -> Result<Vec<Message>, SlotError> {
     Ok(out)
 }
 
+/// Unpacks all non-empty messages from a payload into the front of `out`,
+/// returning how many were written — the allocation-free form of
+/// [`unpack_messages`] used on the receive hot path. `out` must have room
+/// for one message per payload slot (`[Message; MESSAGES_PER_FLIT]` for a
+/// 240-byte payload); entries past the returned count are left untouched.
+pub fn unpack_messages_into(payload: &[u8], out: &mut [Message]) -> Result<usize, SlotError> {
+    if payload.is_empty() || !payload.len().is_multiple_of(SLOT_LEN) {
+        return Err(SlotError::BadPayloadLength(payload.len()));
+    }
+    let slots = payload.len() / SLOT_LEN;
+    if slots > out.len() {
+        return Err(SlotError::TooManyMessages {
+            given: slots,
+            capacity: out.len(),
+        });
+    }
+    let mut len = 0;
+    for slot in payload.chunks_exact(SLOT_LEN) {
+        if let Some(msg) = decode_slot(slot)? {
+            out[len] = msg;
+            len += 1;
+        }
+    }
+    Ok(len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +239,35 @@ mod tests {
         assert_eq!(payload.len(), 240);
         let decoded = unpack_messages(&payload).unwrap();
         assert_eq!(decoded, msgs);
+    }
+
+    #[test]
+    fn unpack_into_matches_the_allocating_form() {
+        let msgs = sample_messages();
+        let mut payload = pack_messages(&msgs, 240).unwrap();
+        let filler = Message::response_ok(0xFFFF, 0xFFFF);
+        let mut out = [filler; MESSAGES_PER_FLIT];
+        let len = unpack_messages_into(&payload, &mut out).unwrap();
+        assert_eq!(&out[..len], &msgs[..]);
+        assert!(out[len..].iter().all(|m| *m == filler));
+
+        // Same errors as `unpack_messages`, plus a too-small output buffer.
+        assert_eq!(
+            unpack_messages_into(&payload, &mut out[..14]),
+            Err(SlotError::TooManyMessages {
+                given: 15,
+                capacity: 14
+            })
+        );
+        assert_eq!(
+            unpack_messages_into(&[0u8; 7], &mut out),
+            Err(SlotError::BadPayloadLength(7))
+        );
+        payload[SLOT_LEN] = 0xEE;
+        assert_eq!(
+            unpack_messages_into(&payload, &mut out),
+            Err(SlotError::UnknownKind(0xEE))
+        );
     }
 
     #[test]
@@ -325,7 +380,10 @@ mod tests {
             #[test]
             fn arbitrary_message_sets_round_trip(msgs in proptest::collection::vec(arb_message(), 0..15)) {
                 let payload = pack_messages(&msgs, 240).unwrap();
-                prop_assert_eq!(unpack_messages(&payload).unwrap(), msgs);
+                prop_assert_eq!(unpack_messages(&payload).unwrap(), msgs.clone());
+                let mut out = [Message::response_ok(0, 0); MESSAGES_PER_FLIT];
+                let len = unpack_messages_into(&payload, &mut out).unwrap();
+                prop_assert_eq!(&out[..len], &msgs[..]);
             }
         }
     }

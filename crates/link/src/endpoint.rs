@@ -69,18 +69,7 @@ impl LinkEndpoint {
     /// delivered messages to its transaction layer.
     pub fn receive(&mut self, wire: &WireFlit, now_ns: f64) -> RxResult {
         let result = self.rx.receive(wire);
-        if let Some(ack) = result.peer_ack {
-            self.tx.handle_peer_ack(ack, now_ns);
-        }
-        if let Some(nack) = result.peer_nack {
-            self.tx.handle_peer_nack(nack, now_ns);
-        }
-        if let Some(ack) = result.send_ack {
-            self.tx.queue_ack(ack);
-        }
-        if let Some(nack) = result.send_nack {
-            self.tx.queue_nack(nack);
-        }
+        self.wire_feedback(&result, now_ns);
         result
     }
 
@@ -90,6 +79,11 @@ impl LinkEndpoint {
     /// [`LinkRx::receive_trusted`]). Feedback wiring is identical.
     pub fn receive_trusted(&mut self, flit: &Flit256, tx_seq: u16, now_ns: f64) -> RxResult {
         let result = self.rx.receive_trusted(flit, tx_seq);
+        self.wire_feedback(&result, now_ns);
+        result
+    }
+
+    fn wire_feedback(&mut self, result: &RxResult, now_ns: f64) {
         if let Some(ack) = result.peer_ack {
             self.tx.handle_peer_ack(ack, now_ns);
         }
@@ -102,7 +96,6 @@ impl LinkEndpoint {
         if let Some(nack) = result.send_nack {
             self.tx.queue_nack(nack);
         }
-        result
     }
 
     /// Materialises the wire bytes of an emission produced by
@@ -156,10 +149,10 @@ mod tests {
             let ea = a.emit(now);
             let eb = b.emit(now);
             if let Some(wire) = a.encode_emission(&ea) {
-                at_b.extend(b.receive(&wire, now).delivered);
+                at_b.extend_from_slice(&b.receive(&wire, now).delivered);
             }
             if let Some(wire) = b.encode_emission(&eb) {
-                at_a.extend(a.receive(&wire, now).delivered);
+                at_a.extend_from_slice(&a.receive(&wire, now).delivered);
             }
             if ea.is_idle() && eb.is_idle() && a.is_quiescent() && b.is_quiescent() {
                 break;

@@ -27,6 +27,8 @@ pub mod rx;
 pub mod seq;
 pub mod stats;
 pub mod tx;
+#[cfg(test)]
+mod tx_reference;
 pub mod variant;
 
 pub use ack::{AckPolicy, AckScheduler};
@@ -37,8 +39,8 @@ pub use channel::{
 pub use credit::CreditCounter;
 pub use endpoint::LinkEndpoint;
 pub use retry::ReplayBuffer;
-pub use rx::{LinkRx, RxResult};
+pub use rx::{Delivered, LinkRx, RxResult};
 pub use seq::{seq_add, seq_distance, seq_next, SEQ_MASK, SEQ_SPACE};
 pub use stats::LinkStats;
-pub use tx::{LinkTx, TxEmission};
+pub use tx::{FlitRef, LinkTx, TxEmission};
 pub use variant::{LinkConfig, ProtocolVariant};

@@ -4,18 +4,21 @@
 //! so it can be retransmitted on a NACK (go-back-N) or on a single-flit retry
 //! request. The buffer is indexed by sequence number and enforces the
 //! sliding-window invariant that at most half the sequence space is in flight.
+//!
+//! Entries are [`FlitRef`] handles: retaining, replaying and releasing a flit
+//! moves a pointer, never the 244-byte flit (see the ownership contract on
+//! [`FlitRef`]).
 
 use std::collections::VecDeque;
 
-use rxl_flit::Flit256;
-
 use crate::seq::{seq_distance, seq_next, SEQ_SPACE};
+use crate::tx::FlitRef;
 
 /// One retained flit awaiting acknowledgement.
 #[derive(Clone, Debug)]
 struct ReplayEntry {
     seq: u16,
-    flit: Flit256,
+    flit: FlitRef,
 }
 
 /// A sequence-indexed replay buffer.
@@ -66,7 +69,7 @@ impl ReplayBuffer {
 
     /// Retains a newly transmitted flit. Panics if the buffer is full or the
     /// sequence number does not directly follow the previously pushed one.
-    pub fn push(&mut self, seq: u16, flit: Flit256) {
+    pub fn push(&mut self, seq: u16, flit: FlitRef) {
         assert!(!self.is_full(), "replay buffer overflow");
         if let Some(back) = self.entries.back() {
             assert_eq!(
@@ -80,7 +83,8 @@ impl ReplayBuffer {
 
     /// Releases every flit up to and including `ack_seq` (cumulative ACK).
     /// Returns the number of flits released. Acknowledgements for sequence
-    /// numbers not currently held are ignored (stale or duplicate ACKs).
+    /// numbers not currently held — stale (before the oldest) or bogus
+    /// (beyond the newest) — are ignored.
     pub fn ack_up_to(&mut self, ack_seq: u16) -> usize {
         let Some(oldest) = self.oldest_seq() else {
             return 0;
@@ -88,61 +92,46 @@ impl ReplayBuffer {
         // How many entries does the cumulative ACK cover?
         let span = seq_distance(oldest, ack_seq) as usize + 1;
         if span > self.entries.len() {
-            // ACK is outside the window: either stale (before oldest) or
-            // bogus; ignore it.
-            if seq_distance(ack_seq, oldest) < (SEQ_SPACE / 2) {
-                return 0;
-            }
             return 0;
         }
-        for _ in 0..span {
-            self.entries.pop_front();
-        }
+        self.entries.drain(..span);
         span
     }
 
-    /// Returns clones of all retained flits starting at `from_seq`, in order,
-    /// for a go-back-N retransmission. Returns an empty vector if `from_seq`
-    /// is not retained.
-    pub fn replay_from(&self, from_seq: u16) -> Vec<(u16, Flit256)> {
-        let Some(oldest) = self.oldest_seq() else {
-            return Vec::new();
+    /// Handles to the retained flits from `from_seq` to the newest, in order,
+    /// for a go-back-N retransmission — the flits themselves are not copied.
+    /// Empty if `from_seq` is not retained.
+    pub fn replay_from(&self, from_seq: u16) -> impl ExactSizeIterator<Item = (u16, FlitRef)> + '_ {
+        let skip = match self.oldest_seq() {
+            Some(oldest) => (seq_distance(oldest, from_seq) as usize).min(self.entries.len()),
+            None => 0,
         };
-        let skip = seq_distance(oldest, from_seq) as usize;
-        if skip >= self.entries.len() {
-            return Vec::new();
-        }
         self.entries
-            .iter()
-            .skip(skip)
-            .map(|e| (e.seq, e.flit.clone()))
-            .collect()
+            .range(skip..)
+            .map(|e| (e.seq, FlitRef::clone(&e.flit)))
     }
 
-    /// Returns a clone of the single retained flit with sequence `seq`, if
-    /// present (selective / single-flit retry).
-    pub fn get(&self, seq: u16) -> Option<Flit256> {
+    /// The single retained flit with sequence `seq`, if present (selective /
+    /// single-flit retry).
+    pub fn get(&self, seq: u16) -> Option<&FlitRef> {
         let oldest = self.oldest_seq()?;
         let idx = seq_distance(oldest, seq) as usize;
-        self.entries.get(idx).and_then(|e| {
-            if e.seq == seq {
-                Some(e.flit.clone())
-            } else {
-                None
-            }
-        })
+        self.entries
+            .get(idx)
+            .filter(|e| e.seq == seq)
+            .map(|e| &e.flit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rxl_flit::FlitHeader;
+    use rxl_flit::{Flit256, FlitHeader};
 
-    fn flit(tag: u16) -> Flit256 {
+    fn flit(tag: u16) -> FlitRef {
         let mut f = Flit256::new(FlitHeader::with_seq(tag));
         f.payload[0] = tag as u8;
-        f
+        FlitRef::new(f)
     }
 
     #[test]
@@ -180,13 +169,15 @@ mod tests {
         for s in 0..6u16 {
             buf.push(s, flit(s));
         }
-        let replay = buf.replay_from(3);
+        let replay: Vec<_> = buf.replay_from(3).collect();
         assert_eq!(replay.len(), 3);
         assert_eq!(replay[0].0, 3);
         assert_eq!(replay[2].0, 5);
         assert_eq!(replay[0].1.payload[0], 3);
-        assert!(buf.replay_from(9).is_empty());
-        assert!(ReplayBuffer::new(4).replay_from(0).is_empty());
+        // A replayed flit is the retained flit itself, not a copy.
+        assert!(FlitRef::ptr_eq(&replay[0].1, buf.get(3).unwrap()));
+        assert_eq!(buf.replay_from(9).len(), 0);
+        assert_eq!(ReplayBuffer::new(4).replay_from(0).len(), 0);
     }
 
     #[test]
@@ -211,8 +202,7 @@ mod tests {
         // ACK across the wrap point.
         assert_eq!(buf.ack_up_to(0), 4); // releases 1021,1022,1023,0
         assert_eq!(buf.oldest_seq(), Some(1));
-        let replay = buf.replay_from(1);
-        assert_eq!(replay.len(), 2);
+        assert_eq!(buf.replay_from(1).len(), 2);
     }
 
     #[test]

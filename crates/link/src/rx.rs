@@ -13,12 +13,56 @@
 //!   number through the ISN ECRC, so a drop is caught on the very next flit
 //!   and nothing out of order is ever forwarded.
 
-use rxl_flit::{CxlFlitCodec, FlitHeader, FlitType, Message, ReplayCmd, RxlFlitCodec, WireFlit};
+use rxl_flit::{
+    CxlFlitCodec, FlitHeader, FlitType, Message, ReplayCmd, RxlFlitCodec, WireFlit,
+    MESSAGES_PER_FLIT,
+};
 
 use crate::ack::{AckPolicy, AckScheduler};
 use crate::seq::{seq_add, seq_next};
 use crate::stats::LinkStats;
 use crate::variant::{LinkConfig, ProtocolVariant};
+
+/// The transaction messages one flit forwarded to the upper layer: at most
+/// [`MESSAGES_PER_FLIT`], held inline so a receive allocates nothing. Derefs
+/// to `[Message]`.
+#[derive(Clone, Copy)]
+pub struct Delivered {
+    len: usize,
+    msgs: [Message; MESSAGES_PER_FLIT],
+}
+
+impl Default for Delivered {
+    fn default() -> Self {
+        Delivered {
+            len: 0,
+            msgs: [Message::response_ok(0, 0); MESSAGES_PER_FLIT],
+        }
+    }
+}
+
+impl std::ops::Deref for Delivered {
+    type Target = [Message];
+
+    fn deref(&self) -> &[Message] {
+        &self.msgs[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Delivered {
+    type Item = &'a Message;
+    type IntoIter = std::slice::Iter<'a, Message>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Delivered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Everything the receiver decided about one arriving wire flit.
 #[derive(Clone, Debug, Default)]
@@ -27,7 +71,7 @@ pub struct RxResult {
     /// control flit consumed).
     pub accepted: bool,
     /// Transaction messages forwarded to the upper layer by this flit.
-    pub delivered: Vec<Message>,
+    pub delivered: Delivered,
     /// Header of the forwarded flit, if one was forwarded.
     pub delivered_header: Option<FlitHeader>,
     /// `true` if the flit's position in the sequence was actually verified
@@ -386,7 +430,9 @@ impl LinkRx {
     ) {
         result.accepted = true;
         result.delivered_header = Some(header);
-        result.delivered = rxl_flit::unpack_messages(payload).unwrap_or_default();
+        // A payload that fails to unpack forwards nothing.
+        result.delivered.len =
+            rxl_flit::unpack_messages_into(payload, &mut result.delivered.msgs).unwrap_or(0);
         self.stats.flits_accepted += 1;
 
         let accepted_seq = self.expected_seq;

@@ -7,6 +7,7 @@
 //! also handled here, because they compete for the same transmit slots.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use rxl_flit::{
     CxlFlitCodec, Flit256, FlitHeader, Message, RxlFlitCodec, WireFlit, MESSAGES_PER_FLIT,
@@ -16,6 +17,37 @@ use crate::retry::ReplayBuffer;
 use crate::seq::{seq_add, seq_next};
 use crate::stats::LinkStats;
 use crate::variant::{LinkConfig, ProtocolVariant};
+
+/// A shared handle to one *logical* flit — the unit of ownership from first
+/// emission to delivery.
+///
+/// ISN binds the sequence number in the CRC and spends no header bytes on
+/// it, so the logical flit is the same object on its first transmission and
+/// on every go-back-N replay. The simulator mirrors that: [`LinkTx::emit`]
+/// writes a flit exactly once, and from then on only handles move.
+///
+/// # Ownership contract
+///
+/// * **A flit is never mutated after `emit` returns it**; every holder sees
+///   the same immutable [`Flit256`].
+/// * The **replay buffer** holds one handle per unacknowledged protocol flit,
+///   from `emit` until the cumulative ACK (or a NACK's implied ACK) covers it.
+/// * The **retransmit queue** holds a *snapshot* of handles taken when a
+///   NACK or the watchdog fires; a flit acknowledged after that snapshot is
+///   still retransmitted (the receiver discards it as a duplicate).
+/// * Each [`TxEmission`] carries one handle, which the caller keeps while the
+///   flit is in flight (`rxl-fabric`: until the destination endpoint has
+///   received it). A retransmitted emission is `Rc::ptr_eq` to the
+///   replay-buffer entry it came from. Control flits are never retained, so
+///   their emission holds the only handle.
+/// * **Corruption never touches the shared flit**: a caller that must flip
+///   bits materialises a private wire image ([`LinkTx::encode_emission`];
+///   the fabric boxes it) and drops its handle.
+///
+/// One alias on purpose: nothing needs `Send` today (a trial builds and drops
+/// its endpoints on one thread); intra-trial parallelism would flip this to
+/// `Arc` here and nowhere else.
+pub type FlitRef = Rc<Flit256>;
 
 /// What the transmitter put on the wire for one transmit slot.
 ///
@@ -27,12 +59,16 @@ use crate::variant::{LinkConfig, ProtocolVariant};
 /// or a wire-level test — materialise them with
 /// [`LinkTx::encode_emission`] (or [`crate::LinkEndpoint::encode_emission`]),
 /// which is bit-identical to what the transmitter used to emit eagerly.
+///
+/// The flit is a [`FlitRef`]: cloning an emission or taking its flit with
+/// [`Self::into_flit`] shares the handle, it never copies the flit (see the
+/// ownership contract there).
 #[derive(Clone, Debug)]
 pub enum TxEmission {
     /// A protocol flit carrying payload (new or retransmitted).
     Protocol {
         /// The logical flit (encode with [`LinkTx::encode_emission`]).
-        flit: Box<Flit256>,
+        flit: FlitRef,
         /// The transport sequence number bound to this flit.
         seq: u16,
         /// `true` if this is a retransmission from the replay buffer.
@@ -41,14 +77,14 @@ pub enum TxEmission {
     /// A standalone acknowledgement flit (no payload).
     StandaloneAck {
         /// The logical control flit.
-        flit: Box<Flit256>,
+        flit: FlitRef,
         /// The acknowledged sequence number.
         ack: u16,
     },
     /// A NACK / retry-request control flit.
     Nack {
         /// The logical control flit.
-        flit: Box<Flit256>,
+        flit: FlitRef,
         /// The last correctly received sequence number.
         last_good: u16,
     },
@@ -63,6 +99,19 @@ impl TxEmission {
             TxEmission::Protocol { flit, .. }
             | TxEmission::StandaloneAck { flit, .. }
             | TxEmission::Nack { flit, .. } => Some(flit),
+            TxEmission::Idle => None,
+        }
+    }
+
+    /// Consumes the emission into its flit handle and [`Self::bound_seq`]
+    /// (no copy, no reference-count traffic) — how a fabric takes a flit in
+    /// flight. `None` for idle slots.
+    pub fn into_flit(self) -> Option<(FlitRef, u16)> {
+        match self {
+            TxEmission::Protocol { flit, seq, .. } => Some((flit, seq)),
+            TxEmission::StandaloneAck { flit, .. } | TxEmission::Nack { flit, .. } => {
+                Some((flit, 0))
+            }
             TxEmission::Idle => None,
         }
     }
@@ -96,7 +145,8 @@ pub struct LinkTx {
     next_seq: u16,
     replay: ReplayBuffer,
     pending_msgs: VecDeque<Message>,
-    retransmit_queue: VecDeque<(u16, Flit256)>,
+    /// Snapshot of replay-buffer handles scheduled for retransmission.
+    retransmit_queue: VecDeque<(u16, FlitRef)>,
     pending_ack: Option<u16>,
     pending_nack: Option<u16>,
     last_progress_ns: f64,
@@ -187,12 +237,16 @@ impl LinkTx {
     /// "last good" value is a cumulative acknowledgement of everything up to
     /// and including it, and everything after it is scheduled for
     /// retransmission.
+    ///
+    /// The schedule is a *snapshot*: the retransmit queue takes handles to
+    /// what the replay buffer holds now, and a later ACK that releases some
+    /// of those flits from the buffer does not cancel their retransmission.
     pub fn handle_peer_nack(&mut self, last_good: u16, now_ns: f64) {
         let released = self.replay.ack_up_to(last_good);
-        let from = seq_next(last_good);
-        let replay = self.replay.replay_from(from);
-        if !replay.is_empty() || released > 0 {
-            self.retransmit_queue = replay.into();
+        let replay = self.replay.replay_from(seq_next(last_good));
+        if replay.len() > 0 || released > 0 {
+            self.retransmit_queue.clear();
+            self.retransmit_queue.extend(replay);
             self.last_progress_ns = now_ns;
         }
     }
@@ -215,13 +269,16 @@ impl LinkTx {
     }
 
     /// Produces the emission for the current transmit slot.
+    ///
+    /// Allocates exactly once per *new* flit (protocol or control) — the
+    /// flit itself, behind its [`FlitRef`] — and never for a retransmission
+    /// or an idle slot.
     pub fn emit(&mut self, now_ns: f64) -> TxEmission {
         // 1. NACKs are the most urgent: the peer is stalled until it rewinds.
         if let Some(last_good) = self.pending_nack.take() {
-            let flit = Flit256::new(FlitHeader::nack_go_back_n(last_good));
             self.stats.nacks_sent += 1;
             return TxEmission::Nack {
-                flit: Box::new(flit),
+                flit: Rc::new(Flit256::new(FlitHeader::nack_go_back_n(last_good))),
                 last_good,
             };
         }
@@ -233,7 +290,8 @@ impl LinkTx {
             && now_ns - self.last_progress_ns > self.config.replay_timeout_ns
         {
             if let Some(oldest) = self.replay.oldest_seq() {
-                self.retransmit_queue = self.replay.replay_from(oldest).into();
+                self.retransmit_queue
+                    .extend(self.replay.replay_from(oldest));
             }
             self.last_progress_ns = now_ns;
         }
@@ -242,7 +300,7 @@ impl LinkTx {
         if let Some((seq, flit)) = self.retransmit_queue.pop_front() {
             self.stats.flits_retransmitted += 1;
             return TxEmission::Protocol {
-                flit: Box::new(flit),
+                flit,
                 seq,
                 retransmission: true,
             };
@@ -272,15 +330,18 @@ impl LinkTx {
                 self.default_protocol_header(seq)
             };
 
+            // The one write of this flit: from here on it is shared, not
+            // copied (replay buffer and emission hold the same handle).
             let mut flit = Flit256::new(header);
             flit.pack_messages(msgs)
                 .expect("message count bounded by MESSAGES_PER_FLIT");
-            self.replay.push(seq, flit.clone());
+            let flit = Rc::new(flit);
+            self.replay.push(seq, Rc::clone(&flit));
             self.next_seq = seq_next(seq);
             self.stats.flits_sent += 1;
             self.last_progress_ns = now_ns;
             return TxEmission::Protocol {
-                flit: Box::new(flit),
+                flit,
                 seq,
                 retransmission: false,
             };
@@ -289,11 +350,10 @@ impl LinkTx {
         // 5. Acknowledgements with no outgoing payload to ride on (or a
         //    variant that never piggybacks) go out as standalone ACK flits.
         if let Some(ack) = self.pending_ack.take() {
-            let flit = Flit256::new(FlitHeader::standalone_ack(ack));
             self.stats.standalone_acks_sent += 1;
             self.stats.acks_sent += 1;
             return TxEmission::StandaloneAck {
-                flit: Box::new(flit),
+                flit: Rc::new(Flit256::new(FlitHeader::standalone_ack(ack))),
                 ack,
             };
         }
@@ -408,6 +468,59 @@ mod tests {
         }
         assert_eq!(replayed, vec![1, 2]);
         assert_eq!(t.stats().flits_retransmitted, 2);
+    }
+
+    #[test]
+    fn a_flit_acked_after_the_nack_is_still_replayed() {
+        let mut t = tx(ProtocolVariant::Rxl);
+        t.enqueue_messages(msgs(60));
+        let mut first = Vec::new();
+        loop {
+            match t.emit(0.0) {
+                TxEmission::Protocol { flit, seq, .. } => {
+                    // Emission and replay buffer share one allocation.
+                    assert!(Rc::ptr_eq(&flit, t.replay.get(seq).unwrap()));
+                    first.push(flit);
+                }
+                TxEmission::Idle => break,
+                other => panic!("unexpected emission {other:?}"),
+            }
+        }
+        assert_eq!(first.len(), 4);
+        // NACK(0) schedules 1, 2, 3; the ACK that follows releases 1 and 2
+        // from the replay buffer but not from the schedule, which is a
+        // snapshot taken when the NACK arrived.
+        t.handle_peer_nack(0, 50.0);
+        t.handle_peer_ack(2, 51.0);
+        assert_eq!(t.in_flight(), 1);
+        for expected in 1..=3u16 {
+            match t.emit(52.0) {
+                TxEmission::Protocol {
+                    flit,
+                    seq,
+                    retransmission,
+                } => {
+                    assert!(retransmission);
+                    assert_eq!(seq, expected);
+                    assert!(Rc::ptr_eq(&flit, &first[seq as usize]), "replay copied");
+                }
+                other => panic!("unexpected emission {other:?}"),
+            }
+        }
+        assert!(t.emit(53.0).is_idle());
+
+        // A NACK that neither releases nor finds anything to replay leaves
+        // a retransmission in progress alone.
+        t.handle_peer_nack(2, 60.0);
+        t.handle_peer_nack(7, 61.0);
+        assert!(matches!(
+            t.emit(62.0),
+            TxEmission::Protocol {
+                seq: 3,
+                retransmission: true,
+                ..
+            }
+        ));
     }
 
     #[test]
