@@ -13,24 +13,9 @@
 use rxl_core::FabricSimOptions;
 
 fn main() {
-    let mut json = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            json = true;
-        } else if arg == "--out" {
-            out = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                eprintln!("--out requires a value");
-                std::process::exit(2);
-            })));
-        } else {
-            positional.push(arg);
-        }
-    }
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 5);
     let number = |idx: usize, default: f64| -> f64 {
-        positional
+        cli.positional
             .get(idx)
             .and_then(|a| a.parse().ok())
             .unwrap_or(default)
@@ -46,10 +31,10 @@ fn main() {
 
     let rows = rxl_bench::run_fabric_crosscheck(devices, levels, &opts);
     println!("{}", rxl_bench::fabric_crosscheck_table(&rows, &opts));
-    if json {
+    if cli.json {
         println!(
             "wrote {}",
-            rxl_bench::write_fabric_json(&rows, &opts, out.as_deref()).display()
+            rxl_bench::write_fabric_json(&rows, &opts, cli.out.as_deref()).display()
         );
     }
 }

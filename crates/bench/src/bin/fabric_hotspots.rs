@@ -1,59 +1,29 @@
-//! Spatial congestion attribution: per-link heatmaps, bottleneck ranking,
-//! and the engine self-profiler.
+//! Spatial congestion attribution: per-link heatmaps and bottleneck ranking.
 //!
 //! Runs the incast load sweep on the leaf–spine pod with a metrics probe on
 //! every trial and prints per-rung bottleneck attribution (which link is
-//! saturated, how hard, and with what congestion signature), the knee
-//! sentence naming the saturated uplink, and the engine's per-phase
-//! self-profile.
+//! saturated, how hard, and with what congestion signature) and the knee
+//! sentence naming the saturated uplink.
 //!
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin fabric_hotspots --release -- \
-//!     [--json] [--small] [--label NAME] [--out DIR]
+//!     [--json] [--small] [--out DIR]
 //! ```
 //!
 //! * `--small` shrinks the sweep to a CI-sized smoke run.
-//! * `--json` writes link / attribution / heat / profile rows to
+//! * `--json` writes link / attribution / heat rows to
 //!   `BENCH_hotspots.json` at the repository root (override the directory
 //!   with `--out DIR`; schema: see [`rxl_bench::hotspots_json`]).
-//! * `--label NAME` tags the rows.
 
 fn main() {
-    let mut json = false;
-    let mut small = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut label = String::from("current");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--small" => small = true,
-            "--out" => {
-                out = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a value");
-                    std::process::exit(2);
-                })))
-            }
-            "--label" => {
-                label = args.next().unwrap_or_else(|| {
-                    eprintln!("--label requires a value");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let report = rxl_bench::run_hotspots(small, &label);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out"], 0);
+    let report = rxl_bench::run_hotspots(cli.small);
     println!("{}", rxl_bench::hotspots_table(&report));
-    if json {
+    if cli.json {
         println!(
             "wrote {}",
-            rxl_bench::write_hotspots_json(&report, out.as_deref()).display()
+            rxl_bench::write_hotspots_json(&report, cli.out.as_deref()).display()
         );
     }
 }

@@ -9,7 +9,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin request_tail --release -- \
-//!     [--json] [--small] [--label NAME] [--out DIR] [--spans FILE]
+//!     [--json] [--small] [--out DIR] [--spans FILE]
 //! ```
 //!
 //! * `--small` shrinks the ladders to a CI-sized smoke run.
@@ -18,51 +18,16 @@
 //!   [`rxl_bench::requests_json`]).
 //! * `--spans FILE` additionally writes the binding rung's per-shard span
 //!   trace as JSONL (with its dropped-span meta line).
-//! * `--label NAME` tags the rows.
 
 fn main() {
-    let mut json = false;
-    let mut small = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut spans: Option<std::path::PathBuf> = None;
-    let mut label = String::from("current");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--small" => small = true,
-            "--out" => {
-                out = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a value");
-                    std::process::exit(2);
-                })))
-            }
-            "--spans" => {
-                spans = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--spans requires a value");
-                    std::process::exit(2);
-                })))
-            }
-            "--label" => {
-                label = args.next().unwrap_or_else(|| {
-                    eprintln!("--label requires a value");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let report = rxl_bench::run_requests(small, &label);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out", "--spans"], 0);
+    let report = rxl_bench::run_requests(cli.small);
     println!("{}", rxl_bench::requests_table(&report));
     println!(
         "span trace: {} spans retained, {} dropped",
         report.trace_spans, report.dropped_spans
     );
-    if let Some(path) = spans {
+    if let Some(path) = cli.spans {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)
                 .unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
@@ -71,10 +36,10 @@ fn main() {
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         println!("wrote {}", path.display());
     }
-    if json {
+    if cli.json {
         println!(
             "wrote {}",
-            rxl_bench::write_requests_json(&report, out.as_deref()).display()
+            rxl_bench::write_requests_json(&report, cli.out.as_deref()).display()
         );
     }
 }

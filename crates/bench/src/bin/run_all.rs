@@ -8,24 +8,7 @@
 use rxl_core::FabricSimOptions;
 
 fn main() {
-    let mut json = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--out" => {
-                out = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a value");
-                    std::process::exit(2);
-                })))
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 0);
 
     println!("{}", rxl_bench::reliability_table());
     println!("{}", rxl_bench::fig8_table(4));
@@ -46,27 +29,19 @@ fn main() {
     let opts = FabricSimOptions::default();
     let rows = rxl_bench::run_fabric_crosscheck(16_384, 2, &opts);
     println!("{}", rxl_bench::fabric_crosscheck_table(&rows, &opts));
-    if json {
+    if cli.json {
         println!(
             "wrote {}",
-            rxl_bench::write_fabric_json(&rows, &opts, out.as_deref()).display()
+            rxl_bench::write_fabric_json(&rows, &opts, cli.out.as_deref()).display()
         );
     }
-
-    // Engine wall-clock throughput, CI-sized. The committed performance
-    // trajectory (`BENCH_throughput.json`) is produced by the dedicated
-    // `fabric_throughput` binary on the large workloads.
-    println!(
-        "{}",
-        rxl_bench::throughput_table(&rxl_bench::run_throughput(true, "run_all"))
-    );
 
     // Fault-injection scenarios, CI-sized. The committed trajectory
     // (`BENCH_chaos.json`) is produced by the dedicated `chaos_sweep`
     // binary on the full sweep.
     println!(
         "{}",
-        rxl_bench::chaos_table(&rxl_bench::run_chaos_sweep(true, "run_all"))
+        rxl_bench::chaos_table(&rxl_bench::run_chaos_sweep(true))
     );
 
     // Latency vs offered load, CI-sized. The committed trajectory
@@ -74,7 +49,7 @@ fn main() {
     // binary on the full ladder.
     println!(
         "{}",
-        rxl_bench::latency_table(&rxl_bench::run_latency_sweep(true, "run_all"))
+        rxl_bench::latency_table(&rxl_bench::run_latency_sweep(true))
     );
 
     // Spatial congestion attribution, CI-sized. The committed trajectory
@@ -82,7 +57,7 @@ fn main() {
     // binary on the full ladder.
     println!(
         "{}",
-        rxl_bench::hotspots_table(&rxl_bench::run_hotspots(true, "run_all"))
+        rxl_bench::hotspots_table(&rxl_bench::run_hotspots(true))
     );
 
     // Request-scale serving mode, CI-sized. The committed trajectory
@@ -90,6 +65,6 @@ fn main() {
     // binary on the full fanout ladder.
     println!(
         "{}",
-        rxl_bench::requests_table(&rxl_bench::run_requests(true, "run_all"))
+        rxl_bench::requests_table(&rxl_bench::run_requests(true))
     );
 }

@@ -8,49 +8,21 @@
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin slo_replay --release -- \
-//!     [--json] [--small] [--label NAME] [--out DIR]
+//!     [--json] [--small] [--out DIR]
 //! ```
 //!
 //! * `--small` shrinks the replays to a CI-sized smoke run.
 //! * `--json` writes summary + per-window rows to `BENCH_slo.json` at the
 //!   repository root (override the directory with `--out DIR`) (schema: see [`rxl_bench::slo_json`]).
-//! * `--label NAME` tags the rows.
 
 fn main() {
-    let mut json = false;
-    let mut small = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut label = String::from("current");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--small" => small = true,
-            "--out" => {
-                out = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a value");
-                    std::process::exit(2);
-                })))
-            }
-            "--label" => {
-                label = args.next().unwrap_or_else(|| {
-                    eprintln!("--label requires a value");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let measurements = rxl_bench::run_slo_replay(small, &label);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out"], 0);
+    let measurements = rxl_bench::run_slo_replay(cli.small);
     println!("{}", rxl_bench::slo_table(&measurements));
-    if json {
+    if cli.json {
         println!(
             "wrote {}",
-            rxl_bench::write_slo_json(&measurements, out.as_deref()).display()
+            rxl_bench::write_slo_json(&measurements, cli.out.as_deref()).display()
         );
     }
 }

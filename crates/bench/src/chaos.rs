@@ -24,8 +24,6 @@ use crate::{render_table, sci};
 /// One scenario × protocol measurement.
 #[derive(Clone, Debug)]
 pub struct ChaosRow {
-    /// Snapshot label (`current`, `before`, `after`).
-    pub label: String,
     /// Scenario identifier (`uplink_storm_x<N>` / `spine_failover`).
     pub scenario: String,
     /// Protocol simulated.
@@ -85,7 +83,6 @@ fn epoch_events(report: &ChaosMonteCarloReport) -> (u64, u64, u64) {
 }
 
 fn row_from_report(
-    label: &str,
     scenario: String,
     variant: ProtocolVariant,
     factor: f64,
@@ -95,7 +92,6 @@ fn row_from_report(
 ) -> ChaosRow {
     let (before_events, during_events, after_events) = epoch_events(report);
     ChaosRow {
-        label: label.to_string(),
         scenario,
         variant: crate::variant_name(variant),
         factor,
@@ -131,7 +127,7 @@ fn row_from_report(
 
 /// Runs the chaos sweep and returns the measured rows. `small` selects the
 /// CI-sized smoke configuration.
-pub fn run_chaos_sweep(small: bool, label: &str) -> Vec<ChaosRow> {
+pub fn run_chaos_sweep(small: bool) -> Vec<ChaosRow> {
     let (messages, trials, storm_start, storm_len, factors): (usize, u64, u64, u64, &[f64]) =
         if small {
             (3_000, 2, 120, 180, &[20.0])
@@ -167,7 +163,7 @@ pub fn run_chaos_sweep(small: bool, label: &str) -> Vec<ChaosRow> {
             let report = ChaosMonteCarlo::new(topology.clone(), config, scenario.clone(), trials)
                 .run(&workload);
             rows.push(row_from_report(
-                label, name, variant, factor, sessions, messages, &report,
+                name, variant, factor, sessions, messages, &report,
             ));
         }
     }
@@ -190,7 +186,7 @@ pub fn run_chaos_sweep(small: bool, label: &str) -> Vec<ChaosRow> {
             let report = ChaosMonteCarlo::new(topology.clone(), config, scenario.clone(), trials)
                 .run(&workload);
             rows.push(row_from_report(
-                label, name, variant, 0.0, sessions, messages, &report,
+                name, variant, 0.0, sessions, messages, &report,
             ));
         }
     }
@@ -247,7 +243,6 @@ pub fn chaos_table(rows: &[ChaosRow]) -> String {
 pub fn chaos_json(rows: &[ChaosRow]) -> String {
     JsonDocument::new("chaos_sweep").rows(rows.iter().map(|r| {
         JsonRow::new()
-            .str("label", &r.label)
             .str("scenario", &r.scenario)
             .str("protocol", r.variant)
             .raw("factor", r.factor)
@@ -283,7 +278,7 @@ mod tests {
 
     #[test]
     fn small_sweep_runs_and_serialises() {
-        let rows = run_chaos_sweep(true, "test");
+        let rows = run_chaos_sweep(true);
         assert_eq!(rows.len(), 4, "1 storm factor + failover, × 2 variants");
         for r in &rows {
             assert!(r.trials > 0);

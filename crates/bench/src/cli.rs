@@ -1,0 +1,116 @@
+//! The one argument parser of the experiment binaries.
+//!
+//! Every artifact-writing bin takes the same few options; each names the
+//! subset it accepts and gets a [`Cli`] back. Anything else — an option the
+//! bin did not list, a missing value, more positionals than it takes — is a
+//! usage error (exit status 2).
+
+use std::path::PathBuf;
+
+/// Parsed command line of one experiment binary.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Cli {
+    /// `--json`: also write the bin's `BENCH_*.json` artifact.
+    pub json: bool,
+    /// `--small`: the CI-sized smoke configuration.
+    pub small: bool,
+    /// `--out DIR`: artifact directory (the repository root when `None`).
+    pub out: Option<PathBuf>,
+    /// `--spans FILE` (`request_tail`): JSONL span-trace destination.
+    pub spans: Option<PathBuf>,
+    /// Positional arguments, in order.
+    pub positional: Vec<String>,
+}
+
+impl Cli {
+    /// Parses the process arguments, accepting only the `options` named
+    /// (from `--json`, `--small`, `--out`, `--spans`) and at most
+    /// `max_positional` positionals. Prints the problem and exits with
+    /// status 2 on a usage error.
+    pub fn parse(options: &[&str], max_positional: usize) -> Cli {
+        Cli::parse_from(std::env::args().skip(1), options, max_positional).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        options: &[&str],
+        max_positional: usize,
+    ) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut path = || {
+                args.next()
+                    .map(PathBuf::from)
+                    .ok_or_else(|| format!("{arg} requires a value"))
+            };
+            match arg.as_str() {
+                opt if opt.starts_with("--") && !options.contains(&opt) => {
+                    return Err(format!("unknown argument: {arg}"));
+                }
+                "--json" => cli.json = true,
+                "--small" => cli.small = true,
+                "--out" => cli.out = Some(path()?),
+                "--spans" => cli.spans = Some(path()?),
+                _ if cli.positional.len() < max_positional => cli.positional.push(arg),
+                _ => return Err(format!("unknown argument: {arg}")),
+            }
+        }
+        Ok(cli)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], options: &[&str], max_positional: usize) -> Result<Cli, String> {
+        Cli::parse_from(args.iter().map(|a| a.to_string()), options, max_positional)
+    }
+
+    #[test]
+    fn parses_the_shared_options_and_positionals() {
+        let all = ["--json", "--small", "--out", "--spans"];
+        let cli = parse(
+            &["--small", "--out", "d", "7", "--json", "--spans", "s.jsonl"],
+            &all,
+            1,
+        )
+        .expect("valid");
+        assert_eq!(
+            cli,
+            Cli {
+                json: true,
+                small: true,
+                out: Some(PathBuf::from("d")),
+                spans: Some(PathBuf::from("s.jsonl")),
+                positional: vec!["7".to_string()],
+            }
+        );
+        assert_eq!(parse(&[], &all, 0), Ok(Cli::default()));
+    }
+
+    #[test]
+    fn rejects_what_the_binary_did_not_list() {
+        let opts = ["--json", "--out"];
+        assert_eq!(
+            parse(&["--small"], &opts, 0).unwrap_err(),
+            "unknown argument: --small"
+        );
+        assert_eq!(
+            parse(&["--label", "x"], &opts, 0).unwrap_err(),
+            "unknown argument: --label"
+        );
+        assert_eq!(
+            parse(&["stray"], &opts, 0).unwrap_err(),
+            "unknown argument: stray"
+        );
+        assert_eq!(
+            parse(&["--out"], &opts, 0).unwrap_err(),
+            "--out requires a value"
+        );
+    }
+}

@@ -5,9 +5,10 @@
 //! reports *where* the fabric hurts: per-link utilization at the saturation
 //! knee, per-rung top-k bottleneck attribution (the knee report names the
 //! saturated leaf-0 uplink instead of just locating the knee on the load
-//! axis), a link × window traversal heatmap, and the engine self-profiler's
-//! per-phase slot-loop accounting. The machine-readable form
-//! (`BENCH_hotspots.json`) is schema-checked in CI alongside the other
+//! axis), and a link × window traversal heatmap. (Where the *simulator's*
+//! wall-clock goes is the perf ledger's business: `benchmark/` reports the
+//! engine self-profiler's phases as `fabric.phase_*`.) The machine-readable
+//! form (`BENCH_hotspots.json`) is schema-checked in CI alongside the other
 //! `BENCH_*.json` trajectories.
 //!
 //! The workload is deliberately asymmetric — [`TrafficMatrix::Incast`] onto
@@ -19,12 +20,10 @@
 //! identifies the bottleneck. A shallow `queue_capacity` keeps that backlog
 //! visible as stalls instead of silently absorbed buffering.
 
-use rxl_fabric::{
-    EnginePhase, FabricConfig, FabricSim, FabricTopology, FabricWorkload, RoutingTable,
-};
+use rxl_fabric::{FabricConfig, FabricTopology};
 use rxl_link::{ChannelErrorModel, ProtocolVariant};
 use rxl_load::{ArrivalProcess, LoadSweep, LoadSweepConfig, TrafficMatrix};
-use rxl_telemetry::{AttributedSweep, PhaseProfile};
+use rxl_telemetry::AttributedSweep;
 
 use crate::json::{JsonDocument, JsonRow};
 use crate::render_table;
@@ -35,12 +34,9 @@ pub const HEAT_WINDOW_SLOTS: u64 = 64;
 /// Links to name per rung in the attribution rows.
 pub const TOP_K: usize = 3;
 
-/// The full spatial-attribution measurement: the attributed sweep plus the
-/// engine self-profile.
+/// The full spatial-attribution measurement.
 #[derive(Clone, Debug)]
 pub struct HotspotsReport {
-    /// Snapshot label (`current` / `run_all` / CI).
-    pub label: String,
     /// Topology name.
     pub topology: String,
     /// The topology object (for link descriptions in exports).
@@ -51,23 +47,11 @@ pub struct HotspotsReport {
     pub protocol: &'static str,
     /// The load sweep with per-rung congestion attribution.
     pub sweep: AttributedSweep,
-    /// Engine self-profile (wall-clock; machine-local, not reproducible).
-    pub profile: PhaseProfile,
-}
-
-fn pod_config() -> FabricConfig {
-    FabricConfig {
-        // Shallow lanes surface the incast backlog as credit stalls.
-        queue_capacity: 8,
-        ..FabricConfig::new(ProtocolVariant::Rxl)
-            .with_channel(ChannelErrorModel::ideal())
-            .with_seed(0x407_5707)
-    }
 }
 
 /// Runs the spatial-attribution suite (incast onto leaf 1 of the leaf–spine
 /// pod, RXL, ideal channel). `small` selects the CI smoke configuration.
-pub fn run_hotspots(small: bool, label: &str) -> HotspotsReport {
+pub fn run_hotspots(small: bool) -> HotspotsReport {
     let (loads, messages, trials) = if small {
         (vec![0.20, 0.80], 300, 1)
     } else {
@@ -76,7 +60,13 @@ pub fn run_hotspots(small: bool, label: &str) -> HotspotsReport {
         (vec![0.10, 0.20, 0.30, 0.40, 0.60, 0.80], 2_000, 4)
     };
     let topology = FabricTopology::leaf_spine(2, 1, 2);
-    let config = pod_config();
+    let config = FabricConfig {
+        // Shallow lanes surface the incast backlog as credit stalls.
+        queue_capacity: 8,
+        ..FabricConfig::new(ProtocolVariant::Rxl)
+            .with_channel(ChannelErrorModel::ideal())
+            .with_seed(0x407_5707)
+    };
     let sweep = LoadSweep::new(
         topology.clone(),
         config,
@@ -91,43 +81,22 @@ pub fn run_hotspots(small: bool, label: &str) -> HotspotsReport {
     );
     let attributed = AttributedSweep::run_with_heatmap(&sweep, TOP_K, HEAT_WINDOW_SLOTS);
 
-    // The self-profile rides one standalone symmetric trial: wall-clock
-    // readings never enter the exact-merge sweep aggregates.
-    let routing = RoutingTable::new(&topology);
-    let mut sim = FabricSim::with_probe(
-        &topology,
-        &routing,
-        pod_config(),
-        rxl_telemetry::EngineProfiler::new(),
-    );
-    sim.begin(&FabricWorkload::symmetric(
-        topology.session_count(),
-        messages,
-        8,
-        13,
-    ));
-    let _ = sim.step(u64::MAX);
-    let (_, profiler) = sim.finish_with_probe();
-
     HotspotsReport {
-        label: label.to_string(),
         topology: attributed.report.topology.clone(),
         fabric: topology,
         matrix: attributed.report.matrix.clone(),
         protocol: crate::variant_name(ProtocolVariant::Rxl),
         sweep: attributed,
-        profile: profiler.profile(),
     }
 }
 
-/// Renders the report as aligned text tables: per-rung attribution, the
-/// knee sentence, and the self-profile.
+/// Renders the report as an aligned text table: per-rung attribution and
+/// the knee sentence.
 pub fn hotspots_table(report: &HotspotsReport) -> String {
     let mut rows = Vec::new();
     for rung in &report.sweep.rungs {
         for (rank, l) in rung.top.iter().enumerate() {
             rows.push(vec![
-                report.label.clone(),
                 format!("{:.2}", rung.offered_load),
                 rung.signature.label().to_string(),
                 format!("#{}", rank + 1),
@@ -141,7 +110,6 @@ pub fn hotspots_table(report: &HotspotsReport) -> String {
     let mut out = render_table(
         "Congestion attribution (incast onto leaf 1; leaf-spine pod, RXL)",
         &[
-            "label",
             "load",
             "signature",
             "rank",
@@ -166,13 +134,11 @@ pub fn hotspots_table(report: &HotspotsReport) -> String {
         }
         None => out.push_str("no saturation knee inside the ladder\n"),
     }
-    out.push('\n');
-    out.push_str(&report.profile.to_string());
     out
 }
 
 /// Serialises the report as a JSON document (hand-rolled — the build
-/// container has no serde) for `BENCH_hotspots.json`. Four row kinds share
+/// container has no serde) for `BENCH_hotspots.json`. Three row kinds share
 /// the document:
 ///
 /// * `"link"` — per-link totals of the hottest analyzed rung (the knee
@@ -180,8 +146,6 @@ pub fn hotspots_table(report: &HotspotsReport) -> String {
 /// * `"attribution"` — per-rung top-k bottleneck links with signature.
 /// * `"heat"` — the hottest rung's link × window traversal matrix, one row
 ///   per window (`counts` in link-index order).
-/// * `"profile"` — engine self-profiler phases (wall-clock; the one row
-///   kind that is machine-local rather than reproducible).
 pub fn hotspots_json(report: &HotspotsReport) -> String {
     let sweep = &report.sweep;
     let hot_rung = sweep.report.knee.unwrap_or(sweep.rungs.len() - 1);
@@ -194,7 +158,6 @@ pub fn hotspots_json(report: &HotspotsReport) -> String {
         rows.push(
             JsonRow::new()
                 .str("kind", "link")
-                .str("label", &report.label)
                 .num("load", rung.offered_load, 2)
                 .raw("link", l.link)
                 .str("desc", &l.description)
@@ -214,7 +177,6 @@ pub fn hotspots_json(report: &HotspotsReport) -> String {
             rows.push(
                 JsonRow::new()
                     .str("kind", "attribution")
-                    .str("label", &report.label)
                     .num("load", r.offered_load, 2)
                     .raw("knee", sweep.report.knee == Some(i))
                     .str("signature", r.signature.label())
@@ -242,18 +204,6 @@ pub fn hotspots_json(report: &HotspotsReport) -> String {
                 .raw("window", w)
                 .raw("start_slot", w as u64 * HEAT_WINDOW_SLOTS)
                 .raw("counts", format!("[{joined}]"))
-                .finish(),
-        );
-    }
-
-    for phase in EnginePhase::ALL {
-        rows.push(
-            JsonRow::new()
-                .str("kind", "profile")
-                .str("phase", phase.label())
-                .raw("nanos", report.profile.nanos[phase.index()])
-                .num("share", report.profile.share(phase), 4)
-                .num("ns_per_slot", report.profile.nanos_per_slot(phase), 1)
                 .finish(),
         );
     }
@@ -287,7 +237,7 @@ mod tests {
 
     #[test]
     fn small_suite_attributes_the_uplink_and_serialises() {
-        let report = run_hotspots(true, "test");
+        let report = run_hotspots(true);
         // The heavy rung's top attribution names the leaf-0 uplink (dense
         // link 8 = first trunk of the 8-endpoint pod).
         let heavy = report.sweep.rungs.last().expect("ladder is non-empty");
@@ -295,10 +245,9 @@ mod tests {
         assert!(heavy.top[0].stall_slots > 0);
         let table = hotspots_table(&report);
         assert!(table.contains("Congestion attribution"));
-        assert!(table.contains("engine self-profile"));
         let json = hotspots_json(&report);
         assert!(json.contains("\"bench\": \"hotspots\""));
-        for kind in ["link", "attribution", "heat", "profile"] {
+        for kind in ["link", "attribution", "heat"] {
             assert!(
                 json.contains(&format!("\"kind\": \"{kind}\"")),
                 "missing row kind {kind}"

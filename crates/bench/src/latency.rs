@@ -5,7 +5,7 @@
 //! throughput, efficiency, and the latency distribution (p50/p90/p99/p99.9/
 //! max, in flit slots). The machine-readable form (`BENCH_latency.json`) is
 //! the repository's latency trajectory, schema-checked in CI alongside the
-//! throughput and chaos snapshots.
+//! chaos snapshot.
 
 use rxl_fabric::{FabricConfig, FabricTopology};
 use rxl_link::{ChannelErrorModel, ProtocolVariant};
@@ -17,8 +17,6 @@ use crate::{render_table, sci};
 /// One ladder point of one sweep.
 #[derive(Clone, Debug)]
 pub struct LatencyRow {
-    /// Snapshot label (`current` / `run_all` / CI).
-    pub label: String,
     /// Topology name.
     pub workload: String,
     /// Protocol variant simulated.
@@ -61,7 +59,7 @@ pub struct LatencyRow {
 
 /// Runs the latency sweep suite (leaf–spine pod × CXL and RXL) and returns
 /// one row per ladder point. `small` selects the CI smoke configuration.
-pub fn run_latency_sweep(small: bool, label: &str) -> Vec<LatencyRow> {
+pub fn run_latency_sweep(small: bool) -> Vec<LatencyRow> {
     let (loads, messages, trials) = if small {
         (vec![0.10, 0.40], 150, 1)
     } else {
@@ -87,7 +85,6 @@ pub fn run_latency_sweep(small: bool, label: &str) -> Vec<LatencyRow> {
         let report = sweep.run();
         for (i, p) in report.points.iter().enumerate() {
             rows.push(LatencyRow {
-                label: label.to_string(),
                 workload: report.topology.clone(),
                 protocol: crate::variant_name(variant),
                 matrix: report.matrix.clone(),
@@ -119,7 +116,6 @@ pub fn latency_table(rows: &[LatencyRow]) -> String {
         .iter()
         .map(|r| {
             vec![
-                r.label.clone(),
                 r.protocol.to_string(),
                 format!(
                     "{:.2}{}",
@@ -140,7 +136,6 @@ pub fn latency_table(rows: &[LatencyRow]) -> String {
     render_table(
         "Latency vs offered load (slots; leaf-spine pod, ideal channel)",
         &[
-            "label",
             "protocol",
             "load",
             "delivered/s",
@@ -161,7 +156,6 @@ pub fn latency_table(rows: &[LatencyRow]) -> String {
 pub fn latency_json(rows: &[LatencyRow]) -> String {
     JsonDocument::new("latency_sweep").rows(rows.iter().map(|r| {
         JsonRow::new()
-            .str("label", &r.label)
             .str("workload", &r.workload)
             .str("protocol", r.protocol)
             .str("matrix", &r.matrix)
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn small_suite_runs_and_serialises() {
-        let rows = run_latency_sweep(true, "test");
+        let rows = run_latency_sweep(true);
         // 2 protocols × 2 ladder points.
         assert_eq!(rows.len(), 4);
         for r in &rows {
@@ -213,7 +207,6 @@ mod tests {
         assert!(table.contains("Latency vs offered load"));
         let json = latency_json(&rows);
         assert!(json.contains("\"bench\": \"latency_sweep\""));
-        assert!(json.contains("\"label\": \"test\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

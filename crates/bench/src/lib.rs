@@ -22,25 +22,27 @@
 //! | `fig6_isn_scenario` | Fig. 6c ISN drop-detection trace |
 //! | `sim_crosscheck` | accelerated-BER simulation vs. analytic model |
 //! | `fabric_fit_crosscheck` | fabric-scale Monte-Carlo vs. `FabricSpec` projection |
-//! | `fabric_throughput` | engine wall-clock flits/sec (perf trajectory) |
 //! | `chaos_sweep` | fault-injection scenarios: BER storms, spine failover |
 //! | `latency_sweep` | latency vs offered load, saturation knee |
 //! | `slo_replay` | chaos incidents scored as SLO burn (windowed telemetry) |
-//! | `fabric_hotspots` | spatial congestion attribution: per-link heatmaps, bottleneck ranking, engine self-profile |
+//! | `fabric_hotspots` | spatial congestion attribution: per-link heatmaps, bottleneck ranking |
 //! | `request_tail` | open-system serving mode: request tail amplification vs fanout, operating-point recommendation |
 //!
 //! `run_all` and `fabric_fit_crosscheck` accept `--json` to additionally
 //! write machine-readable results to `BENCH_fabric.json`;
-//! `fabric_throughput --json` writes `BENCH_throughput.json`;
 //! `chaos_sweep --json` writes `BENCH_chaos.json`;
 //! `latency_sweep --json` writes `BENCH_latency.json`;
 //! `slo_replay --json` writes `BENCH_slo.json`;
 //! `fabric_hotspots --json` writes `BENCH_hotspots.json`;
 //! `request_tail --json` writes `BENCH_requests.json`.
 //! Artifacts land at the repository root regardless of the invoking working
-//! directory; every bin takes `--out DIR` to redirect them.
+//! directory; every bin takes `--out DIR` to redirect them, and the sweeps
+//! take `--small` for their CI-sized configuration ([`cli`] is the one
+//! parser they share). Host-speed numbers are not produced here: the perf
+//! ledger under `benchmark/` (declared by `BENCHMARK.json`) owns those.
 
 pub mod chaos;
+pub mod cli;
 pub mod fabriccheck;
 pub mod hotspots;
 pub mod json;
@@ -50,7 +52,6 @@ pub mod scenarios;
 pub mod simcheck;
 pub mod slo;
 pub mod tables;
-pub mod throughput;
 
 pub use chaos::{chaos_json, chaos_table, run_chaos_sweep, write_chaos_json, ChaosRow};
 pub use fabriccheck::{
@@ -70,12 +71,9 @@ pub use tables::{
     bandwidth_table, buffering_table, crc_detection_table, fec_detection_table, fig8_table,
     header_overhead_table, hw_overhead_table, reliability_table,
 };
-pub use throughput::{
-    run_throughput, throughput_json, throughput_table, write_throughput_json, ThroughputRow,
-};
 
 /// Short protocol label for report rows, shared by every measurement
-/// module (`chaos`, `throughput`, `latency`).
+/// module (`chaos`, `latency`, `slo`, …).
 pub(crate) fn variant_name(variant: rxl_link::ProtocolVariant) -> &'static str {
     match variant {
         rxl_link::ProtocolVariant::Rxl => "RXL",

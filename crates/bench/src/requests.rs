@@ -54,8 +54,6 @@ pub struct FanoutRow {
 /// The full request-tail measurement.
 #[derive(Clone, Debug)]
 pub struct RequestsReport {
-    /// Snapshot label (`current` / `run_all` / CI).
-    pub label: String,
     /// Topology name.
     pub topology: String,
     /// The topology object (for link descriptions in exports).
@@ -88,7 +86,7 @@ fn pod_config(variant: ProtocolVariant, seed: u64) -> FabricConfig {
 }
 
 /// Runs the request-tail suite. `small` selects the CI smoke configuration.
-pub fn run_requests(small: bool, label: &str) -> RequestsReport {
+pub fn run_requests(small: bool) -> RequestsReport {
     let (fanouts, ladder_loads, trials, measure_slots) = if small {
         (vec![1, 4], vec![0.05, 0.50], 1, 1_500)
     } else {
@@ -168,7 +166,6 @@ pub fn run_requests(small: bool, label: &str) -> RequestsReport {
             .prometheus(&topology, &ladder.points[binding_idx].steady, &bottleneck);
     let trace = rung.probe.trace().expect("ladder runs with tracing");
     RequestsReport {
-        label: label.to_string(),
         topology: ladder.topology.clone(),
         fabric: topology,
         fanout_rows,
@@ -196,7 +193,6 @@ pub fn requests_table(report: &RequestsReport) -> String {
                 .map(|s| s.description.clone())
                 .unwrap_or_else(|| "-".to_string());
             vec![
-                report.label.clone(),
                 r.protocol.to_string(),
                 r.fanout.to_string(),
                 r.point.requests_completed.to_string(),
@@ -213,7 +209,7 @@ pub fn requests_table(report: &RequestsReport) -> String {
             "Request tail amplification vs fanout (uniform shape, per-message load {FANOUT_MESSAGE_LOAD:.2})"
         ),
         &[
-            "label", "protocol", "k", "completed", "p50", "p99", "p99.9", "amp", "straggler link",
+            "protocol", "k", "completed", "p50", "p99", "p99.9", "amp", "straggler link",
         ],
         &rows,
     );
@@ -244,7 +240,6 @@ pub fn requests_json(report: &RequestsReport) -> String {
         rows.push(
             JsonRow::new()
                 .str("kind", "fanout")
-                .str("label", &report.label)
                 .str("protocol", r.protocol)
                 .raw("fanout", r.fanout)
                 .num("message_load", FANOUT_MESSAGE_LOAD, 2)
@@ -273,7 +268,6 @@ pub fn requests_json(report: &RequestsReport) -> String {
         rows.push(
             JsonRow::new()
                 .str("kind", "rung")
-                .str("label", &report.label)
                 .num("load", p.offered_load, 2)
                 .raw("knee", report.ladder.knee == Some(i))
                 .raw("offered", p.requests_offered)
@@ -300,7 +294,6 @@ pub fn requests_json(report: &RequestsReport) -> String {
     rows.push(
         JsonRow::new()
             .str("kind", "operating_point")
-            .str("label", &report.label)
             .raw("slo_threshold_slots", report.operating.slo_threshold_slots)
             .num(
                 "availability_objective",
@@ -351,7 +344,6 @@ pub fn requests_json(report: &RequestsReport) -> String {
     rows.push(
         JsonRow::new()
             .str("kind", "trace")
-            .str("label", &report.label)
             .raw("spans", report.trace_spans)
             .raw("dropped_spans", report.dropped_spans)
             .finish(),
@@ -383,7 +375,7 @@ mod tests {
 
     #[test]
     fn small_suite_amplifies_the_tail_and_names_the_uplink() {
-        let report = run_requests(true, "test");
+        let report = run_requests(true);
         // Fanout 4 amplifies the request p99 over fanout 1 for both
         // protocols at the same per-message load.
         for proto in ["CXL", "RXL"] {

@@ -34,8 +34,6 @@ use crate::{render_table, sci};
 /// One scenario × protocol incident replay.
 #[derive(Clone, Debug)]
 pub struct SloMeasurement {
-    /// Snapshot label (`current`, CI).
-    pub label: String,
     /// Scenario identifier (`uplink_storm_x<N>` / `spine_failover`).
     pub scenario: String,
     /// Protocol simulated.
@@ -56,7 +54,7 @@ pub struct SloMeasurement {
 
 /// Runs both incident replays for both protocols and returns the scored
 /// measurements. `small` selects the CI-sized smoke configuration.
-pub fn run_slo_replay(small: bool, label: &str) -> Vec<SloMeasurement> {
+pub fn run_slo_replay(small: bool) -> Vec<SloMeasurement> {
     let (messages, trials, fault_at, storm_len, window_slots): (usize, u64, u64, u64, u64) =
         if small {
             (800, 1, 150, 150, 100)
@@ -98,7 +96,6 @@ pub fn run_slo_replay(small: bool, label: &str) -> Vec<SloMeasurement> {
                 slo,
             );
             out.push(SloMeasurement {
-                label: label.to_string(),
                 scenario: scenario.name.clone(),
                 variant: crate::variant_name(variant),
                 trials,
@@ -134,7 +131,6 @@ pub fn run_slo_replay(small: bool, label: &str) -> Vec<SloMeasurement> {
                 slo,
             );
             out.push(SloMeasurement {
-                label: label.to_string(),
                 scenario: scenario.name.clone(),
                 variant: crate::variant_name(variant),
                 trials,
@@ -210,7 +206,6 @@ pub fn slo_json(measurements: &[SloMeasurement]) -> String {
         let slo = &r.slo;
         let mut summary = JsonRow::new()
             .str("kind", "summary")
-            .str("label", &m.label)
             .str("scenario", &m.scenario)
             .str("protocol", m.variant)
             .raw("trials", m.trials)
@@ -246,7 +241,6 @@ pub fn slo_json(measurements: &[SloMeasurement]) -> String {
             rows.push(
                 JsonRow::new()
                     .str("kind", "window")
-                    .str("label", &m.label)
                     .str("scenario", &m.scenario)
                     .str("protocol", m.variant)
                     .raw("index", w.index)
@@ -288,7 +282,7 @@ mod tests {
 
     #[test]
     fn small_replay_runs_and_serialises() {
-        let ms = run_slo_replay(true, "test");
+        let ms = run_slo_replay(true);
         assert_eq!(ms.len(), 4, "storm + failover, × 2 variants");
         for m in &ms {
             assert!(

@@ -41,7 +41,7 @@ pub mod topology;
 pub use crosscheck::FitCrosscheck;
 pub use engine::{
     message_key, FabricConfig, FabricCounters, FabricReport, FabricSim, FabricWorkload,
-    InjectionPacing, LatencySamples, StepOutcome,
+    InjectionPacing, StepOutcome,
 };
 pub use montecarlo::{FabricMonteCarlo, FabricMonteCarloReport};
 pub use probe::{

@@ -373,7 +373,7 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
 
 /// A minimal enabled probe: one counter per event class. Used by the
 /// neutrality regression (an enabled probe must not change any trial
-/// outcome) and by the probe-overhead measurement in `fabric_throughput`.
+/// outcome) and as an independent event count beside other probes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CountingProbe {
     /// Messages injected.

@@ -17,8 +17,9 @@
 //! * [`matrix`] — [`TrafficMatrix`]: uniform, permutation, hotspot-k and
 //!   incast session load shapes;
 //! * [`telemetry`] — [`Histogram`], an HDR-style log-bucketed latency
-//!   histogram (integer-only record, exact merge) plus [`LatencyStats`]
-//!   summaries;
+//!   histogram (integer-only record, exact merge), [`LatencyStats`]
+//!   summaries, and [`LatencyProbe`], which times each message on the
+//!   fabric's probe seam;
 //! * [`request`] — [`RequestGenerator`]: request-scale fanout workloads
 //!   for the open-system serving mode (a request fans out into `k` shard
 //!   messages and completes at the max of its parts);
@@ -63,4 +64,4 @@ pub use request::{
     MAX_STREAM_MESSAGES,
 };
 pub use sweep::{detect_knee, LoadPoint, LoadSweep, LoadSweepConfig, LoadSweepReport};
-pub use telemetry::{Histogram, LatencyHistogram, LatencyStats};
+pub use telemetry::{Histogram, LatencyHistogram, LatencyProbe, LatencyStats};

@@ -26,7 +26,7 @@ use rxl_transport::FailureCounts;
 
 use crate::arrival::ArrivalProcess;
 use crate::matrix::TrafficMatrix;
-use crate::telemetry::{LatencyHistogram, LatencyStats};
+use crate::telemetry::{LatencyHistogram, LatencyProbe, LatencyStats};
 
 /// Salt separating the arrival-schedule RNG stream from the engine's
 /// channel RNG (both derive from the same per-trial seed).
@@ -323,9 +323,10 @@ impl LoadSweep {
         )
     }
 
-    /// One paced, telemetry-enabled trial. Everything (workload content,
-    /// arrival schedule, channel errors) derives from `(config.seed,
-    /// global_trial)` alone; the probe observes without perturbing.
+    /// One paced trial, timed by a [`LatencyProbe`] riding beside the
+    /// caller's probe. Everything (workload content, arrival schedule,
+    /// channel errors) derives from `(config.seed, global_trial)` alone; the
+    /// probes observe without perturbing.
     fn run_trial<P: Probe>(
         &self,
         routing: &RoutingTable,
@@ -395,23 +396,20 @@ impl LoadSweep {
             ..self.config
         };
 
-        let mut sim = FabricSim::with_probe(&self.topology, routing, config, probe);
-        sim.enable_latency_telemetry();
+        let probes = (LatencyProbe::default(), probe);
+        let mut sim = FabricSim::with_probe(&self.topology, routing, config, probes);
         sim.begin_paced(&workload, &pacing);
         let _ = sim.step(u64::MAX);
-        let (report, probe) = sim.finish_with_probe();
-        let samples = report.latency.as_ref().expect("telemetry was enabled");
-        let mut hist = LatencyHistogram::new();
-        hist.record_samples(samples);
+        let (report, (latency, probe)) = sim.finish_with_probe();
         (
             TrialOutcome {
                 injected: workload.total_messages() as u64,
-                delivered: samples.len() as u64,
-                untracked: samples.untracked,
+                delivered: latency.hist.count(),
+                untracked: latency.untracked,
                 slots: report.slots,
                 drained: report.drained,
                 failures: report.total_failures(),
-                hist,
+                hist: latency.hist,
             },
             probe,
         )

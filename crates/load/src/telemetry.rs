@@ -1,14 +1,17 @@
 //! Latency telemetry aggregation: an HDR-style log-bucketed histogram and
 //! the summary statistics the sweep reports print.
 //!
-//! The fabric engine emits raw slot-denominated latency samples
-//! ([`rxl_fabric::LatencySamples`]); Monte-Carlo shards fold them into
-//! [`Histogram`]s, which merge exactly (elementwise counter addition), so a
-//! sharded sweep aggregates bit-identically for any worker-thread count.
+//! The fabric engine keeps no latency state of its own: it reports inject
+//! and deliver events on its probe seam, and a [`LatencyProbe`] riding each
+//! trial joins them into slot-denominated latencies. Monte-Carlo shards
+//! merge the per-trial [`Histogram`]s exactly (elementwise counter
+//! addition), so a sharded sweep aggregates bit-identically for any
+//! worker-thread count.
 
 use std::fmt;
 
-use rxl_fabric::LatencySamples;
+use rxl_fabric::{DeliverEvent, InjectEvent, Probe};
+use rxl_transport::FastMap;
 
 /// An HDR-style log-bucketed histogram of `u64` values.
 ///
@@ -98,13 +101,6 @@ impl<const SUB_BITS: u32, const BUCKETS: usize> Histogram<SUB_BITS, BUCKETS> {
         self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Folds both directions of a trial's [`LatencySamples`] in.
-    pub fn record_samples(&mut self, samples: &LatencySamples) {
-        for &s in samples.downstream.iter().chain(&samples.upstream) {
-            self.record(s);
-        }
     }
 
     /// Merges `other` in. `merge` is exact: merging two histograms equals
@@ -230,9 +226,106 @@ impl fmt::Display for LatencyStats {
     }
 }
 
+/// Times every message of a trial from injection to first delivery.
+///
+/// `on_inject` opens a span under the `(dst, key)` pair — the workspace's
+/// message-span identity (see [`rxl_fabric::message_key`]) — and the first
+/// `on_deliver` of that pair closes it straight into [`Self::hist`]. For
+/// paced injection the span opens at the message's arrival slot; greedy
+/// injection opens everything at slot 0, so latency includes head-of-line
+/// waiting in the endpoint's message queue.
+#[derive(Clone, Debug, Default)]
+pub struct LatencyProbe {
+    open: FastMap<(usize, u64), u64>,
+    /// Injection→delivery latencies of both directions, in slots.
+    pub hist: LatencyHistogram,
+    /// Deliveries that found no open span: duplicate deliveries of an
+    /// already-timed message (the first delivery closed its span).
+    pub untracked: u64,
+}
+
+impl Probe for LatencyProbe {
+    fn on_inject(&mut self, ev: InjectEvent) {
+        self.open.insert((ev.dst, ev.key), ev.slot);
+    }
+
+    fn on_deliver(&mut self, ev: DeliverEvent) {
+        match self.open.remove(&(ev.dst, ev.key)) {
+            Some(injected_at) => self.hist.record(ev.slot - injected_at),
+            None => self.untracked += 1,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rxl_fabric::{
+        CountingProbe, FabricConfig, FabricSim, FabricTopology, FabricWorkload, RoutingTable,
+    };
+    use rxl_link::{ChannelErrorModel, ProtocolVariant};
+
+    /// One leaf–spine trial carrying a [`LatencyProbe`] beside a
+    /// [`CountingProbe`] (an independent count of deliver events).
+    fn timed_trial(config: FabricConfig, messages: usize) -> (LatencyProbe, CountingProbe) {
+        let t = FabricTopology::leaf_spine(2, 1, 2);
+        let routing = RoutingTable::new(&t);
+        let workload = FabricWorkload::symmetric(t.session_count(), messages, 8, 7);
+        let probes = (LatencyProbe::default(), CountingProbe::default());
+        let mut sim = FabricSim::with_probe(&t, &routing, config, probes);
+        sim.begin(&workload);
+        let _ = sim.step(u64::MAX);
+        let (report, probes) = sim.finish_with_probe();
+        assert!(report.drained);
+        probes
+    }
+
+    #[test]
+    fn latency_probe_times_every_message_once() {
+        let ideal =
+            FabricConfig::new(ProtocolVariant::Rxl).with_channel(ChannelErrorModel::ideal());
+        for config in [ideal, ideal.with_offered_load(0.1)] {
+            let (lat, counted) = timed_trial(config, 45);
+            // 4 sessions x 2 directions x 45 messages, each timed once.
+            assert_eq!(lat.hist.count(), 4 * 2 * 45);
+            assert_eq!(lat.hist.count(), counted.injects);
+            assert_eq!(lat.untracked, 0);
+            // Every sample covers at least the 3-hop path (leaf, spine,
+            // leaf), and queueing makes the samples non-trivial.
+            assert!(lat.hist.min() >= 3);
+            assert!(lat.hist.max() > lat.hist.min());
+        }
+
+        // Baseline CXL on a noisy channel re-delivers replayed messages:
+        // the duplicates are counted beside the distribution, not in it.
+        let noisy = FabricConfig::new(ProtocolVariant::CxlPiggyback)
+            .with_channel(ChannelErrorModel::random(2e-4));
+        let (lat, counted) = timed_trial(noisy, 400);
+        assert!(
+            lat.untracked > 0,
+            "the noisy CXL run produced no duplicates"
+        );
+        assert_eq!(lat.hist.count() + lat.untracked, counted.delivers);
+        assert!(lat.hist.count() <= counted.injects);
+    }
+
+    #[test]
+    fn latency_probe_measures_queueing_delay_growth_with_load() {
+        // At a near-saturating load the same workload must show a higher
+        // mean latency than at a light load (queueing delay).
+        let mean_at = |load: f64| {
+            let config = FabricConfig::new(ProtocolVariant::Rxl)
+                .with_channel(ChannelErrorModel::ideal())
+                .with_offered_load(load);
+            timed_trial(config, 150).0.hist.mean()
+        };
+        let light = mean_at(0.02);
+        let heavy = mean_at(0.9);
+        assert!(
+            heavy > 2.0 * light,
+            "queueing delay must grow with load: light {light}, heavy {heavy}"
+        );
+    }
 
     #[test]
     fn exact_below_the_sub_bucket_threshold() {

@@ -9,11 +9,10 @@
 //!    greedy path is deterministic and that `run()` ≡ `begin`/`step`/
 //!    `finish` with pacing disabled.
 //! 2. **Saturation convergence.** Paced injection at full line rate must
-//!    converge to the greedy throughput the `fabric_throughput` bench
-//!    measures: the whole point of the `offered_load` knob is that 1.0
-//!    means "as fast as the wire" — if a saturating paced run took
-//!    materially longer than the greedy run, offered load would not be a
-//!    fraction of the line rate.
+//!    converge to the greedy (saturated) throughput: the whole point of
+//!    the `offered_load` knob is that 1.0 means "as fast as the wire" — if
+//!    a saturating paced run took materially longer than the greedy run,
+//!    offered load would not be a fraction of the line rate.
 
 use rxl_fabric::{FabricConfig, FabricSim, FabricTopology, FabricWorkload, RoutingTable};
 use rxl_link::{ChannelErrorModel, ProtocolVariant};

@@ -20,8 +20,8 @@ use rxl::fabric::{
 };
 use rxl::link::{ChannelErrorModel, ProtocolVariant};
 use rxl::load::{
-    ArrivalProcess, FanoutShape, LatencyHistogram, LoadSweep, LoadSweepConfig, RequestGenerator,
-    TrafficMatrix,
+    ArrivalProcess, FanoutShape, LatencyHistogram, LatencyProbe, LoadSweep, LoadSweepConfig,
+    RequestGenerator, TrafficMatrix,
 };
 use rxl::telemetry::{
     MetricsProbe, MetricsRegistry, RequestProbe, RequestSweep, RequestSweepConfig, SloProbe,
@@ -369,38 +369,38 @@ fn request_telemetry_is_thread_count_independent() {
 }
 
 #[test]
-fn slo_probe_histogram_agrees_with_engine_latency_samples() {
+fn latency_probe_and_slo_probe_agree_bucket_for_bucket() {
     let topology = FabricTopology::leaf_spine(2, 1, 2);
     let routing = RoutingTable::new(&topology);
     let workload = FabricWorkload::symmetric(topology.session_count(), 400, 8, 3);
 
     for variant in [ProtocolVariant::CxlPiggyback, ProtocolVariant::Rxl] {
-        let mut sim = FabricSim::with_probe(
-            &topology,
-            &routing,
-            noisy_config(variant),
-            SloProbe::new(100),
-        );
-        sim.enable_latency_telemetry();
+        let baseline = FabricSim::new(&topology, &routing, noisy_config(variant)).run(&workload);
+
+        let probes = (LatencyProbe::default(), SloProbe::new(100));
+        let mut sim = FabricSim::with_probe(&topology, &routing, noisy_config(variant), probes);
         sim.begin(&workload);
         let _ = sim.step(u64::MAX);
-        let (report, probe) = sim.finish_with_probe();
-
-        let samples = report.latency.expect("latency telemetry enabled");
-        let mut engine_hist = LatencyHistogram::default();
-        engine_hist.record_samples(&samples);
-
-        let mut probe_hist = LatencyHistogram::default();
-        for w in probe.windows().windows() {
-            probe_hist.merge(&w.hist);
-        }
-        // Same population, bucket for bucket: the probe's delivery-window
-        // histograms partition exactly the engine's own sample stream.
+        let (report, (latency, slo)) = sim.finish_with_probe();
         assert_eq!(
-            format!("{engine_hist:?}"),
-            format!("{probe_hist:?}"),
-            "{variant:?}: probe histogram disagrees with engine latency samples"
+            format!("{baseline:?}"),
+            format!("{report:?}"),
+            "{variant:?}: the two latency observers changed the simulation"
         );
-        assert_eq!(probe_hist.count(), samples.len() as u64, "{variant:?}");
+
+        let mut slo_hist = LatencyHistogram::default();
+        for w in slo.windows().windows() {
+            slo_hist.merge(&w.hist);
+        }
+        // Same population, bucket for bucket: two independent joins of the
+        // same inject/deliver events, one flat and one partitioned into
+        // delivery windows.
+        assert_eq!(
+            format!("{:?}", latency.hist),
+            format!("{slo_hist:?}"),
+            "{variant:?}: LatencyProbe and SloProbe histograms disagree"
+        );
+        assert_eq!(latency.hist.count(), slo_hist.count(), "{variant:?}");
+        assert!(latency.hist.count() > 0, "{variant:?}");
     }
 }
