@@ -30,6 +30,7 @@
 //! and re-encode are exactly the 256-byte flits of the single-path simulator.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,8 +46,9 @@ use rxl_switch::{
     InternalErrorModel, LinkCrcMode, ProcessVerdict, Switch, SwitchConfig, SwitchStats, VcArbiter,
     VcCredits, MAX_VCS,
 };
-use rxl_transport::{DeliveryAuditor, DeliveryVerdict, FailureCounts};
+use rxl_transport::{DeliveryAuditor, DeliveryVerdict, FailureCounts, SentStream};
 
+use crate::injector::Injector;
 use crate::probe::{
     ChannelErrorEvent, DeliverEvent, EnginePhase, InjectEvent, LinkHop, LinkTraversalEvent,
     NullProbe, Probe,
@@ -106,8 +108,8 @@ pub struct FabricConfig {
     /// (`1.0` ⇒ [`MESSAGES_PER_FLIT`] new messages per slot per
     /// session-direction, the most a fully packed one-flit-per-slot endpoint
     /// can inject). `Some(f)` makes [`FabricSim::begin`] pace each session's
-    /// injection at a deterministic fixed rate instead of enqueueing the
-    /// whole workload up front; `None` (the default) keeps the greedy path —
+    /// injection at a deterministic fixed rate instead of making the whole
+    /// workload due at once; `None` (the default) keeps the greedy path —
     /// **byte-for-byte identical** to the pre-pacing engine, as the golden
     /// digest regression requires. Richer arrival processes (Poisson-like,
     /// bursty on/off) come from `rxl-load`, which builds an explicit
@@ -193,12 +195,17 @@ impl FabricConfig {
 }
 
 /// Per-session message streams driving one fabric run.
+///
+/// Each stream is a shared [`SentStream`]: a trial takes a handle on it for
+/// its injector and its auditor and copies nothing, so one workload serves
+/// every trial of a Monte-Carlo run (cloning a workload clones handles).
+/// Wrap a generated `Vec<Message>` by move: `Arc::new(SentStream::new(v))`.
 #[derive(Clone, Debug)]
 pub struct FabricWorkload {
     /// `downstream[s]` is what session `s`'s host transmits to its device.
-    pub downstream: Vec<Vec<Message>>,
+    pub downstream: Vec<Arc<SentStream>>,
     /// `upstream[s]` is what session `s`'s device transmits to its host.
-    pub upstream: Vec<Vec<Message>>,
+    pub upstream: Vec<Arc<SentStream>>,
 }
 
 impl FabricWorkload {
@@ -209,7 +216,7 @@ impl FabricWorkload {
     /// directions, which is what the analytic cross-check assumes.
     pub fn symmetric(sessions: usize, messages: usize, cqids: u16, seed: u64) -> Self {
         use rxl_sim::{request_stream, response_stream, TrafficPattern};
-        let downstream = (0..sessions)
+        let downstream: Vec<Vec<Message>> = (0..sessions)
             .map(|s| {
                 request_stream(
                     messages,
@@ -218,9 +225,22 @@ impl FabricWorkload {
                 )
             })
             .collect();
-        let upstream = (0..sessions)
+        let upstream: Vec<Vec<Message>> = (0..sessions)
             .map(|s| response_stream(messages, cqids, seed ^ (0x5E55_8000 + s as u64)))
             .collect();
+        // Wrapped (by move) only once every stream exists, so the large
+        // message buffers are allocated back to back as they always were.
+        // Interleaving the small `Arc` boxes between them changed how the
+        // allocator recycles the buffers when a workload is rebuilt, and
+        // more than doubled the set-up time the perf ledger measures on
+        // one of its workloads.
+        let share = |streams: Vec<Vec<Message>>| -> Vec<Arc<SentStream>> {
+            streams
+                .into_iter()
+                .map(|msgs| Arc::new(SentStream::new(msgs)))
+                .collect()
+        };
+        let (downstream, upstream) = (share(downstream), share(upstream));
         FabricWorkload {
             downstream,
             upstream,
@@ -237,7 +257,7 @@ impl FabricWorkload {
         self.downstream
             .iter()
             .chain(&self.upstream)
-            .map(Vec::len)
+            .map(|stream| stream.len())
             .sum()
     }
 }
@@ -277,7 +297,7 @@ impl InjectionPacing {
             msgs_per_slot > 0.0 && msgs_per_slot.is_finite(),
             "injection rate must be positive and finite"
         );
-        let schedule = |stream: &Vec<Message>| -> Vec<u64> {
+        let schedule = |stream: &Arc<SentStream>| -> Vec<u64> {
             (0..stream.len())
                 .map(|k| {
                     let cohort_first = (k / MESSAGES_PER_FLIT) * MESSAGES_PER_FLIT;
@@ -304,7 +324,7 @@ impl InjectionPacing {
             workload.upstream.len(),
             "pacing must cover every upstream stream"
         );
-        let aligned = |slots: &[Vec<u64>], msgs: &[Vec<Message>]| {
+        let aligned = |slots: &[Vec<u64>], msgs: &[Arc<SentStream>]| {
             for (sl, ms) in slots.iter().zip(msgs) {
                 assert_eq!(sl.len(), ms.len(), "pacing must cover every message");
                 assert!(
@@ -316,14 +336,6 @@ impl InjectionPacing {
         aligned(&self.downstream, &workload.downstream);
         aligned(&self.upstream, &workload.upstream);
     }
-}
-
-/// One endpoint's not-yet-released paced messages.
-#[derive(Clone, Debug, Default)]
-struct PacedStream {
-    msgs: Vec<Message>,
-    slots: Vec<u64>,
-    cursor: usize,
 }
 
 /// Identity of a message in probe events — the same `(cqid, tag, kind,
@@ -682,10 +694,14 @@ pub struct FabricCounters {
 /// before its first scenario event, remains bit-identical to the pristine
 /// engine.
 ///
-/// Paced injection composes the same way: it never draws from the trial RNG
-/// (arrival schedules are precomputed), and with `offered_load` unset its
-/// state is `None` and the greedy slot loop is untouched — pinned, again, by
-/// the golden digest.
+/// Injection composes the same way: it never draws from the trial RNG
+/// (arrival schedules are precomputed). Every endpoint has an [`Injector`]
+/// over its session's shared stream, which tops the transmitter up to one
+/// flit's worth of pending messages before each transmit opportunity — the
+/// transmitter packs at most that many per flit, so it behaves exactly as if
+/// it had been handed every due message at once. With `offered_load` unset
+/// everything is due at `begin` and no slot does release work — pinned,
+/// again, by the golden digest.
 ///
 /// Probes are the third composition point, and the strictest: the `P`
 /// type parameter (default [`NullProbe`]) receives structured lifecycle
@@ -812,11 +828,11 @@ pub struct FabricSim<'a, P: Probe = NullProbe> {
     last_motion_slot: u64,
     deadlock: bool,
     post_delivery_wedge: bool,
-    /// Paced-injection state: one stream of not-yet-released messages per
-    /// endpoint. `None` ⇒ the greedy everything-at-`begin` path, which the
-    /// golden-digest regression pins byte-for-byte.
-    paced: Option<Vec<PacedStream>>,
-    /// Messages still awaiting paced release (drain gate).
+    /// One injector per endpoint, feeding its transmitter from the session's
+    /// shared stream (empty until [`Self::begin`]).
+    injectors: Vec<Injector>,
+    /// Messages not yet due under paced injection (drain gate; always 0 on
+    /// the greedy path, where everything is due at `begin`).
     pending_paced: usize,
     /// The lifecycle-event probe ([`NullProbe`] unless built with
     /// [`FabricSim::with_probe`]). Write-only from the engine's point of
@@ -1002,7 +1018,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             last_motion_slot: 0,
             deadlock: false,
             post_delivery_wedge: false,
-            paced: None,
+            injectors: Vec::new(),
             pending_paced: 0,
             probe,
             workload_loaded: false,
@@ -1559,14 +1575,16 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         }
     }
 
-    /// Loads the workload: registers every message with the ground-truth
-    /// auditors and stages it for injection. Must be called exactly once,
-    /// before [`Self::step`].
+    /// Loads the workload: takes a handle on every stream for the receiving
+    /// side's ground-truth auditor and the sending side's injector (no
+    /// message is copied; the first trial over a workload builds each
+    /// stream's audit index, later ones reuse it). Must be called exactly
+    /// once, before [`Self::step`].
     ///
-    /// With [`FabricConfig::offered_load`] unset every message is enqueued
-    /// at its sending endpoint immediately (the greedy path, byte-for-byte
-    /// the pre-pacing engine); with it set, injection is paced at the
-    /// configured deterministic fixed rate via [`InjectionPacing::fixed_rate`].
+    /// With [`FabricConfig::offered_load`] unset every message is due at its
+    /// sending endpoint immediately (the greedy path, byte-for-byte the
+    /// pre-pacing engine); with it set, injection is paced at the configured
+    /// deterministic fixed rate via [`InjectionPacing::fixed_rate`].
     pub fn begin(&mut self, workload: &FabricWorkload) {
         match self.config.offered_load {
             Some(fraction) => {
@@ -1587,90 +1605,65 @@ impl<'a, P: Probe> FabricSim<'a, P> {
 
     fn load_workload(&mut self, workload: &FabricWorkload, pacing: Option<&InjectionPacing>) {
         assert!(!self.workload_loaded, "begin must be called exactly once");
-        assert_eq!(
-            workload.sessions(),
-            self.topology.sessions.len(),
-            "workload must cover every session"
+        let sessions = self.topology.sessions.len();
+        assert!(
+            workload.downstream.len() == sessions && workload.upstream.len() == sessions,
+            "workload must cover every session in both directions: {sessions} sessions, \
+             {} downstream and {} upstream streams",
+            workload.downstream.len(),
+            workload.upstream.len()
         );
         if let Some(p) = pacing {
             p.validate(workload);
         }
         self.workload_loaded = true;
 
-        let mut paced_streams =
-            pacing.map(|_| vec![PacedStream::default(); self.topology.endpoints.len()]);
+        self.injectors = vec![Injector::default(); self.topology.endpoints.len()];
         for (s, session) in self.topology.sessions.iter().enumerate() {
-            // Reserve the ground-truth maps before registration: fabric-scale
-            // workloads register O(10^5) messages per session pair, and the
-            // incremental doubling rehashes dominated `record_sent` profiles.
-            self.downstream_audits[s].reserve(workload.downstream[s].len(), 64);
-            self.upstream_audits[s].reserve(workload.upstream[s].len(), 64);
-            for m in &workload.downstream[s] {
-                self.downstream_audits[s].record_sent(m);
-            }
-            for m in &workload.upstream[s] {
-                self.upstream_audits[s].record_sent(m);
-            }
-            match (&mut paced_streams, pacing) {
-                (Some(streams), Some(p)) => {
-                    streams[session.host] = PacedStream {
-                        msgs: workload.downstream[s].clone(),
-                        slots: p.downstream[s].clone(),
-                        cursor: 0,
-                    };
-                    streams[session.device] = PacedStream {
-                        msgs: workload.upstream[s].clone(),
-                        slots: p.upstream[s].clone(),
-                        cursor: 0,
-                    };
-                    self.pending_paced += workload.downstream[s].len() + workload.upstream[s].len();
+            let (down, up) = (&workload.downstream[s], &workload.upstream[s]);
+            self.downstream_audits[s] = DeliveryAuditor::for_stream(Arc::clone(down));
+            self.upstream_audits[s] = DeliveryAuditor::for_stream(Arc::clone(up));
+            let (host, device) = (session.host, session.device);
+            match pacing {
+                Some(p) => {
+                    // `InjectionPacing` is borrowed, so its schedules are
+                    // the one per-message copy a paced trial still makes.
+                    self.injectors[host] =
+                        Injector::paced(Arc::clone(down), p.downstream[s].clone());
+                    self.injectors[device] = Injector::paced(Arc::clone(up), p.upstream[s].clone());
+                    self.pending_paced += down.len() + up.len();
                 }
-                _ => {
+                None => {
                     if P::ENABLED {
-                        let (host, device) = (session.host, session.device);
-                        let (down, up) = (&workload.downstream[s], &workload.upstream[s]);
                         inject_events(&mut self.probe, 0, s, host, device, true, down);
                         inject_events(&mut self.probe, 0, s, device, host, false, up);
                     }
-                    self.endpoints[session.host]
-                        .enqueue_messages(workload.downstream[s].iter().copied());
-                    self.endpoints[session.device]
-                        .enqueue_messages(workload.upstream[s].iter().copied());
+                    self.injectors[host] = Injector::greedy(Arc::clone(down));
+                    self.injectors[device] = Injector::greedy(Arc::clone(up));
                 }
             }
         }
-        self.paced = paced_streams;
     }
 
-    /// Releases every paced message whose arrival slot has been reached into
-    /// its endpoint's transmit queue (phase 0 of a slot). A release counts
-    /// as trial progress for the stall guard: an open-loop gap between
-    /// arrivals (a bursty on/off process can idle for thousands of slots)
-    /// must not be classified as a wedge while injections are pending.
+    /// Makes every paced message whose arrival slot has been reached due at
+    /// its endpoint's injector (phase 0 of a slot). A release counts as
+    /// trial progress for the stall guard: an open-loop gap between arrivals
+    /// (a bursty on/off process can idle for thousands of slots) must not be
+    /// classified as a wedge while injections are pending.
     fn release_due(&mut self) {
         let now_slot = self.slots;
-        let Some(streams) = &mut self.paced else {
-            return;
-        };
-        let mut released_any = false;
-        for (e, stream) in streams.iter_mut().enumerate() {
-            let start = stream.cursor;
-            while stream.cursor < stream.msgs.len() && stream.slots[stream.cursor] <= now_slot {
-                stream.cursor += 1;
+        let mut released = 0;
+        for (e, injector) in self.injectors.iter_mut().enumerate() {
+            let batch = injector.release(now_slot);
+            if P::ENABLED && !batch.is_empty() {
+                let (session, dst) = (self.session_of[e], self.peer_of[e]);
+                let down = self.topology.endpoints[dst].role == NodeRole::Device;
+                inject_events(&mut self.probe, now_slot, session, e, dst, down, batch);
             }
-            if stream.cursor > start {
-                let batch = &stream.msgs[start..stream.cursor];
-                if P::ENABLED {
-                    let (session, dst) = (self.session_of[e], self.peer_of[e]);
-                    let down = self.topology.endpoints[dst].role == NodeRole::Device;
-                    inject_events(&mut self.probe, now_slot, session, e, dst, down, batch);
-                }
-                self.endpoints[e].enqueue_messages(batch.iter().copied());
-                self.pending_paced -= stream.cursor - start;
-                released_any = true;
-            }
+            released += batch.len();
         }
-        if released_any {
+        if released > 0 {
+            self.pending_paced -= released;
             self.last_accept_slot = now_slot;
         }
     }
@@ -1704,8 +1697,8 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 None
             };
 
-            // Phase 0 — paced injection: release messages whose arrival slot
-            // has come. Free (one integer compare) on the greedy path.
+            // Phase 0 — paced injection: messages whose arrival slot has come
+            // become due. Free (one integer compare) on the greedy path.
             if self.pending_paced > 0 {
                 self.release_due();
             }
@@ -1720,6 +1713,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                     self.stalled[e] = self.transmit_into(sw, e, rf, now);
                     continue;
                 }
+                self.injectors[e].feed(&mut self.endpoints[e]);
                 let emission = self.endpoints[e].emit(now);
                 let (protocol, retransmission) = match &emission {
                     rxl_link::TxEmission::Protocol { retransmission, .. } => {
@@ -1808,8 +1802,8 @@ impl<'a, P: Probe> FabricSim<'a, P> {
 
             if all_endpoints_idle
                 && queues_empty
-                && self.pending_paced == 0
                 && self.stalled.iter().all(Option::is_none)
+                && self.injectors.iter().all(Injector::exhausted)
                 && self.endpoints.iter().all(LinkEndpoint::is_quiescent)
             {
                 self.drained = true;
@@ -2543,5 +2537,15 @@ mod tests {
         let report = FabricSim::new(&t, &routing, config).run(&workload);
         assert!(!report.drained);
         assert_eq!(report.slots, 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "workload must cover every session in both directions")]
+    fn a_workload_short_of_an_upstream_stream_is_rejected_at_begin() {
+        let t = FabricTopology::leaf_spine(2, 1, 1);
+        let routing = RoutingTable::new(&t);
+        let mut workload = FabricWorkload::symmetric(t.session_count(), 30, 8, 1);
+        workload.upstream.pop();
+        FabricSim::new(&t, &routing, FabricConfig::new(ProtocolVariant::Rxl)).begin(&workload);
     }
 }

@@ -33,6 +33,7 @@
 
 pub mod crosscheck;
 pub mod engine;
+mod injector;
 pub mod montecarlo;
 pub mod probe;
 pub mod routing;

@@ -8,8 +8,14 @@
 //! messages inline), and — checked on a bare `LinkTx` — nothing per
 //! retransmission.
 //!
-//! The counter is per thread, so the test harness's own threads cannot
-//! disturb it; this file holds the single test that reads it.
+//! Before the slot loop, `begin` registers the workload by taking handles on
+//! its shared streams: once a first trial has built the streams' audit
+//! index, building and loading a trial allocates the fabric's own state and
+//! a delivered *bit* per message — not the ~40 bytes per message that
+//! copying each stream into audit records and a transmit queue used to.
+//!
+//! The counters are per thread, so neither the test harness's own threads
+//! nor the other test in this file can disturb a reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,29 +29,37 @@ use rxl_link::{ChannelErrorModel, LinkConfig, LinkTx, ProtocolVariant, TxEmissio
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Bytes requested by every `alloc`/`realloc` of this thread so far.
+fn bytes_on_this_thread() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 /// The system allocator, counting every `alloc`/`realloc` of the calling
-/// thread (frees are not counted: releasing an ACKed flit is expected).
+/// thread and summing the bytes they ask for (frees are not counted:
+/// releasing an ACKed flit is expected).
 struct CountingAlloc;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are being
-    // torn down, when the counter is gone and there is nothing to count.
+    // torn down, when the counters are gone and there is nothing to count.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` with no destructor, so touching it never allocates or
-// re-enters the allocator.
+// thread-local `Cell` with no destructor (as is the byte sum), so touching
+// them never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -56,7 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from `System`, and the caller vouched for
         // `layout` and `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -162,5 +176,52 @@ fn steady_state_allocates_only_the_flit_of_each_new_emission() {
         allocs_on_this_thread() - allocs_before,
         0,
         "a replay allocated"
+    );
+}
+
+#[test]
+fn a_trial_over_a_registered_workload_allocates_no_per_message_state() {
+    let topology = FabricTopology::leaf_spine(4, 2, 4);
+    let routing = RoutingTable::new(&topology);
+    let config = FabricConfig::new(ProtocolVariant::Rxl);
+    let workload = FabricWorkload::symmetric(topology.session_count(), 15_000, 8, 7);
+    let messages = workload.total_messages() as u64;
+    assert_eq!(messages, 480_000);
+
+    // Bytes allocated by building one trial, and by loading the workload.
+    let new_and_begin = || {
+        let start = bytes_on_this_thread();
+        let mut sim = FabricSim::new(&topology, &routing, config);
+        let built = bytes_on_this_thread();
+        sim.begin(&workload);
+        (built - start, bytes_on_this_thread() - built, sim)
+    };
+
+    // The first trial builds every stream's audit index: 4 bytes a message,
+    // more while the position lists grow.
+    let (_, first_begin, _sim) = new_and_begin();
+    assert!(
+        first_begin > 4 * messages,
+        "{first_begin} bytes: the index was not built"
+    );
+
+    // Every later trial finds it there, and `begin` is left with a
+    // delivered bit per message plus a few words per stream. (It used to
+    // allocate ~19 MiB here — a 24-byte audit record and a 16-byte queued
+    // copy of every message; `new`, the fabric's own ~265 KiB of endpoints,
+    // queues and tables, was and is independent of the workload. Nothing is
+    // copied later either: the steady-state test above allows the slot loop
+    // one allocation per new flit.)
+    let (new, begin, _sim) = new_and_begin();
+    assert!(
+        begin < messages / 4,
+        "{begin} bytes to load an already registered workload of {messages} messages"
+    );
+    assert!(new + begin < 512 * 1024, "{new} + {begin} bytes");
+    let (new_again, begin_again, _sim) = new_and_begin();
+    assert_eq!(
+        (new, begin),
+        (new_again, begin_again),
+        "a trial's set-up allocation is deterministic"
     );
 }

@@ -37,6 +37,14 @@ impl LinkEndpoint {
         self.tx.enqueue_messages(msgs);
     }
 
+    /// Feeds the transmitter from the front of `due`, up to one flit's
+    /// worth pending; returns how many messages it took (see
+    /// [`LinkTx::top_up`]).
+    #[inline]
+    pub fn top_up(&mut self, due: &[Message]) -> usize {
+        self.tx.top_up(due)
+    }
+
     /// Number of messages waiting to be flitized.
     pub fn backlog(&self) -> usize {
         self.tx.backlog()

@@ -208,9 +208,27 @@ impl LinkTx {
             && self.pending_nack.is_none()
     }
 
-    /// Queues transaction messages for transmission.
+    /// Queues transaction messages for transmission, all of them now. A
+    /// caller holding a long stream feeds it with [`Self::top_up`] instead,
+    /// so the queue never holds more than a flit's worth.
     pub fn enqueue_messages<I: IntoIterator<Item = Message>>(&mut self, msgs: I) {
         self.pending_msgs.extend(msgs);
+    }
+
+    /// Tops the pending queue up to one flit's worth
+    /// ([`MESSAGES_PER_FLIT`]) from the front of `due` — the caller's
+    /// messages that are ready to send, in order — and returns how many it
+    /// took. Called before every [`Self::emit`], this is indistinguishable
+    /// from having enqueued all of `due` up front: a new flit takes at most
+    /// `MESSAGES_PER_FLIT` pending messages, and the queue is empty only
+    /// when `due` is.
+    #[inline]
+    pub fn top_up(&mut self, due: &[Message]) -> usize {
+        let take = MESSAGES_PER_FLIT
+            .saturating_sub(self.pending_msgs.len())
+            .min(due.len());
+        self.pending_msgs.extend(&due[..take]);
+        take
     }
 
     /// Requests that an acknowledgement for `seq` be conveyed to the peer
@@ -429,6 +447,29 @@ mod tests {
         assert_eq!(t.backlog(), 0);
         assert_eq!(t.in_flight(), 3);
         assert_eq!(t.last_sent_seq(), Some(2));
+    }
+
+    #[test]
+    fn topping_up_before_each_emit_matches_enqueueing_everything() {
+        for n in [0usize, 1, 14, 15, 16, 100] {
+            let stream = msgs(n);
+            let mut all = tx(ProtocolVariant::Rxl);
+            let mut fed = tx(ProtocolVariant::Rxl);
+            all.enqueue_messages(stream.iter().copied());
+            let mut taken = 0;
+            loop {
+                taken += fed.top_up(&stream[taken..]);
+                assert!(fed.backlog() <= MESSAGES_PER_FLIT);
+                assert_eq!(all.backlog(), fed.backlog() + (n - taken));
+                let (a, b) = (all.emit(0.0), fed.emit(0.0));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{n} messages");
+                if a.is_idle() {
+                    break;
+                }
+            }
+            assert_eq!(taken, n);
+            assert_eq!(all.stats(), fed.stats());
+        }
     }
 
     #[test]

@@ -26,9 +26,12 @@
 //! trial's request workload is bit-identical for a given seed regardless
 //! of worker thread count.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rxl_fabric::{message_key, FabricTopology, FabricWorkload, InjectionPacing};
 use rxl_sim::{request_stream, TrafficPattern};
+use rxl_transport::SentStream;
 
 use crate::arrival::ArrivalProcess;
 
@@ -89,8 +92,9 @@ impl FanoutShape {
 
 /// Longest message stream one session can carry in a trial:
 /// [`request_stream`] tags message `i` of a stream `i as u16`, so past
-/// `2^16` messages a tag repeats within its command queue and
-/// `DeliveryAuditor::record_sent` refuses the duplicate identity. The same
+/// `2^16` messages a tag repeats within its command queue and the stream's
+/// audit index (`DeliveryAuditor::for_stream`) refuses the duplicate
+/// identity. The same
 /// bound is what makes a shard's tag a *dense* per-destination ordinal — the
 /// invariant the request probe's tag-indexed join in `rxl-telemetry`
 /// (`RequestProbe::new`, which asserts `(dst, tag)` uniqueness) is built on.
@@ -395,8 +399,12 @@ impl RequestGenerator {
             upstream: vec![Vec::new(); topology.session_count()],
         };
         let workload = FabricWorkload {
-            downstream: streams,
-            upstream: vec![Vec::new(); topology.session_count()],
+            downstream: streams
+                .into_iter()
+                .map(|msgs| Arc::new(SentStream::new(msgs)))
+                .collect(),
+            // Immutable, so every session can share the one empty stream.
+            upstream: vec![Arc::default(); topology.session_count()],
         };
 
         (
@@ -525,7 +533,7 @@ mod tests {
             let n = p1.downstream[s].len();
             assert!(n > 0 && p4.downstream[s].len() == 4 * n);
             assert_eq!(p1.downstream[s], p4.downstream[s][..n]);
-            assert_eq!(w1.downstream[s], w4.downstream[s][..n]);
+            assert_eq!(w1.downstream[s][..], w4.downstream[s][..n]);
         }
     }
 

@@ -11,6 +11,7 @@
 //! `tests/load_latency.rs`).
 
 use std::fmt;
+use std::sync::Arc;
 
 use rayon::prelude::*;
 
@@ -22,7 +23,7 @@ use rxl_fabric::{
 };
 use rxl_flit::MESSAGES_PER_FLIT;
 use rxl_sim::{request_stream, response_stream, trial_seed};
-use rxl_transport::FailureCounts;
+use rxl_transport::{FailureCounts, SentStream};
 
 use crate::arrival::ArrivalProcess;
 use crate::matrix::TrafficMatrix;
@@ -363,7 +364,7 @@ impl LoadSweep {
             } else {
                 (Vec::new(), Vec::new())
             };
-            workload.downstream.push(msgs);
+            workload.downstream.push(Arc::new(SentStream::new(msgs)));
             pacing.downstream.push(slots);
         }
         for (s, sl) in session_loads.iter().enumerate() {
@@ -379,7 +380,7 @@ impl LoadSweep {
             } else {
                 (Vec::new(), Vec::new())
             };
-            workload.upstream.push(msgs);
+            workload.upstream.push(Arc::new(SentStream::new(msgs)));
             pacing.upstream.push(slots);
         }
 

@@ -5,12 +5,14 @@
 //! The aggregate report keeps both summed counters and per-trial rates so
 //! harnesses can print means with confidence intervals.
 
+use std::sync::Arc;
+
 use rayon::prelude::*;
 
 use rxl_flit::Message;
 use rxl_link::LinkStats;
 use rxl_switch::SwitchStats;
-use rxl_transport::FailureCounts;
+use rxl_transport::{FailureCounts, SentStream};
 
 use crate::path::{PathSim, SimConfig};
 use crate::report::SimReport;
@@ -123,11 +125,14 @@ impl MonteCarlo {
     /// the report are always in trial order too.
     pub fn run(&self, downstream: &[Message], upstream: &[Message]) -> MonteCarloReport {
         let base = self.base_seed;
+        // One copy per run, shared (with its audit index) by every trial.
+        let downstream = Arc::new(SentStream::new(downstream.to_vec()));
+        let upstream = Arc::new(SentStream::new(upstream.to_vec()));
         let reports: Vec<SimReport> = (0..self.trials)
             .into_par_iter()
             .map(|trial| {
                 let config = self.config.with_seed(trial_seed(base, trial));
-                PathSim::new(config).run(downstream, upstream)
+                PathSim::new(config).run_shared(&downstream, &upstream)
             })
             .collect();
         self.aggregate(reports)

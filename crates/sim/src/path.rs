@@ -11,13 +11,15 @@
 //! uses the analytic retry-occupancy model of `rxl-analysis` with retry
 //! *rates* measured here.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rxl_flit::{Message, WireFlit};
 use rxl_link::{ChannelErrorModel, LinkConfig, LinkEndpoint, ProtocolVariant};
 use rxl_switch::{InternalErrorModel, LinkCrcMode, Switch, SwitchConfig};
-use rxl_transport::DeliveryAuditor;
+use rxl_transport::{DeliveryAuditor, SentStream};
 
 use crate::report::SimReport;
 use crate::topology::Topology;
@@ -164,20 +166,31 @@ impl PathSim {
 
     /// Runs the simulation: the host transmits `downstream` and the device
     /// transmits `upstream`; both sides' deliveries are audited against those
-    /// ground-truth streams.
-    pub fn run(mut self, downstream: &[Message], upstream: &[Message]) -> SimReport {
+    /// ground-truth streams. Copies each slice once into a [`SentStream`];
+    /// a caller running many trials over one workload wraps it once and
+    /// calls [`Self::run_shared`].
+    pub fn run(self, downstream: &[Message], upstream: &[Message]) -> SimReport {
+        self.run_shared(
+            &Arc::new(SentStream::new(downstream.to_vec())),
+            &Arc::new(SentStream::new(upstream.to_vec())),
+        )
+    }
+
+    /// [`Self::run`] over streams shared with other trials: the auditors
+    /// take handles (and reuse the streams' audit index once a first trial
+    /// has built it), and each transmitter is fed a flit's worth at a time
+    /// (see [`rxl_link::LinkTx::top_up`]), so the trial copies no stream.
+    pub fn run_shared(
+        mut self,
+        downstream: &Arc<SentStream>,
+        upstream: &Arc<SentStream>,
+    ) -> SimReport {
         let flit_time = self.config.link_config().flit_time_ns;
 
-        let mut downstream_audit = DeliveryAuditor::new();
-        for m in downstream {
-            downstream_audit.record_sent(m);
-        }
-        let mut upstream_audit = DeliveryAuditor::new();
-        for m in upstream {
-            upstream_audit.record_sent(m);
-        }
-        self.host.enqueue_messages(downstream.iter().copied());
-        self.device.enqueue_messages(upstream.iter().copied());
+        let mut downstream_audit = DeliveryAuditor::for_stream(Arc::clone(downstream));
+        let mut upstream_audit = DeliveryAuditor::for_stream(Arc::clone(upstream));
+        // Messages of each stream handed to its transmitter so far.
+        let (mut host_fed, mut device_fed) = (0, 0);
 
         let mut now = 0.0f64;
         let mut slots = 0u64;
@@ -186,6 +199,8 @@ impl PathSim {
             slots += 1;
             now += flit_time;
 
+            host_fed += self.host.top_up(&downstream[host_fed..]);
+            device_fed += self.device.top_up(&upstream[device_fed..]);
             let host_emission = self.host.emit(now);
             let device_emission = self.device.emit(now);
 
@@ -208,6 +223,8 @@ impl PathSim {
 
             if host_emission.is_idle()
                 && device_emission.is_idle()
+                && host_fed == downstream.len()
+                && device_fed == upstream.len()
                 && self.host.is_quiescent()
                 && self.device.is_quiescent()
             {

@@ -17,18 +17,21 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use rxl_flit::Message;
 
 use crate::failure::FailureCounts;
+use crate::stream::{ident_of, SentStream};
 
-/// A fast, deterministic hasher (the FxHash construction) for the auditor's
-/// per-message maps. Every delivered flit audits up to 15 messages, each a
-/// map lookup, so the default SipHash cost is measurable at fabric scale.
-/// Hash quality only affects speed, never counts: nothing iterates these
-/// maps in hash order to produce results. Public so other hot paths in the
-/// workspace (the fabric engine's latency tag→slot maps) share the same
-/// deterministic construction instead of growing private copies.
+/// A fast, deterministic hasher (the FxHash construction) for per-message
+/// maps on simulation hot paths, where the default SipHash cost is
+/// measurable at fabric scale. Hash quality only affects speed, never
+/// counts: nothing iterates these maps in hash order to produce results.
+/// The auditor in this module no longer hashes at all; the hasher is public
+/// so the hot paths that still do (the inject → deliver span joins of
+/// `rxl-load` and `rxl-telemetry`) share one deterministic construction
+/// instead of growing private copies.
 #[derive(Default)]
 pub struct FxHasher(u64);
 
@@ -99,179 +102,110 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Identity of a message *within its CQID*, packed as
-/// `tag:16 | kind:8 | chunk:8` (the CQID itself selects the per-CQID record
-/// vector, so it needs no representation here).
-#[inline]
-fn ident_of(msg: &Message) -> u32 {
-    let (kind, chunk) = match msg {
-        Message::Request { .. } => (0u8, 0u8),
-        Message::Response { .. } => (1, 0),
-        Message::DataHeader { .. } => (2, 0),
-        Message::Data { chunk_idx, .. } => (3, *chunk_idx),
-    };
-    (msg.tag() as u32) << 16 | (kind as u32) << 8 | chunk as u32
+/// Delivery cursor of one CQID over its shared position list
+/// (`StreamIndex::cqs[slot].positions`): the per-trial half of the audit
+/// state, the other half being the delivered bitset.
+#[derive(Clone, Copy, Debug, Default)]
+struct CqidCursor {
+    /// Lowest send-order rank not yet delivered.
+    next_undelivered: u32,
+    /// Messages delivered (at least once) in this CQID.
+    delivered_count: u32,
 }
 
-#[derive(Clone, Debug)]
-struct SentRecord {
-    /// [`ident_of`] the registered message.
-    ident: u32,
-    delivered: bool,
-    message: Message,
-}
-
-/// Audit state of one CQID: the registered messages *in send order* (so a
-/// record's index is its send-order position) plus the delivery cursor.
-///
-/// This dense layout is the auditor's hot-path design: deliveries on a quiet
-/// link arrive overwhelmingly in send order, so classifying one is a single
-/// identity compare against the record under the cursor — no hashing, no
-/// probing, and sequential memory access. Workload generators register
-/// identities in increasing order, which keeps `sorted` true and gives the
-/// out-of-order / duplicate / unexpected slow paths a binary search; an
-/// unsorted registration order merely downgrades those rare paths to a
-/// linear scan.
-#[derive(Clone, Debug)]
-struct CqidAudit {
-    records: Vec<SentRecord>,
-    /// Lowest send-order index not yet delivered.
-    next_undelivered: usize,
-    /// Records delivered (at least once) in this CQID.
-    delivered_count: usize,
-    /// `true` while `records` is strictly increasing by `ident`.
-    sorted: bool,
-}
-
-impl CqidAudit {
-    fn new() -> Self {
-        CqidAudit {
-            records: Vec::new(),
-            next_undelivered: 0,
-            delivered_count: 0,
-            sorted: true,
-        }
-    }
-
+impl CqidCursor {
     /// `true` while some message has been delivered ahead of a still-missing
-    /// earlier message of the same CQID: `records[0..next_undelivered]` is
-    /// the contiguous delivered prefix, so any delivery beyond it means a
-    /// gap is open.
+    /// earlier message of the same CQID: ranks `0..next_undelivered` are the
+    /// contiguous delivered prefix, so any delivery beyond it means a gap is
+    /// open.
     fn gapped(&self) -> bool {
         self.delivered_count > self.next_undelivered
     }
 }
 
-/// Sentinel in [`DeliveryAuditor::cqid_slot`] for a CQID never registered.
-const NO_CQID: u32 = u32::MAX;
-
 /// Ground-truth auditor for one direction of traffic.
+///
+/// The sent messages and their per-CQID position index live in a
+/// [`SentStream`] that every trial over the same workload shares (see its
+/// ownership contract); what one trial owns is a delivered bit per stream
+/// position and one cursor per CQID — about a bit per message.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryAuditor {
-    /// `cqid_slot[cqid]` → index into `cqs` ([`NO_CQID`] if unregistered).
-    /// Grown to the highest registered CQID + 1; CQIDs are 16-bit, so the
-    /// worst case is a 256 KiB table and the typical workload a few words.
-    cqid_slot: Vec<u32>,
-    cqs: Vec<CqidAudit>,
+    stream: Arc<SentStream>,
+    /// Bit `p` set once the message at stream position `p` was delivered.
+    delivered: Vec<u64>,
+    /// Parallel to the stream index's CQID slots.
+    cursors: Vec<CqidCursor>,
     counts: FailureCounts,
     /// Number of CQIDs currently holding an ordering gap (a delivered
     /// message ahead of a missing earlier one).
     gapped_cqids: usize,
-    /// Total messages registered across all CQIDs.
-    registered: usize,
     /// Total messages delivered at least once across all CQIDs.
     delivered_unique: usize,
 }
 
 impl DeliveryAuditor {
-    /// Creates an empty auditor.
+    /// Creates an empty auditor over a private stream, to be filled with
+    /// [`Self::record_sent`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pre-reserves capacity for `messages` registered messages across
-    /// `cqids` connection queues. With the dense per-CQID storage there are
-    /// no hash tables left to pre-size; reserving the CQID vector is all
-    /// that is useful up front (the per-CQID record vectors grow amortised
-    /// and contiguous).
-    pub fn reserve(&mut self, _messages: usize, cqids: usize) {
-        self.cqs.reserve(cqids);
+    /// An auditor over an already-built stream, sharing it: nothing is
+    /// copied, and the stream's index is built here if no earlier auditor
+    /// did (panicking on a duplicate message identity, like
+    /// [`Self::record_sent`]).
+    pub fn for_stream(stream: Arc<SentStream>) -> Self {
+        let cqids = stream.index().cqs.len();
+        DeliveryAuditor {
+            delivered: vec![0; stream.len().div_ceil(64)],
+            cursors: vec![CqidCursor::default(); cqids],
+            stream,
+            counts: FailureCounts::default(),
+            gapped_cqids: 0,
+            delivered_unique: 0,
+        }
     }
 
     /// Registers a message that is about to be transmitted. Must be called in
     /// transmit order.
     pub fn record_sent(&mut self, msg: &Message) {
-        let cqid = msg.cqid() as usize;
-        if self.cqid_slot.len() <= cqid {
-            self.cqid_slot.resize(cqid + 1, NO_CQID);
-        }
-        let slot = match self.cqid_slot[cqid] {
-            NO_CQID => {
-                self.cqs.push(CqidAudit::new());
-                let slot = (self.cqs.len() - 1) as u32;
-                self.cqid_slot[cqid] = slot;
-                slot
-            }
-            slot => slot,
-        };
-        let cq = &mut self.cqs[slot as usize];
-        let ident = ident_of(msg);
-        // Uniqueness check: free while registration order is strictly
-        // increasing by identity (every workload generator's order); a
-        // non-monotonic registration falls back to a scan.
-        let unique = match cq.records.last() {
-            None => true,
-            Some(last) if cq.sorted && last.ident < ident => true,
-            _ => {
-                cq.sorted = false;
-                cq.records.iter().all(|r| r.ident != ident)
-            }
-        };
-        assert!(
-            unique,
-            "duplicate message identity registered: cqid {} ident {ident:#010x}",
-            msg.cqid()
-        );
-        cq.records.push(SentRecord {
-            ident,
-            delivered: false,
-            message: *msg,
-        });
-        self.registered += 1;
+        let stream = Arc::make_mut(&mut self.stream);
+        stream.push(*msg);
+        self.delivered.resize(stream.len().div_ceil(64), 0);
+        self.cursors
+            .resize(stream.index().cqs.len(), CqidCursor::default());
     }
 
     /// Number of messages registered for transmission.
     pub fn sent_count(&self) -> usize {
-        self.registered
+        self.stream.len()
     }
 
     /// Classifies one delivered message and updates the counters.
     ///
     /// The hot path is the in-order delivery: one identity compare against
-    /// the record under the CQID's cursor. Everything else (duplicates,
-    /// out-of-order arrivals, never-sent identities) resolves by binary
-    /// search over the send-ordered records.
+    /// the stream message under the CQID's cursor. Everything else
+    /// (duplicates, out-of-order arrivals, never-sent identities) resolves
+    /// by binary search over the CQID's send-ordered positions.
     pub fn observe_delivery(&mut self, msg: &Message) -> DeliveryVerdict {
-        let ident = ident_of(msg);
-        let slot = match self.cqid_slot.get(msg.cqid() as usize) {
-            Some(&slot) if slot != NO_CQID => slot,
-            _ => {
-                self.counts.data_failures += 1;
-                return DeliveryVerdict::Unexpected;
-            }
+        let stream: &SentStream = &self.stream;
+        let index = stream.index();
+        let Some(slot) = index.slot_of(msg.cqid()) else {
+            self.counts.data_failures += 1;
+            return DeliveryVerdict::Unexpected;
         };
-        let cq = &mut self.cqs[slot as usize];
-        let order = if cq.next_undelivered < cq.records.len()
-            && cq.records[cq.next_undelivered].ident == ident
+        let positions = &index.cqs[slot].positions[..];
+        let cursor = &mut self.cursors[slot];
+        let ident = ident_of(msg);
+        let next = cursor.next_undelivered as usize;
+        let order = if positions
+            .get(next)
+            .is_some_and(|&p| ident_of(&stream[p as usize]) == ident)
         {
-            cq.next_undelivered
+            next
         } else {
-            let found = if cq.sorted {
-                cq.records.binary_search_by_key(&ident, |r| r.ident).ok()
-            } else {
-                cq.records.iter().position(|r| r.ident == ident)
-            };
-            match found {
+            match index.cqs[slot].find(stream, ident) {
                 Some(i) => i,
                 None => {
                     self.counts.data_failures += 1;
@@ -279,22 +213,28 @@ impl DeliveryAuditor {
                 }
             }
         };
-        let record = &mut cq.records[order];
-        if record.delivered {
+        let pos = positions[order] as usize;
+        let (word, bit) = (pos / 64, 1u64 << (pos % 64));
+        if self.delivered[word] & bit != 0 {
             self.counts.duplicate_deliveries += 1;
             return DeliveryVerdict::Duplicate;
         }
-        record.delivered = true;
-        let intact = record.message == *msg;
-        let was_gapped = cq.gapped();
-        cq.delivered_count += 1;
+        self.delivered[word] |= bit;
+        let intact = stream[pos] == *msg;
+        let was_gapped = cursor.gapped();
+        cursor.delivered_count += 1;
         self.delivered_unique += 1;
-        let in_order = order == cq.next_undelivered;
+        let in_order = order == next;
         // Advance the next-undelivered cursor over everything now delivered.
-        while cq.next_undelivered < cq.records.len() && cq.records[cq.next_undelivered].delivered {
-            cq.next_undelivered += 1;
+        let mut next = next;
+        while positions
+            .get(next)
+            .is_some_and(|&p| self.delivered[p as usize / 64] >> (p % 64) & 1 != 0)
+        {
+            next += 1;
         }
-        match (was_gapped, cq.gapped()) {
+        cursor.next_undelivered = next as u32;
+        match (was_gapped, cursor.gapped()) {
             (false, true) => self.gapped_cqids += 1,
             (true, false) => self.gapped_cqids -= 1,
             _ => {}
@@ -332,13 +272,13 @@ impl DeliveryAuditor {
     /// *post-delivery wedge* (control-plane replay churning after the last
     /// payload arrived), not a credit deadlock.
     pub fn all_delivered(&self) -> bool {
-        self.delivered_unique == self.registered
+        self.delivered_unique == self.stream.len()
     }
 
     /// Closes the audit: every sent-but-undelivered message is counted as
     /// lost. Returns the final counters.
     pub fn finalize(mut self) -> FailureCounts {
-        self.counts.lost_messages += (self.registered - self.delivered_unique) as u64;
+        self.counts.lost_messages += (self.stream.len() - self.delivered_unique) as u64;
         self.counts
     }
 }
@@ -516,5 +456,27 @@ mod tests {
         let mut a = DeliveryAuditor::new();
         a.record_sent(&req(1, 1));
         a.record_sent(&req(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate message identity")]
+    fn duplicate_identity_in_a_shared_stream_panics() {
+        // Wrapping is unchecked (a move); the first auditor builds the index.
+        let stream = Arc::new(SentStream::new(vec![req(1, 1), req(2, 1), req(1, 1)]));
+        let _ = DeliveryAuditor::for_stream(stream);
+    }
+
+    #[test]
+    fn auditors_over_one_stream_share_it_and_keep_private_verdicts() {
+        let stream = Arc::new(SentStream::new((0..4).map(|i| req(0, i)).collect()));
+        let mut a = DeliveryAuditor::for_stream(Arc::clone(&stream));
+        let mut b = DeliveryAuditor::for_stream(Arc::clone(&stream));
+        assert_eq!(Arc::strong_count(&stream), 3, "nothing was copied");
+        assert_eq!(a.observe_delivery(&req(0, 0)), DeliveryVerdict::InOrder);
+        assert_eq!(a.observe_delivery(&req(0, 0)), DeliveryVerdict::Duplicate);
+        assert_eq!(b.observe_delivery(&req(0, 2)), DeliveryVerdict::OutOfOrder);
+        assert_eq!(b.observe_delivery(&req(0, 0)), DeliveryVerdict::InOrder);
+        assert_eq!(a.finalize().lost_messages, 3);
+        assert_eq!(b.finalize().lost_messages, 2);
     }
 }
