@@ -14,11 +14,41 @@
 //! sub-block and is always corrected; longer bursts overload at least one
 //! sub-block and are detected with the probabilities analysed in
 //! [`crate::stats`].
+//!
+//! # One kernel for both directions
+//!
+//! The generator of the mother code is `g(x) = (x − 1)(x − α)`, so a way's
+//! word `c(x)` (first wire symbol = highest degree) is a codeword exactly
+//! when its two syndromes `S0 = c(1)` and `S1 = c(α)` vanish. Both encoding
+//! and decoding reduce to evaluating that pair for every way over an
+//! interleaved run of symbols, which one kernel ([`syndromes`]) does without
+//! de-interleaving: `S0` is the XOR of the way's symbols and `S1` a Horner
+//! evaluation at `α`, sliced eight symbols wide through the product tables
+//! [`ALPHA_POW_MUL`] (`T[m − 1][x] = x·α^m`, eight 256-entry tables, 2 KiB):
+//!
+//! ```text
+//! S1 ← T[7][S1] ⊕ T[6][s₀] ⊕ T[5][s₁] ⊕ … ⊕ T[0][s₆] ⊕ s₇
+//! ```
+//!
+//! Only the first lookup depends on the previous step, so a way's 86 symbols
+//! cost about a dozen dependent loads rather than 86 dependent multiplies;
+//! the remaining loads of all ways overlap freely.
+//!
+//! *Decoding* runs the kernel over the whole block. *Encoding* runs it over
+//! the data symbols alone, giving `D0 = d(1)` and `D1 = d(α)`; the codeword
+//! is `c(x) = d(x)·x² + p1·x + p0`, and requiring `c(1) = c(α) = 0` yields
+//! the parity directly from that pair:
+//!
+//! ```text
+//! p1 = (D0 + α²·D1)·(1 + α)⁻¹        p0 = D0 + p1
+//! ```
 
-use rxl_gf256::{ConstMul, Gf256};
+use rxl_gf256::{ConstMul, Gf256, ALPHA_POW_MUL, ALPHA_POW_STEPS};
 
 use crate::decoder::RsDecodeOutcome;
-use crate::shortened::ShortenedRs;
+
+#[cfg(test)]
+mod reference;
 
 /// Number of protected data bytes per CXL 256B flit (header + payload + CRC).
 pub const CXL_FLIT_DATA_LEN: usize = 250;
@@ -32,6 +62,13 @@ pub const CXL_FEC_WAYS: usize = 3;
 /// Maximum interleave factor supported by the allocation-free codec paths.
 pub const MAX_FEC_WAYS: usize = 8;
 
+/// Parity symbols per way: the two of the RS(255, 253) mother code.
+const PARITY_PER_WAY: usize = 2;
+
+/// Multiplication by `(1 + α)⁻¹`, the scale of the parity identity (see the
+/// module docs). `α = 0x02`, so `1 + α = 0x03`, whose inverse is `0xF4`.
+const DIV_ONE_PLUS_ALPHA: ConstMul = ConstMul::new(0xF4);
+
 /// Per-way decode outcomes, stored inline (no heap allocation on the decode
 /// path). Dereferences to a slice, so indexing, `len()` and iteration behave
 /// like the `Vec` this replaced.
@@ -42,13 +79,15 @@ pub struct PerWayOutcomes {
 }
 
 impl PerWayOutcomes {
-    fn new(outcomes: &[RsDecodeOutcome]) -> Self {
-        debug_assert!(outcomes.len() <= MAX_FEC_WAYS);
-        let mut inline = [RsDecodeOutcome::NoError; MAX_FEC_WAYS];
-        inline[..outcomes.len()].copy_from_slice(outcomes);
+    /// `outcomes[..ways]` are the verdicts; the rest must be `NoError` so
+    /// that equality compares the verdicts alone.
+    fn new(outcomes: [RsDecodeOutcome; MAX_FEC_WAYS], ways: usize) -> Self {
+        debug_assert!(outcomes[ways..]
+            .iter()
+            .all(|o| *o == RsDecodeOutcome::NoError));
         PerWayOutcomes {
-            outcomes: inline,
-            len: outcomes.len() as u8,
+            outcomes,
+            len: ways as u8,
         }
     }
 }
@@ -77,27 +116,61 @@ impl FlitFecResult {
     }
 }
 
+/// `(S0, S1)`, each indexed by way; entries past the way count are zero.
+type Syndromes = ([u8; MAX_FEC_WAYS], [u8; MAX_FEC_WAYS]);
+
+/// The syndrome kernel: `S0 = c(1)` and `S1 = c(α)` of each of the `WAYS`
+/// words interleaved round-robin in `symbols` (symbol `i` belongs to way
+/// `i % WAYS`; a way's first symbol is its highest-degree coefficient).
+///
+/// Each step consumes [`ALPHA_POW_STEPS`] symbols of every way; the symbols
+/// left over (fewer than `8·WAYS`) take the one-symbol Horner step. `WAYS`
+/// is a const parameter so the stride is a compile-time constant and each
+/// way's pair stays in registers across the loop.
+#[inline(always)]
+fn syndromes<const WAYS: usize>(symbols: &[u8]) -> Syndromes {
+    const LAST: usize = ALPHA_POW_STEPS - 1;
+    let t = &ALPHA_POW_MUL;
+    let (mut s0, mut s1) = ([0u8; MAX_FEC_WAYS], [0u8; MAX_FEC_WAYS]);
+    let mut steps = symbols.chunks_exact(ALPHA_POW_STEPS * WAYS);
+    for step in &mut steps {
+        for w in 0..WAYS {
+            // Everything but the `T[7][S1]` lookup is independent of the
+            // previous step; fold it first so only one load and one XOR sit
+            // on the way's dependency chain.
+            let last = step[w + LAST * WAYS];
+            let (mut sum, mut horner) = (last, last);
+            for k in 0..LAST {
+                let s = step[w + k * WAYS];
+                sum ^= s;
+                horner ^= t[LAST - 1 - k][s as usize];
+            }
+            s0[w] ^= sum;
+            s1[w] = t[LAST][s1[w] as usize] ^ horner;
+        }
+    }
+    // A whole number of rows was consumed, so the tail starts at way 0.
+    for row in steps.remainder().chunks(WAYS) {
+        for (w, &s) in row.iter().enumerate() {
+            s0[w] ^= s;
+            s1[w] = t[0][s1[w] as usize] ^ s;
+        }
+    }
+    (s0, s1)
+}
+
 /// An N-way interleaved single-symbol-correct FEC block codec.
 ///
 /// Every way is protected by the two-parity shortened RS(255, 253) mother
-/// code, so both directions run allocation-free: encoding streams each way's
-/// symbols through a two-stage LFSR, and decoding computes the two syndromes
-/// per way directly over the interleaved block (no de-interleave buffers),
-/// applying at most one in-place correction per way.
-#[derive(Clone, Debug)]
+/// code. The codec is plain data — a geometry, no tables or per-way state of
+/// its own — and both directions are allocation-free passes of the one
+/// syndrome kernel over the interleaved block (see the module docs): encoding
+/// derives each way's parity from the data's syndrome pair, decoding applies
+/// at most one in-place correction per way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InterleavedFec {
-    ways: Vec<ShortenedRs>,
     data_len: usize,
-    /// Nibble-split constant multipliers for the per-byte loops: `α` (the
-    /// S1 Horner step) and the generator coefficients `g0`, `g1` of
-    /// `g(x) = x² + g1·x + g0` (the parity LFSR). Two 16-entry half-tables
-    /// per constant (32 bytes instead of a 256-entry product table) answer
-    /// each byte with two loads and an XOR — see [`rxl_gf256::nibble`] —
-    /// keeping the whole working set of the per-hop hot path inside two
-    /// cache lines and in the shape LLVM vectorizes to byte shuffles.
-    mul_alpha: ConstMul,
-    mul_g0: ConstMul,
-    mul_g1: ConstMul,
+    ways: usize,
 }
 
 impl InterleavedFec {
@@ -111,21 +184,11 @@ impl InterleavedFec {
             "at most {MAX_FEC_WAYS} ways supported"
         );
         assert!(data_len >= ways, "data must cover every way");
-        let mut way_codes = Vec::with_capacity(ways);
-        for w in 0..ways {
-            // Way w receives data bytes w, w+ways, w+2·ways, ...
-            let sub_len = (data_len - w).div_ceil(ways);
-            way_codes.push(ShortenedRs::cxl_subblock(sub_len));
-        }
-        let gen = way_codes[0].code().generator().coeffs().to_vec();
-        debug_assert_eq!(gen.len(), 3, "two-parity generator has degree 2");
-        InterleavedFec {
-            data_len,
-            mul_alpha: ConstMul::new(Gf256::ALPHA.value()),
-            mul_g0: ConstMul::new(gen[0].value()),
-            mul_g1: ConstMul::new(gen[1].value()),
-            ways: way_codes,
-        }
+        assert!(
+            data_len.div_ceil(ways) <= 255 - PARITY_PER_WAY,
+            "sub-block exceeds the mother code's k"
+        );
+        InterleavedFec { data_len, ways }
     }
 
     /// The CXL 256-byte flit geometry: 250 data bytes, 3 ways, 6 parity bytes.
@@ -142,12 +205,12 @@ impl InterleavedFec {
 
     /// Number of interleave ways.
     pub fn ways(&self) -> usize {
-        self.ways.len()
+        self.ways
     }
 
     /// Number of parity bytes appended by [`InterleavedFec::encode`].
     pub fn parity_len(&self) -> usize {
-        self.ways.iter().map(|w| w.parity_len()).sum()
+        PARITY_PER_WAY * self.ways
     }
 
     /// Total encoded length (data + parity).
@@ -155,15 +218,35 @@ impl InterleavedFec {
         self.data_len + self.parity_len()
     }
 
-    /// Sub-block data lengths, in way order (84/83/83 for the CXL flit).
+    /// Sub-block data lengths, in way order (84/83/83 for the CXL flit):
+    /// way `w` receives data bytes `w, w + ways, w + 2·ways, …`.
     pub fn way_data_lens(&self) -> Vec<usize> {
-        self.ways.iter().map(|w| w.data_len()).collect()
+        (0..self.ways)
+            .map(|w| (self.data_len - w).div_ceil(self.ways))
+            .collect()
     }
 
     /// The way that wire position `i` of the encoded block belongs to.
     #[inline]
     pub fn way_of_position(&self, i: usize) -> usize {
-        i % self.ways.len()
+        i % self.ways
+    }
+
+    /// Runs the syndrome kernel over `symbols`, monomorphised per way count.
+    /// This `match` is the only per-`ways` code in the codec.
+    #[inline]
+    fn syndromes(&self, symbols: &[u8]) -> Syndromes {
+        match self.ways {
+            1 => syndromes::<1>(symbols),
+            2 => syndromes::<2>(symbols),
+            3 => syndromes::<3>(symbols),
+            4 => syndromes::<4>(symbols),
+            5 => syndromes::<5>(symbols),
+            6 => syndromes::<6>(symbols),
+            7 => syndromes::<7>(symbols),
+            8 => syndromes::<8>(symbols),
+            _ => unreachable!("way count is checked in InterleavedFec::new"),
+        }
     }
 
     /// Encodes `data` (exactly [`data_len`](Self::data_len) bytes) into a
@@ -183,62 +266,25 @@ impl InterleavedFec {
     /// hold the data; the parity bytes are written to `block[data_len..]`.
     /// Allocation-free — this is the hot-path entry point used by the flit
     /// codecs and switches.
+    ///
+    /// Each way's parity follows from the kernel's `(D0, D1)` over its data
+    /// symbols by the identity in the module docs (virtual leading zeros of
+    /// the shortened code change neither). The parity region continues the
+    /// round-robin: its first `ways` positions take the `p1` (degree-1)
+    /// symbols, its last `ways` the `p0` symbols, from way `data_len % ways`.
     pub fn encode_into(&self, block: &mut [u8]) {
         assert_eq!(
             block.len(),
             self.encoded_len(),
             "wrong block length for this FEC"
         );
-        let ways = self.ways.len();
-        // Stream each way's data symbols (wire stride = the way count)
-        // through the two-stage parity LFSR of the shared RS(255, 253)
-        // mother code. Virtual leading zeros of the shortened code are
-        // skipped — they cannot change the LFSR state. The constant
-        // multiplies go through the precomputed single-operand tables.
-        let mut lfsr = [[0u8; 2]; MAX_FEC_WAYS];
-        if ways == 3 {
-            // The CXL flit geometry — unrolled so each way's LFSR pair lives
-            // in registers instead of a runtime-indexed array.
-            let data = &block[..self.data_len];
-            let mut chunks = data.chunks_exact(3);
-            let (mut a, mut b, mut c) = ([0u8; 2], [0u8; 2], [0u8; 2]);
-            for ch in &mut chunks {
-                let fa = ch[0] ^ a[0];
-                a = [a[1] ^ self.mul_g1.mul(fa), self.mul_g0.mul(fa)];
-                let fb = ch[1] ^ b[0];
-                b = [b[1] ^ self.mul_g1.mul(fb), self.mul_g0.mul(fb)];
-                let fc = ch[2] ^ c[0];
-                c = [c[1] ^ self.mul_g1.mul(fc), self.mul_g0.mul(fc)];
-            }
-            let mut state = [a, b, c];
-            for (i, &byte) in chunks.remainder().iter().enumerate() {
-                let f = byte ^ state[i][0];
-                state[i] = [state[i][1] ^ self.mul_g1.mul(f), self.mul_g0.mul(f)];
-            }
-            lfsr[..3].copy_from_slice(&state);
-        } else {
-            let mut w = 0;
-            for &b in &block[..self.data_len] {
-                let [l0, l1] = lfsr[w];
-                let feedback = b ^ l0;
-                lfsr[w] = [l1 ^ self.mul_g1.mul(feedback), self.mul_g0.mul(feedback)];
-                w += 1;
-                if w == ways {
-                    w = 0;
-                }
-            }
-        }
-        // Emit parity bytes continuing the round-robin pattern at wire
-        // positions data_len..encoded_len.
-        let mut cursors = [0usize; MAX_FEC_WAYS];
-        let mut w = self.data_len % ways;
-        for slot in &mut block[self.data_len..] {
-            *slot = lfsr[w][cursors[w]];
-            cursors[w] += 1;
-            w += 1;
-            if w == ways {
-                w = 0;
-            }
+        let (data, parity) = block.split_at_mut(self.data_len);
+        let (d0, d1) = self.syndromes(data);
+        let (high, low) = parity.split_at_mut(self.ways);
+        for (i, (p1, p0)) in high.iter_mut().zip(low).enumerate() {
+            let w = (self.data_len + i) % self.ways;
+            *p1 = DIV_ONE_PLUS_ALPHA.mul(d0[w] ^ ALPHA_POW_MUL[1][d1[w] as usize]);
+            *p0 = d0[w] ^ *p1;
         }
     }
 
@@ -250,127 +296,78 @@ impl InterleavedFec {
     /// endpoint would discard it) and the aggregate outcome is
     /// [`RsDecodeOutcome::DetectedUncorrectable`].
     ///
-    /// Allocation-free: the two syndromes of each way are computed by
-    /// striding over the interleaved block directly, and at most one symbol
-    /// per way is corrected in place — the same single-symbol-correct
-    /// semantics as [`ShortenedRs::decode_in_place`], verified against it by
-    /// the property tests below.
+    /// Allocation-free: the kernel evaluates each way's `(S0, S1)` over the
+    /// interleaved block directly. All-zero syndromes — the common case —
+    /// return at once. Otherwise a way with exactly one corrupted symbol
+    /// `e` at degree `p` has `S0 = e`, `S1 = e·α^p`, so `S1/S0` locates it
+    /// and `S0` repairs it; a location past the shortened word, or exactly
+    /// one zero syndrome, is detected as uncorrectable. These are the
+    /// semantics of [`crate::ShortenedRs::decode_in_place`] per way, verified
+    /// against it by the property tests below.
     pub fn decode(&self, block: &mut [u8]) -> FlitFecResult {
         assert_eq!(
             block.len(),
             self.encoded_len(),
             "wrong block length for this FEC"
         );
-        let ways = self.ways.len();
-
-        // Pass 1 — per-way syndromes over the strided symbols. Each way's
-        // word is its data symbols followed by its parity symbols, which is
-        // exactly the order its wire positions appear in. S0 is a plain XOR
-        // accumulation; the S1 Horner step multiplies by α through the
-        // precomputed table.
-        let mut s0_raw = [0u8; MAX_FEC_WAYS];
-        let mut s1_raw = [0u8; MAX_FEC_WAYS];
-        let mut word_len = [0usize; MAX_FEC_WAYS];
-        if ways == 3 {
-            // The CXL flit geometry — unrolled so each way's syndrome pair
-            // lives in registers instead of a runtime-indexed array.
-            let mut chunks = block.chunks_exact(3);
-            let (mut a0, mut a1, mut b0, mut b1, mut c0, mut c1) = (0u8, 0u8, 0u8, 0u8, 0u8, 0u8);
-            for ch in &mut chunks {
-                a0 ^= ch[0];
-                a1 = self.mul_alpha.mul(a1) ^ ch[0];
-                b0 ^= ch[1];
-                b1 = self.mul_alpha.mul(b1) ^ ch[1];
-                c0 ^= ch[2];
-                c1 = self.mul_alpha.mul(c1) ^ ch[2];
-            }
-            let mut s0t = [a0, b0, c0];
-            let mut s1t = [a1, b1, c1];
-            for (i, &byte) in chunks.remainder().iter().enumerate() {
-                s0t[i] ^= byte;
-                s1t[i] = self.mul_alpha.mul(s1t[i]) ^ byte;
-            }
-            s0_raw[..3].copy_from_slice(&s0t);
-            s1_raw[..3].copy_from_slice(&s1t);
-            for (w, len) in word_len.iter_mut().take(3).enumerate() {
-                *len = (block.len() - w).div_ceil(3);
-            }
-        } else {
-            let mut w = 0;
-            for &b in block.iter() {
-                s0_raw[w] ^= b;
-                s1_raw[w] = self.mul_alpha.mul(s1_raw[w]) ^ b;
-                word_len[w] += 1;
-                w += 1;
-                if w == ways {
-                    w = 0;
-                }
-            }
-        }
-        let s0 = s0_raw.map(Gf256::new);
-        let s1 = s1_raw.map(Gf256::new);
-
-        // Pass 2 — per-way verdicts and correction candidates, applied only
-        // once every way is known to accept (an uncorrectable way leaves the
-        // whole block untouched).
+        let ways = self.ways;
+        let (s0, s1) = self.syndromes(block);
         let mut per_way = [RsDecodeOutcome::NoError; MAX_FEC_WAYS];
-        let mut fix: [Option<(usize, u8)>; MAX_FEC_WAYS] = [None; MAX_FEC_WAYS];
-        let mut total_corrected = 0usize;
-        let mut any_uncorrectable = false;
-        for w in 0..ways {
-            debug_assert_eq!(word_len[w], self.ways[w].word_len());
-            per_way[w] = if s0[w].is_zero() && s1[w].is_zero() {
-                RsDecodeOutcome::NoError
-            } else if s0[w].is_zero() || s1[w].is_zero() {
-                RsDecodeOutcome::DetectedUncorrectable
-            } else {
-                // Single error at degree p: S1/S0 = α^p. Corrections landing
-                // in the virtual zero padding of the shortened code are
-                // detected, not applied.
-                let p = (s1[w] / s0[w])
-                    .log()
-                    .expect("ratio of non-zero elements is non-zero")
-                    as usize;
-                if p >= word_len[w] {
-                    RsDecodeOutcome::DetectedUncorrectable
-                } else {
-                    let wire_pos = w + (word_len[w] - 1 - p) * ways;
-                    fix[w] = Some((wire_pos, s0[w].value()));
-                    RsDecodeOutcome::Corrected { symbols: 1 }
-                }
-            };
-            match per_way[w] {
-                RsDecodeOutcome::Corrected { symbols } => total_corrected += symbols,
-                RsDecodeOutcome::DetectedUncorrectable => any_uncorrectable = true,
-                RsDecodeOutcome::NoError => {}
-            }
-        }
-
-        let per_way = PerWayOutcomes::new(&per_way[..ways]);
-        if any_uncorrectable {
+        if s0 == [0; MAX_FEC_WAYS] && s1 == [0; MAX_FEC_WAYS] {
             return FlitFecResult {
-                outcome: RsDecodeOutcome::DetectedUncorrectable,
-                per_way,
+                outcome: RsDecodeOutcome::NoError,
+                per_way: PerWayOutcomes::new(per_way, ways),
             };
         }
-        for &(pos, magnitude) in fix[..ways].iter().flatten() {
-            block[pos] ^= magnitude;
+
+        // Per-way verdicts and correction candidates, applied only once every
+        // way is known to accept (else the block is left untouched).
+        let mut fix: [Option<(usize, u8)>; MAX_FEC_WAYS] = [None; MAX_FEC_WAYS];
+        let mut corrected = 0usize;
+        for w in 0..ways {
+            let (s0, s1) = (Gf256::new(s0[w]), Gf256::new(s1[w]));
+            per_way[w] = match (s0.is_zero(), s1.is_zero()) {
+                (true, true) => RsDecodeOutcome::NoError,
+                (false, false) => {
+                    let word_len = (block.len() - w).div_ceil(ways);
+                    let p = (s1 / s0)
+                        .log()
+                        .expect("ratio of non-zero elements is non-zero")
+                        as usize;
+                    // Corrections landing in the virtual zero padding of
+                    // the shortened code are detected, not applied.
+                    if p < word_len {
+                        fix[w] = Some((w + (word_len - 1 - p) * ways, s0.value()));
+                        corrected += 1;
+                        RsDecodeOutcome::Corrected { symbols: 1 }
+                    } else {
+                        RsDecodeOutcome::DetectedUncorrectable
+                    }
+                }
+                _ => RsDecodeOutcome::DetectedUncorrectable,
+            };
         }
 
-        let outcome = if total_corrected == 0 {
-            RsDecodeOutcome::NoError
+        let uncorrectable = per_way[..ways].contains(&RsDecodeOutcome::DetectedUncorrectable);
+        let outcome = if uncorrectable {
+            RsDecodeOutcome::DetectedUncorrectable
         } else {
-            RsDecodeOutcome::Corrected {
-                symbols: total_corrected,
+            for &(pos, magnitude) in fix[..ways].iter().flatten() {
+                block[pos] ^= magnitude;
             }
+            RsDecodeOutcome::Corrected { symbols: corrected }
         };
-        FlitFecResult { outcome, per_way }
+        FlitFecResult {
+            outcome,
+            per_way: PerWayOutcomes::new(per_way, ways),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shortened::ShortenedRs;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -626,12 +623,136 @@ mod tests {
         }
     }
 
+    #[test]
+    fn parity_scale_is_the_inverse_of_one_plus_alpha() {
+        let scale = Gf256::new(DIV_ONE_PLUS_ALPHA.constant());
+        assert_eq!(scale * (Gf256::ONE + Gf256::ALPHA), Gf256::ONE);
+    }
+
+    /// Encodes `data` and applies `flips` (position taken modulo the block
+    /// length), then requires the kernel codec and the byte-serial
+    /// [`reference`] to agree on everything observable: the encoded block,
+    /// the decoded block, the aggregate outcome and the per-way outcomes.
+    fn assert_matches_reference(fec: &InterleavedFec, data: &[u8], flips: &[(usize, u8)]) {
+        let geometry = (fec.data_len(), fec.ways());
+        let mut block = fec.encode(data);
+        let mut expected = block.clone();
+        reference::encode_into(fec, &mut expected);
+        assert_eq!(block, expected, "encode {geometry:?}");
+        for &(pos, flip) in flips {
+            let pos = pos % block.len();
+            block[pos] ^= flip;
+            expected[pos] ^= flip;
+        }
+        let got = fec.decode(&mut block);
+        let want = reference::decode(fec, &mut expected);
+        assert_eq!(got, want, "decode {geometry:?} {flips:?}");
+        assert_eq!(block, expected, "decoded block {geometry:?} {flips:?}");
+    }
+
+    /// Every way count with every data length from the shortest legal one up
+    /// to three kernel steps: between them both kernel passes (over
+    /// `data_len` symbols when encoding, `data_len + 2·ways` when decoding)
+    /// see zero, one and several full steps followed by every possible tail
+    /// length `0..8·ways`.
+    fn every_geometry() -> impl Iterator<Item = InterleavedFec> {
+        (1..=MAX_FEC_WAYS).flat_map(|ways| {
+            (ways..=ways + 3 * ALPHA_POW_STEPS * ways)
+                .map(move |data_len| InterleavedFec::new(data_len, ways))
+        })
+    }
+
+    #[test]
+    fn kernel_matches_reference_for_every_way_count_and_tail_length() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for fec in every_geometry() {
+            let data = random_data(fec.data_len(), rng.random());
+            let len = fec.encoded_len();
+            let ways = fec.ways();
+            let (a, b) = (rng.random_range(0..len), rng.random_range(0..len));
+            let flip = rng.random_range(1..=255u8);
+            assert_matches_reference(&fec, &data, &[]);
+            // One error, two errors anywhere, an equal-magnitude pair in one
+            // way (S0 = 0), and an error in each parity symbol of way 0.
+            assert_matches_reference(&fec, &data, &[(a, flip)]);
+            assert_matches_reference(&fec, &data, &[(a, flip), (b, 0x3C)]);
+            assert_matches_reference(&fec, &data, &[(a, flip), (a + ways, flip)]);
+            assert_matches_reference(&fec, &data, &[(len - 1, flip), (len - 1 - ways, 0x81)]);
+        }
+    }
+
+    #[test]
+    fn encode_into_output_has_zero_syndromes_for_every_geometry() {
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        for fec in every_geometry() {
+            let ways = fec.ways();
+            let data = random_data(fec.data_len(), rng.random());
+            let mut block = fec.encode(&data);
+            // Judged by the per-way mother code, not by the kernel.
+            for w in 0..ways {
+                let word: Vec<u8> = block.iter().skip(w).step_by(ways).copied().collect();
+                assert!(
+                    ShortenedRs::cxl_subblock(word.len() - 2).is_codeword(&word),
+                    "way {w} of ({}, {ways})",
+                    fec.data_len()
+                );
+            }
+            let (s0, s1) = fec.syndromes(&block);
+            assert_eq!((s0, s1), ([0; MAX_FEC_WAYS], [0; MAX_FEC_WAYS]));
+            let res = fec.decode(&mut block);
+            assert_eq!(res.outcome, RsDecodeOutcome::NoError);
+            assert_eq!(res.per_way.len(), ways);
+            assert!(res.per_way.iter().all(|o| *o == RsDecodeOutcome::NoError));
+            assert_eq!(&block[..fec.data_len()], &data[..]);
+        }
+    }
+
+    #[test]
+    fn every_single_symbol_error_in_a_cxl_flit_is_corrected() {
+        let fec = InterleavedFec::cxl_flit();
+        let clean = fec.encode(&random_data(250, 11));
+        for pos in 0..CXL_FLIT_TOTAL_LEN {
+            for magnitude in 1..=255u8 {
+                let mut block = clean.clone();
+                block[pos] ^= magnitude;
+                let res = fec.decode(&mut block);
+                assert_eq!(
+                    res.outcome,
+                    RsDecodeOutcome::Corrected { symbols: 1 },
+                    "position {pos}, magnitude {magnitude:#04x}"
+                );
+                for (w, outcome) in res.per_way.iter().enumerate() {
+                    assert_eq!(outcome.is_corrected(), w == pos % 3, "position {pos}");
+                }
+                assert_eq!(
+                    block, clean,
+                    "position {pos}, magnitude {magnitude:#04x} not restored"
+                );
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
+            #[test]
+            fn kernel_matches_reference_on_random_geometries(
+                ways in 1usize..=MAX_FEC_WAYS,
+                len_seed in 0usize..100_000,
+                bytes in proptest::collection::vec(any::<u8>(), 600),
+                flips in proptest::collection::vec((0usize..100_000, 1u8..=255), 0..=5),
+            ) {
+                // Any legal length up to 600 bytes, so long words (p close
+                // to 255) and every tail length are drawn.
+                let max_len = (253 * ways).min(bytes.len());
+                let data_len = ways + len_seed % (max_len - ways + 1);
+                let fec = InterleavedFec::new(data_len, ways);
+                assert_matches_reference(&fec, &bytes[..data_len], &flips);
+            }
+
             #[test]
             fn streaming_decode_matches_reference(
                 data in proptest::collection::vec(any::<u8>(), 250),

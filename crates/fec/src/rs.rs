@@ -145,25 +145,34 @@ impl RsCode {
     /// syndromes are zero.
     pub fn is_codeword(&self, codeword: &[u8]) -> bool {
         assert_eq!(codeword.len(), self.n);
-        self.syndromes(codeword).iter().all(|s| s.is_zero())
+        self.has_zero_syndromes(codeword)
+    }
+
+    /// Returns `true` if every syndrome of `received` is zero, without
+    /// allocating. `received` may be shorter than `n`: it is read as the
+    /// low-degree tail of a mother-code word whose omitted leading symbols
+    /// are zero, which is how a shortened word is checked unpadded.
+    pub(crate) fn has_zero_syndromes(&self, received: &[u8]) -> bool {
+        self.syndrome_mul
+            .iter()
+            .all(|xm| Self::horner(xm, received) == 0)
     }
 
     /// Computes the `2t` syndromes `S_j = r(α^{fcr+j})` of a received word.
     /// The received word is interpreted with its **first** symbol as the
     /// highest-degree coefficient (matching the data-first codeword layout).
     pub fn syndromes(&self, received: &[u8]) -> Vec<Gf256> {
-        let mut out = Vec::with_capacity(self.syndrome_mul.len());
-        for xm in &self.syndrome_mul {
-            // Horner evaluation with received[0] as the highest-degree term;
-            // the per-symbol multiply by α^{fcr+j} runs branch-free through
-            // the point's nibble-split half-tables.
-            let mut acc = 0u8;
-            for &r in received {
-                acc = xm.mul(acc) ^ r;
-            }
-            out.push(Gf256::new(acc));
-        }
-        out
+        self.syndrome_mul
+            .iter()
+            .map(|xm| Gf256::new(Self::horner(xm, received)))
+            .collect()
+    }
+
+    /// Horner evaluation of `received` (first symbol = highest degree) at the
+    /// point `xm` multiplies by; the per-symbol multiply runs branch-free
+    /// through the point's nibble-split half-tables.
+    fn horner(xm: &ConstMul, received: &[u8]) -> u8 {
+        received.iter().fold(0u8, |acc, &r| xm.mul(acc) ^ r)
     }
 }
 

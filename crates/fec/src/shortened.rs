@@ -22,7 +22,15 @@ use crate::ssc::SingleSymbolCorrector;
 pub struct ShortenedRs {
     code: RsCode,
     data_len: usize,
-    ssc: Option<SingleSymbolCorrector>,
+    corrector: Corrector,
+}
+
+/// How received words are corrected, built once per code: the two-syndrome
+/// fast path for two-parity codes, the Berlekamp–Massey decoder otherwise.
+#[derive(Clone, Debug)]
+enum Corrector {
+    Single(SingleSymbolCorrector),
+    General(RsDecoder),
 }
 
 impl ShortenedRs {
@@ -36,15 +44,15 @@ impl ShortenedRs {
             data_len <= code.k(),
             "shortened data length exceeds the mother code's k"
         );
-        let ssc = if code.parity_len() == 2 {
-            Some(SingleSymbolCorrector::new(code.clone()))
+        let corrector = if code.parity_len() == 2 {
+            Corrector::Single(SingleSymbolCorrector::new(code.clone()))
         } else {
-            None
+            Corrector::General(RsDecoder::new(code.clone()))
         };
         ShortenedRs {
             code,
             data_len,
-            ssc,
+            corrector,
         }
     }
 
@@ -94,16 +102,21 @@ impl ShortenedRs {
     /// virtual (padded) position are reported as detected-uncorrectable.
     pub fn decode_in_place(&self, word: &mut [u8]) -> RsDecodeOutcome {
         assert_eq!(word.len(), self.word_len(), "wrong shortened word length");
-        if let Some(ssc) = &self.ssc {
+        let decoder = match &self.corrector {
             // The SSC path already rejects out-of-range corrections.
-            return ssc.decode_in_place(word).0;
+            Corrector::Single(ssc) => return ssc.decode_in_place(word).0,
+            Corrector::General(decoder) => decoder,
+        };
+        // Virtual leading zeros do not move a Horner syndrome, so the clean
+        // case is decided on the word as transmitted, without a buffer.
+        if self.code.has_zero_syndromes(word) {
+            return RsDecodeOutcome::NoError;
         }
-        // General path: pad to the mother-code length, decode, and reject
+        // Otherwise pad to the mother-code length, decode, and reject
         // corrections that touch the padding.
         let pad = self.code.n() - self.word_len();
         let mut full = vec![0u8; pad];
         full.extend_from_slice(word);
-        let decoder = RsDecoder::new(self.code.clone());
         let (outcome, locations) = decoder.decode_with_locations(&mut full);
         match outcome {
             RsDecodeOutcome::NoError => RsDecodeOutcome::NoError,
@@ -118,13 +131,12 @@ impl ShortenedRs {
         }
     }
 
-    /// Returns `true` if `word` is a valid shortened codeword.
+    /// Returns `true` if `word` is a valid shortened codeword: all syndromes
+    /// of the word as transmitted vanish (the virtual leading zeros of the
+    /// mother codeword contribute nothing to them).
     pub fn is_codeword(&self, word: &[u8]) -> bool {
         assert_eq!(word.len(), self.word_len());
-        let pad = self.code.n() - self.word_len();
-        let mut full = vec![0u8; pad];
-        full.extend_from_slice(word);
-        self.code.is_codeword(&full)
+        self.code.has_zero_syndromes(word)
     }
 }
 
@@ -231,6 +243,38 @@ mod tests {
             // wrong length.
             let _ = sb.decode_in_place(&mut w);
             assert_eq!(w.len(), clean.len());
+        }
+    }
+
+    #[test]
+    fn unpadded_syndrome_check_agrees_with_the_padded_mother_code() {
+        // `is_codeword` and the clean exit of the general decode path judge
+        // the word as transmitted; padding it out to the mother code's
+        // length first (what both used to do) must give the same answer.
+        let mut rng = StdRng::seed_from_u64(9);
+        for sb in [
+            ShortenedRs::new(RsCode::new(255, 251), 64),
+            ShortenedRs::new(RsCode::new(255, 251), 1),
+            ShortenedRs::cxl_subblock(83),
+        ] {
+            let padded = |word: &[u8]| {
+                let mut full = vec![0u8; sb.code().n() - word.len()];
+                full.extend_from_slice(word);
+                sb.code().is_codeword(&full)
+            };
+            let data: Vec<u8> = (0..sb.data_len()).map(|_| rng.random()).collect();
+            let clean = sb.encode(&data);
+            assert!(sb.is_codeword(&clean) && padded(&clean));
+            let mut word = clean.clone();
+            assert_eq!(sb.decode_in_place(&mut word), RsDecodeOutcome::NoError);
+            assert_eq!(word, clean);
+            for pos in 0..clean.len() {
+                let mut word = clean.clone();
+                word[pos] ^= rng.random_range(1..=255u8);
+                assert!(!sb.is_codeword(&word) && !padded(&word));
+                assert!(sb.decode_in_place(&mut word).is_corrected());
+                assert_eq!(word, clean);
+            }
         }
     }
 

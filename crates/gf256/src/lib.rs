@@ -14,8 +14,10 @@
 //! * [`Gf256`] — a copyable field-element wrapper with `+`, `-`, `*`, `/`
 //!   operator overloads (addition and subtraction are both XOR),
 //! * [`tables`] — precomputed exponent/logarithm tables built at first use,
-//! * [`nibble`] — branch-free multiplication by a fixed constant via two
-//!   16-entry half-tables, the vectorizable shape the FEC hot loops use,
+//! * [`nibble`] — branch-free multiplication by a fixed constant: two
+//!   16-entry half-tables per constant ([`ConstMul`], used by the general
+//!   `RsCode` encoder and syndrome evaluator) and the eight full tables
+//!   `x·α^m` ([`ALPHA_POW_MUL`]) behind the flit FEC's syndrome kernel,
 //! * [`poly`] — dense polynomials over GF(2^8) (evaluation, arithmetic,
 //!   formal derivative) used by the Reed–Solomon encoder and decoder.
 //!
@@ -39,6 +41,6 @@ pub mod poly;
 pub mod tables;
 
 pub use field::Gf256;
-pub use nibble::ConstMul;
+pub use nibble::{ConstMul, ALPHA_POW_MUL, ALPHA_POW_STEPS};
 pub use poly::GfPoly;
 pub use tables::{exp_table, log_table, GF256_PRIMITIVE_POLY};

@@ -15,8 +15,16 @@
 //! and one XOR — 32 bytes of table per constant instead of 256, branch-free,
 //! and exactly the shape compilers turn into 16-lane byte shuffles
 //! (`pshufb`/`tbl`) when the surrounding loop vectorizes. [`ConstMul`]
-//! builds both half-tables in a `const fn`, so the FEC codecs' generator
-//! constants cost nothing at runtime and live in `.rodata`.
+//! builds both half-tables in a `const fn`, so a code's generator and
+//! syndrome-point constants cost nothing at runtime. `rxl_fec::RsCode` (the
+//! general `RS(n, k)` encoder and syndrome evaluator) is its user.
+//!
+//! The 256-byte flit FEC does not go through [`ConstMul`]: a byte-serial
+//! Horner chain `acc = α·acc ⊕ s` is bound by the latency of that one
+//! multiply, however cheap. [`ALPHA_POW_MUL`] holds the eight full product
+//! tables `x·α^m, m = 1..=8`, which let a syndrome loop take eight symbols
+//! per step (`acc = α⁸·acc ⊕ α⁷·s₀ ⊕ … ⊕ α·s₆ ⊕ s₇`): one dependent lookup
+//! per eight symbols, the other seven independent of the accumulator.
 
 use crate::tables::GF256_PRIMITIVE_POLY;
 
@@ -75,6 +83,32 @@ impl ConstMul {
     }
 }
 
+/// Number of product tables in [`ALPHA_POW_MUL`], i.e. how many symbols one
+/// step of a sliced Horner evaluation at `α` consumes.
+pub const ALPHA_POW_STEPS: usize = 8;
+
+const fn build_alpha_pow_mul() -> [[u8; 256]; ALPHA_POW_STEPS] {
+    let mut tables = [[0u8; 256]; ALPHA_POW_STEPS];
+    let mut alpha_pow = 1u8;
+    let mut m = 0;
+    while m < ALPHA_POW_STEPS {
+        alpha_pow = mul_const(alpha_pow, crate::tables::GF256_GENERATOR);
+        let mut x = 0;
+        while x < 256 {
+            tables[m][x] = mul_const(alpha_pow, x as u8);
+            x += 1;
+        }
+        m += 1;
+    }
+    tables
+}
+
+/// Full product tables for the first eight powers of the generator:
+/// `ALPHA_POW_MUL[m - 1][x] = x · α^m` for `m = 1..=8` (2 KiB of `.rodata`).
+/// One lookup per multiply, so a Horner evaluation at `α` sliced eight
+/// symbols wide has a single table load on its dependency chain per step.
+pub static ALPHA_POW_MUL: [[u8; 256]; ALPHA_POW_STEPS] = build_alpha_pow_mul();
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +134,16 @@ mod tests {
                     mul(c as u8, x as u8),
                     "mismatch at {c} * {x}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn alpha_power_tables_match_full_multiplication() {
+        for (m, table) in ALPHA_POW_MUL.iter().enumerate() {
+            let alpha_pow = crate::tables::pow(crate::tables::GF256_GENERATOR, m as u32 + 1);
+            for x in 0..=255u8 {
+                assert_eq!(table[x as usize], mul(alpha_pow, x), "α^{} · {x}", m + 1);
             }
         }
     }

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use rand::Rng;
 use rxl_crc::catalog::Crc64;
-use rxl_fec::InterleavedFec;
+use rxl_fec::{InterleavedFec, RsDecodeOutcome};
 use rxl_flit::WireFlit;
 
 use crate::internal_error::InternalErrorModel;
@@ -223,6 +223,19 @@ impl Switch {
     /// [`Self::process`], but transforming the caller's wire image in place:
     /// no flit copy, no allocation. This is the fabric engine's per-hop hot
     /// path; [`Self::process`] and [`Self::ingress`] are wrappers around it.
+    ///
+    /// The egress half — CRC regeneration (CXL) and FEC re-encode — runs only
+    /// when [`InternalErrorModel::apply`] reports that it changed the flit.
+    /// On every other forwarded flit it would be the identity: an accepted
+    /// `fec.decode` leaves every way a codeword, i.e. the parity bytes in the
+    /// buffer already are the (unique, systematic) encoding of the data bytes
+    /// in front of them; in `Regenerate` mode the ingress check has just
+    /// established that the stored CRC is the checksum a regeneration would
+    /// write; and `apply` returning `false` touched no byte. Recomputing both
+    /// would write back the bytes already there, so skipping them changes no
+    /// wire byte, verdict, statistic or RNG draw (the argument
+    /// [`Self::forward_clean`] makes for flits the channel never touched,
+    /// extended to flits the ingress FEC repaired).
     pub fn process_in_place<R: Rng + ?Sized>(
         &mut self,
         wire: &mut WireFlit,
@@ -266,16 +279,25 @@ impl Switch {
             self.stats.flits_internally_corrupted += 1;
         }
 
-        // Per-hop CRC regeneration (CXL) masks whatever happened inside the
-        // switch; pass-through (RXL) leaves the originator's ECRC intact.
-        if self.config.crc_mode == LinkCrcMode::Regenerate {
-            let fresh = self.crc.checksum(&wire[..crc_offset]);
-            wire[crc_offset..data_len].copy_from_slice(&fresh.to_le_bytes());
+        if internally_corrupted {
+            // Per-hop CRC regeneration (CXL) masks whatever happened inside
+            // the switch; pass-through (RXL) leaves the originator's ECRC
+            // intact.
+            if self.config.crc_mode == LinkCrcMode::Regenerate {
+                let fresh = self.crc.checksum(&wire[..crc_offset]);
+                wire[crc_offset..data_len].copy_from_slice(&fresh.to_le_bytes());
+            }
+            // Egress FEC re-encode, in place over the corrupted data bytes.
+            self.fec.encode_into(wire);
+        } else {
+            // Untouched since the ingress decode accepted it (and the link
+            // CRC verified): already the image the egress half would write.
+            debug_assert_eq!(
+                self.fec.decode(&mut { *wire }).outcome,
+                RsDecodeOutcome::NoError,
+                "a skipped re-encode must leave all-zero syndromes"
+            );
         }
-
-        // Egress FEC re-encode, in place over the (possibly corrected and
-        // corrupted) data bytes.
-        self.fec.encode_into(wire);
         self.stats.flits_forwarded += 1;
         ProcessVerdict::Forwarded {
             corrected_symbols,
@@ -376,7 +398,7 @@ impl Switch {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
     use rxl_flit::{CxlFlitCodec, Flit256, FlitHeader, MemOp, Message, WIRE_FLIT_LEN};
 
     fn wire_flit(tag: u16) -> WireFlit {
@@ -628,6 +650,98 @@ mod tests {
         assert_eq!(full.stats().flits_in, fast.stats().flits_in);
         assert_eq!(full.stats().flits_forwarded, fast.stats().flits_forwarded);
         assert_eq!(fast.stats().flits_dropped_uncorrectable, 0);
+    }
+
+    /// The forwarding pipeline with an unconditional egress half — the CRC is
+    /// always regenerated (CXL) and the FEC always re-encoded, whether or not
+    /// the flit changed inside the switch. [`Switch::process_in_place`] skips
+    /// both on unchanged flits and must be indistinguishable from this.
+    fn reference_process_in_place(
+        config: &SwitchConfig,
+        stats: &mut SwitchStats,
+        wire: &mut WireFlit,
+        rng: &mut StdRng,
+    ) -> ProcessVerdict {
+        let fec = InterleavedFec::cxl_flit();
+        let crc = Crc64::flit();
+        let crc_offset = fec.data_len() - 8;
+        let regenerate = config.crc_mode == LinkCrcMode::Regenerate;
+        stats.flits_in += 1;
+        let fec_result = fec.decode(wire);
+        if !fec_result.accepted() {
+            stats.flits_dropped_uncorrectable += 1;
+            return ProcessVerdict::DroppedUncorrectable;
+        }
+        let corrected_symbols = fec_result.outcome.corrected_symbols();
+        if corrected_symbols > 0 {
+            stats.flits_corrected += 1;
+        }
+        if regenerate {
+            let stored = u64::from_le_bytes(wire[crc_offset..crc_offset + 8].try_into().unwrap());
+            if crc.checksum(&wire[..crc_offset]) != stored {
+                stats.flits_dropped_uncorrectable += 1;
+                return ProcessVerdict::DroppedUncorrectable;
+            }
+        }
+        let internally_corrupted = config.internal_error.apply(&mut wire[..crc_offset], rng);
+        if internally_corrupted {
+            stats.flits_internally_corrupted += 1;
+        }
+        if regenerate {
+            let fresh = crc.checksum(&wire[..crc_offset]);
+            wire[crc_offset..crc_offset + 8].copy_from_slice(&fresh.to_le_bytes());
+        }
+        fec.encode_into(wire);
+        stats.flits_forwarded += 1;
+        ProcessVerdict::Forwarded {
+            corrected_symbols,
+            internally_corrupted,
+        }
+    }
+
+    #[test]
+    fn conditional_egress_half_matches_the_always_regenerate_pipeline() {
+        for crc_mode in [LinkCrcMode::Passthrough, LinkCrcMode::Regenerate] {
+            for probability in [0.0, 0.3, 1.0] {
+                let config = SwitchConfig {
+                    internal_error: InternalErrorModel::new(probability, 2),
+                    crc_mode,
+                    ..SwitchConfig::simple(2)
+                };
+                let mut sw = Switch::new(config);
+                let mut reference_stats = SwitchStats::default();
+                let mut rng = StdRng::seed_from_u64(77);
+                let mut reference_rng = StdRng::seed_from_u64(77);
+                let mut channel = StdRng::seed_from_u64(78);
+                let mut verdicts = [0usize; 2];
+                for i in 0..400u16 {
+                    // 0–4 channel flips: clean, corrected, FEC-uncorrectable
+                    // and miscorrected-then-CRC-dropped flits all occur.
+                    let mut wire = wire_flit(i);
+                    for _ in 0..i % 5 {
+                        wire[channel.random_range(0..WIRE_FLIT_LEN)] ^=
+                            channel.random_range(1..=255u8);
+                    }
+                    let mut reference_wire = wire;
+                    let verdict = sw.process_in_place(&mut wire, &mut rng);
+                    let reference_verdict = reference_process_in_place(
+                        &config,
+                        &mut reference_stats,
+                        &mut reference_wire,
+                        &mut reference_rng,
+                    );
+                    let case = format!("{crc_mode:?}, p = {probability}, flit {i}");
+                    assert_eq!(verdict, reference_verdict, "{case}");
+                    assert_eq!(wire, reference_wire, "{case}");
+                    verdicts[verdict.forwarded() as usize] += 1;
+                }
+                assert_eq!(*sw.stats(), reference_stats);
+                assert_eq!(rng.next_u64(), reference_rng.next_u64());
+                assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+                assert!(sw.stats().flits_corrected > 0);
+                assert_eq!(sw.stats().flits_internally_corrupted > 0, probability > 0.0);
+            }
+        }
     }
 
     #[test]
