@@ -1,13 +1,13 @@
 //! The fabric-scale discrete-event engine.
 //!
 //! One [`FabricSim`] instantiates every endpoint of a [`FabricTopology`] as a
-//! real `rxl-link` [`LinkEndpoint`] (go-back-N retry, ACK coalescing, the
-//! full FEC/CRC codec stack) and every switch as a real `rxl-switch`
-//! [`Switch`] running its silent-drop forwarding pipeline. Time advances in
-//! flit slots (2 ns at the ×16 CXL 3.0 rate): per slot every endpoint gets
-//! one transmit opportunity and every switch port forwards at most one flit,
-//! so trunk links shared by many sessions are genuinely serialised and
-//! congestion propagates upstream through credit backpressure.
+//! real [`rxl_link::LinkEndpoint`] (go-back-N retry, ACK coalescing, the
+//! full FEC/CRC codec stack) and every switch as a real
+//! [`rxl_switch::Switch`] running its silent-drop forwarding pipeline. Time
+//! advances in flit slots (2 ns at the ×16 CXL 3.0 rate): per slot every
+//! endpoint gets one transmit opportunity and every switch port forwards at
+//! most one flit, so trunk links shared by many sessions are genuinely
+//! serialised and congestion propagates upstream through credit backpressure.
 //!
 //! # Flow control
 //!
@@ -29,7 +29,6 @@
 //! egress port at every switch. The wire bytes the switches decode, corrupt
 //! and re-encode are exactly the 256-byte flits of the single-path simulator.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -39,22 +38,21 @@ use rxl_flit::{
     CxlFlitCodec, Flit256, Message, RxlFlitCodec, WireFlit, MESSAGES_PER_FLIT, WIRE_FLIT_LEN,
 };
 use rxl_link::{
-    Channel, ChannelErrorModel, EventCursor, FlitRef, LinkConfig, LinkEndpoint, LinkStats,
-    ProtocolVariant,
+    Channel, ChannelErrorModel, EventCursor, FlitRef, LinkConfig, LinkStats, ProtocolVariant,
 };
 use rxl_switch::{
-    InternalErrorModel, LinkCrcMode, ProcessVerdict, Switch, SwitchConfig, SwitchStats, VcArbiter,
-    VcCredits, MAX_VCS,
+    InternalErrorModel, LinkCrcMode, ProcessVerdict, SwitchConfig, SwitchStats, MAX_VCS,
 };
 use rxl_transport::{DeliveryAuditor, DeliveryVerdict, FailureCounts, SentStream};
 
 use crate::injector::Injector;
+use crate::node::{EndpointNode, PortPeer, PortSet, SwitchNode, NO_PIN};
 use crate::probe::{
     ChannelErrorEvent, DeliverEvent, EnginePhase, InjectEvent, LinkHop, LinkTraversalEvent,
     NullProbe, Probe,
 };
 use crate::routing::{RoutingTable, NO_ROUTE};
-use crate::topology::{FabricTopology, LinkId, NodeRole};
+use crate::topology::{FabricTopology, LinkId};
 
 /// Configuration of one fabric simulation trial.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -524,9 +522,10 @@ impl SimCodec {
 ///
 /// Because a clean wire image is a pure function of `(flit, seq)`, deferring
 /// the encode is invisible to the simulation: a flit that reaches its
-/// destination still `Clean` is handed to [`LinkEndpoint::receive_trusted`],
-/// whose outcome is provably identical to encode-then-`receive` (see the
-/// equivalence argument on [`rxl_link::LinkRx::receive_trusted`]).
+/// destination still `Clean` is handed to
+/// [`rxl_link::LinkEndpoint::receive_trusted`], whose outcome is provably
+/// identical to encode-then-`receive` (see the equivalence argument on
+/// [`rxl_link::LinkRx::receive_trusted`]).
 ///
 /// # Ownership
 ///
@@ -562,19 +561,25 @@ impl FlitPayload {
 /// A flit in flight through the fabric, with its out-of-band routing
 /// metadata (the modelled PBR destination identifier).
 #[derive(Clone)]
-struct RoutedFlit {
+pub(crate) struct RoutedFlit {
     payload: FlitPayload,
     /// Destination endpoint index.
-    dst: usize,
+    pub(crate) dst: usize,
+    /// Low 32 bits of the slot in which the flit entered its current lane
+    /// (written by [`SwitchNode::push`], compared by [`SwitchNode::head`]):
+    /// a head stamped with the running slot arrived during it and must wait
+    /// for the next one. The full slot does not fit the 32-byte budget
+    /// below; the truncation can only misread a head that has waited an
+    /// exact multiple of 2³² slots (8.6 simulated seconds, half a million
+    /// default stall-guard windows) as fresh, which holds it back one more
+    /// slot and neither loses nor reorders it.
+    pub(crate) staged_at: u32,
     /// `true` for payload-bearing protocol flits (as opposed to standalone
     /// ACK / NACK control flits) — the population the failure analysis
     /// counts.
     protocol: bool,
     /// `true` if this is a retransmission from a replay buffer.
     retransmission: bool,
-    /// Virtual channel the flit currently occupies (the lane it was staged
-    /// into at its current switch). Endpoint-held flits use 0.
-    vc: u8,
     /// Per-dimension dateline-crossing bits (bit `d` set once the flit has
     /// crossed dimension `d`'s dateline trunk). Updated on arrival at the
     /// far switch of a dateline trunk; the escape-VC class of every later
@@ -582,17 +587,9 @@ struct RoutedFlit {
     crossed: u8,
 }
 
-// A hop moves a `RoutedFlit` by value three times (queue pop, transmit,
-// stage); it must stay a handle plus metadata, never a payload.
+// A hop moves a `RoutedFlit` by value three times (lane pop, transmit, lane
+// push); it must stay a handle plus metadata, never a payload.
 const _: () = assert!(std::mem::size_of::<RoutedFlit>() <= 32);
-
-/// What sits on the far side of a switch port.
-#[derive(Clone, Copy, Debug)]
-enum PortPeer {
-    Endpoint(usize),
-    Trunk { switch: usize, trunk: usize },
-    Unconnected,
-}
 
 /// Outcome of planning a flit's next hop at a switch (see
 /// [`FabricSim::plan_hop`]).
@@ -605,9 +602,6 @@ enum HopPlan {
     /// Every usable lane is out of credits; the flit holds its place.
     Blocked,
 }
-
-/// Sentinel for an [`FabricSim::adaptive_pin`] entry no flit has set yet.
-const NO_PIN: u32 = u32::MAX;
 
 /// Why a [`FabricSim::step`] call returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -654,7 +648,36 @@ pub struct FabricCounters {
     pub credit_stalls: u64,
 }
 
-/// One fabric trial: every endpoint, switch, queue and auditor.
+/// What a fault-injection scenario has done to the fabric. A scenario-free
+/// trial keeps every field at its initial value and stays on the static
+/// `config.channel` and the shared pristine routing table.
+struct Faults {
+    /// Per-link channel overrides, indexed by [`LinkId::index`] (endpoint
+    /// attachment links first, then trunks). `None` ⇒ every link runs the
+    /// static `config.channel`.
+    link_channels: Option<Vec<Option<Box<dyn Channel>>>>,
+    /// Routing recomputed after a switch drain/failure; `None` ⇒ the shared
+    /// pristine table.
+    routing_override: Option<RoutingTable>,
+    /// Switches that failed hard: lanes purged, all ingress blackholed.
+    dead_switches: Vec<bool>,
+    /// Switches excluded from transit routing (drained or dead).
+    no_transit: Vec<bool>,
+}
+
+/// One fabric trial: a [`SwitchNode`] per switch, an [`EndpointNode`] per
+/// endpoint, and the slot loop ([`Self::step`]) that drives them.
+///
+/// Each slot, phase 0 makes paced arrivals due, phase 1 gives every endpoint
+/// one transmit opportunity into a lane of its switch, and phase 2 gives
+/// every switch output port holding a flit one: the port's arbiter picks a
+/// virtual channel and that lane's head is delivered to the attached
+/// endpoint or sent over the trunk into a lane of the next switch, against a
+/// free credit of that lane. A lane is one FIFO queue; a flit is stamped with
+/// the slot it entered its lane in, and a head stamped with the running slot
+/// reads as absent ([`SwitchNode::head`]), so a flit crosses at most one
+/// switch per slot even when ascending port order reaches its new lane later
+/// in the same phase.
 ///
 /// # Determinism and RNG draw order (event-jump shape)
 ///
@@ -668,9 +691,11 @@ pub struct FabricCounters {
 /// ([`Channel::next_error_slot`] — one geometric jump per error event, plus
 /// one resample per piecewise boundary or state dwell for time-varying
 /// channels), so a traversal short of the cached event consumes **zero**
-/// draws and a quiet link costs no RNG work per slot. The active-port
-/// bitmaps compose with this unchanged: skipping an empty port skips no
-/// draws, and skipping a pre-event traversal skips none either. What the
+/// draws and a quiet link costs no RNG work per slot. The [`PortSet`]s that
+/// steer phase 2 (each switch's ports with a non-empty lane, the engine's
+/// switches with such a port) compose with this unchanged: an empty port, or
+/// one holding only flits that arrived this slot, does nothing and draws
+/// nothing when visited, so skipping it changes nothing. What the
 /// reproducibility contract (`tests/fabric_golden_digest.rs`, and the
 /// 1-vs-N-thread test in [`crate::montecarlo`]) pins is therefore the visit
 /// order — endpoints ascending, then `(switch, port)` ascending, each link's
@@ -715,122 +740,42 @@ pub struct FabricSim<'a, P: Probe = NullProbe> {
     topology: &'a FabricTopology,
     routing: &'a RoutingTable,
     config: FabricConfig,
-    /// [`FabricConfig::vc_count`], hoisted for the hot path.
-    vcc: usize,
-    endpoints: Vec<LinkEndpoint>,
-    switches: Vec<Switch>,
-    /// `out_q[switch][port * vcc + vc]`: flits awaiting transmission on that
-    /// port's virtual channel `vc` (the *lane*). With `vc_count == 1` the
-    /// lane index degenerates to the port index — the pre-VC layout.
-    out_q: Vec<Vec<VecDeque<RoutedFlit>>>,
-    /// Flits that arrived this slot, appended to `out_q` at slot end so a
-    /// flit crosses at most one switch per slot. Lane-indexed like `out_q`.
-    /// The inner vectors are drained, never dropped, so their capacity is
-    /// reused across slots.
-    staged: Vec<Vec<Vec<RoutedFlit>>>,
-    /// Per-(switch, port) VC credit ledgers — the authoritative occupancy
-    /// count over `out_q` + `staged` lanes, and the congestion signal the
-    /// adaptive egress choice compares.
-    credits: Vec<Vec<VcCredits>>,
-    /// Per-(switch, port) round-robin VC output arbiters.
-    arb: Vec<Vec<VcArbiter>>,
-    /// Per-trunk ring dimension (from [`FabricTopology::trunk_class`]).
-    trunk_dim: Vec<u8>,
-    /// Per-trunk `crossed`-bitmask delta: `1 << dim` for a dateline trunk,
-    /// 0 otherwise, OR-ed into a flit's `crossed` bits on arrival.
-    trunk_dateline_mask: Vec<u8>,
-    /// Flits currently inside the fabric per destination endpoint — the
-    /// flowlet gate for adaptive routing: a destination's path pins are
-    /// frozen while any of its flits are in flight, so adaptive spreading
-    /// can never reorder a session's flit stream (an overtaken flit would
-    /// otherwise trigger the link layer's go-back-N replay).
-    in_flight: Vec<u32>,
-    /// `adaptive_pin[switch][dst]`: the egress port the last flit bound for
-    /// `dst` took out of `switch` ([`NO_PIN`] before any did). Recorded on
-    /// every forwarded hop; a flit is free to *deviate* from the pin (and
-    /// re-choose by occupancy) only when `in_flight[dst]` says the
-    /// destination's stream is otherwise idle. Empty unless
-    /// `config.adaptive`.
-    adaptive_pin: Vec<Vec<u32>>,
-    /// Active-work tracking: `out_nonempty[switch]` is a bitmap (one bit per
-    /// port) of ports with a non-empty `out_q`, `sw_out_any` a bitmap (one
-    /// bit per switch) of switches with any such port, so the per-slot
-    /// forwarding phase visits exactly the ports holding flits — a quiet
-    /// fabric costs a few zero-word scans per slot instead of a dense
-    /// switch×port sweep. `staged_*` mirrors the same structure for the
-    /// flits staged during the current slot.
-    out_nonempty: Vec<Vec<u64>>,
-    sw_out_any: Vec<u64>,
-    sw_out_count: Vec<usize>,
-    staged_nonempty: Vec<Vec<u64>>,
-    sw_staged_any: Vec<u64>,
-    sw_staged_count: Vec<usize>,
-    /// Total non-empty output queues (the phase-3 quiescence check).
-    nonempty_out_ports: usize,
-    /// One-flit stall register per endpoint (credit backpressure).
-    stalled: Vec<Option<RoutedFlit>>,
-    /// `port_peer[switch][port]`.
-    port_peer: Vec<Vec<PortPeer>>,
-    /// Session index of every endpoint.
-    session_of: Vec<usize>,
-    /// Peer endpoint of every endpoint.
-    peer_of: Vec<usize>,
-    /// Per-endpoint mirror of the receiving auditor's open-gap state at the
-    /// end of the previous delivery, so each drop episode is counted as one
-    /// undetected-drop event exactly once.
-    gap_open: Vec<bool>,
-    downstream_audits: Vec<DeliveryAuditor>,
-    upstream_audits: Vec<DeliveryAuditor>,
-    undetected_drop_events: u64,
-    protocol_flit_drops: u64,
-    payload_drops: u64,
-    eligible_payload_drops: u64,
-    replay_leak_events: u64,
-    credit_stalls: u64,
+    endpoints: Vec<EndpointNode>,
+    switches: Vec<SwitchNode>,
+    /// Switches with an active port (see [`SwitchNode::active`]); empty
+    /// exactly when no lane anywhere holds a flit.
+    active_switches: PortSet,
+    /// The report under construction: event tallies, `first_fail_order_slot`
+    /// and the outcome flags accumulate here as the trial runs;
+    /// [`Self::finish_with_probe`] adds the audits, statistics and clock.
+    report: FabricReport,
     /// `true` once any endpoint accepted a flit in the current slot (stall
     /// guard bookkeeping).
     accepted_this_slot: bool,
     rng: StdRng,
-    /// Per-link channel overrides installed by a fault-injection scenario,
-    /// indexed by [`LinkId::index`] (endpoint attachment links first, then
-    /// trunks). `None` ⇒ every link runs the static `config.channel` — the
-    /// zero-cost path scenario-free trials stay on.
-    link_channels: Option<Vec<Option<Box<dyn Channel>>>>,
-    /// Per-link skip-ahead cursors (indexed like `link_channels`): each
-    /// counts the link's traversals and caches the traversal index of the
-    /// channel's next error event, so traversals short of the event consume
-    /// zero RNG draws. Reset whenever that link's channel is replaced.
+    faults: Faults,
+    /// Per-link skip-ahead cursors (indexed like [`Faults::link_channels`]):
+    /// each counts the link's traversals and caches the traversal index of
+    /// the channel's next error event, so traversals short of the event
+    /// consume zero RNG draws. Reset whenever that link's channel is
+    /// replaced.
     link_cursors: Vec<EventCursor>,
     /// `true` when the switch forwarding pipeline is provably the identity
     /// on clean flits (`switch_internal` disabled): lets a zero-flip
-    /// traversal take [`Switch::forward_clean`] instead of the full
-    /// decode/CRC/re-encode pipeline. Hoisted from `config` for the hot
+    /// traversal take [`rxl_switch::Switch::forward_clean`] instead of the
+    /// full decode/CRC/re-encode pipeline. Hoisted from `config` for the hot
     /// path.
     clean_switch: bool,
     /// The engine-held flit encoder used to materialise deferred
     /// ([`FlitPayload::Clean`]) wire images on demand. Matches the
     /// endpoints' codecs bit-for-bit (see [`SimCodec`]).
     codec: SimCodec,
-    /// Routing recomputed after a switch drain/failure; `None` ⇒ the shared
-    /// pristine table.
-    routing_override: Option<RoutingTable>,
-    /// Switches that failed hard: queues purged, all ingress blackholed.
-    dead_switches: Vec<bool>,
-    /// Switches excluded from transit routing (drained or dead).
-    no_transit: Vec<bool>,
-    blackholed_flits: u64,
-    first_fail_order_slot: Option<u64>,
-    /// Slot at which a flit last moved anywhere (staged, consumed by a
-    /// switch pipeline, delivered, or blackholed). Distinguishes a credit
+    /// Slot at which a flit last moved anywhere (entered a lane, consumed by
+    /// a switch pipeline, delivered, or blackholed). Distinguishes a credit
     /// deadlock (flits wedged, zero motion) from the baseline-CXL replay
     /// livelock (constant motion, zero acceptance) when the stall guard
     /// trips.
     last_motion_slot: u64,
-    deadlock: bool,
-    post_delivery_wedge: bool,
-    /// One injector per endpoint, feeding its transmitter from the session's
-    /// shared stream (empty until [`Self::begin`]).
-    injectors: Vec<Injector>,
     /// Messages not yet due under paced injection (drain gate; always 0 on
     /// the greedy path, where everything is due at `begin`).
     pending_paced: usize,
@@ -842,7 +787,6 @@ pub struct FabricSim<'a, P: Probe = NullProbe> {
     // pause the trial at epoch boundaries.
     workload_loaded: bool,
     slots: u64,
-    drained: bool,
     last_accept_slot: u64,
     flit_time_ns: f64,
 }
@@ -884,148 +828,75 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             "adaptive routing needs two escape VCs plus at least one adaptive VC (vc_count >= 3)"
         );
         let link_cfg = config.link_config();
-        let endpoints: Vec<LinkEndpoint> = topology
+        let mut endpoints: Vec<EndpointNode> = topology
             .endpoints
             .iter()
-            .map(|_| LinkEndpoint::new(link_cfg))
+            .map(|ep| EndpointNode::new(link_cfg, ep))
             .collect();
-        let switches: Vec<Switch> = topology
-            .switches
-            .iter()
-            .map(|sw| Switch::new(config.switch_config(sw.ports)))
-            .collect();
-
-        let mut port_peer: Vec<Vec<PortPeer>> = topology
-            .switches
-            .iter()
-            .map(|sw| vec![PortPeer::Unconnected; sw.ports])
-            .collect();
-        for (id, ep) in topology.endpoints.iter().enumerate() {
-            port_peer[ep.switch][ep.port] = PortPeer::Endpoint(id);
-        }
-        for (ti, t) in topology.trunks.iter().enumerate() {
-            port_peer[t.a.0][t.a.1] = PortPeer::Trunk {
-                switch: t.b.0,
-                trunk: ti,
-            };
-            port_peer[t.b.0][t.b.1] = PortPeer::Trunk {
-                switch: t.a.0,
-                trunk: ti,
-            };
-        }
-
-        let mut session_of = vec![usize::MAX; topology.endpoints.len()];
-        let mut peer_of = vec![usize::MAX; topology.endpoints.len()];
         for (s, session) in topology.sessions.iter().enumerate() {
-            session_of[session.host] = s;
-            session_of[session.device] = s;
-            peer_of[session.host] = session.device;
-            peer_of[session.device] = session.host;
+            for (e, peer) in [
+                (session.host, session.device),
+                (session.device, session.host),
+            ] {
+                let node = &mut endpoints[e];
+                assert!(
+                    node.session == usize::MAX,
+                    "endpoint {e} is claimed by two sessions, {} and {s}",
+                    node.session
+                );
+                (node.session, node.peer) = (s, peer);
+            }
         }
 
-        let out_q = topology
-            .switches
-            .iter()
-            .map(|sw| (0..sw.ports * vcc).map(|_| VecDeque::new()).collect())
-            .collect();
-        let staged = topology
-            .switches
-            .iter()
-            .map(|sw| (0..sw.ports * vcc).map(|_| Vec::new()).collect())
-            .collect();
-        let credits = topology
-            .switches
-            .iter()
-            .map(|sw| {
-                (0..sw.ports)
-                    .map(|_| VcCredits::new(vcc, config.queue_capacity))
-                    .collect()
-            })
-            .collect();
-        let arb = topology
-            .switches
-            .iter()
-            .map(|sw| vec![VcArbiter::new(); sw.ports])
-            .collect();
-        let trunk_dim = (0..topology.trunks.len())
-            .map(|ti| topology.trunk_class(ti).dim)
-            .collect();
-        let trunk_dateline_mask = (0..topology.trunks.len())
-            .map(|ti| {
-                let class = topology.trunk_class(ti);
-                if class.dateline {
-                    1u8 << class.dim
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let port_bitmaps: Vec<Vec<u64>> = topology
-            .switches
-            .iter()
-            .map(|sw| vec![0u64; sw.ports.div_ceil(64)])
-            .collect();
-        let sw_bitmap = vec![0u64; topology.switches.len().div_ceil(64)];
-        let adaptive_pin = if config.adaptive {
-            vec![vec![NO_PIN; topology.endpoints.len()]; topology.switches.len()]
+        let pins = if config.adaptive {
+            vec![NO_PIN; topology.endpoints.len()]
         } else {
             Vec::new()
         };
+        let mut switches: Vec<SwitchNode> = topology
+            .switches
+            .iter()
+            .map(|sw| SwitchNode::new(config.switch_config(sw.ports), vcc, pins.clone()))
+            .collect();
+        for (id, ep) in topology.endpoints.iter().enumerate() {
+            switches[ep.switch].peers[ep.port] = PortPeer::Endpoint(id);
+        }
+        for (trunk, t) in topology.trunks.iter().enumerate() {
+            let class = topology.trunk_class(trunk);
+            let (dim, dateline) = (class.dim, u8::from(class.dateline) << class.dim);
+            for (near, far) in [(t.a, t.b), (t.b, t.a)] {
+                switches[near.0].peers[near.1] = PortPeer::Trunk {
+                    switch: far.0,
+                    trunk,
+                    dim,
+                    dateline,
+                };
+            }
+        }
 
         FabricSim {
-            vcc,
             endpoints,
+            active_switches: PortSet::new(switches.len()),
             switches,
-            out_q,
-            staged,
-            credits,
-            arb,
-            trunk_dim,
-            trunk_dateline_mask,
-            in_flight: vec![0; topology.endpoints.len()],
-            adaptive_pin,
-            out_nonempty: port_bitmaps.clone(),
-            sw_out_any: sw_bitmap.clone(),
-            sw_out_count: vec![0; topology.switches.len()],
-            staged_nonempty: port_bitmaps,
-            sw_staged_any: sw_bitmap,
-            sw_staged_count: vec![0; topology.switches.len()],
-            nonempty_out_ports: 0,
-            stalled: vec![None; topology.endpoints.len()],
-            port_peer,
-            session_of,
-            peer_of,
-            gap_open: vec![false; topology.endpoints.len()],
-            downstream_audits: vec![DeliveryAuditor::new(); topology.sessions.len()],
-            upstream_audits: vec![DeliveryAuditor::new(); topology.sessions.len()],
-            undetected_drop_events: 0,
-            protocol_flit_drops: 0,
-            payload_drops: 0,
-            eligible_payload_drops: 0,
-            replay_leak_events: 0,
-            credit_stalls: 0,
+            report: FabricReport::default(),
             accepted_this_slot: false,
             rng: StdRng::seed_from_u64(config.seed),
-            link_channels: None,
+            faults: Faults {
+                link_channels: None,
+                routing_override: None,
+                dead_switches: vec![false; topology.switches.len()],
+                no_transit: vec![false; topology.switches.len()],
+            },
             link_cursors: vec![EventCursor::new(); topology.link_count()],
             clean_switch: config.switch_internal.per_flit_probability <= 0.0,
             codec: SimCodec::for_variant(config.variant),
-            routing_override: None,
-            dead_switches: vec![false; topology.switches.len()],
-            no_transit: vec![false; topology.switches.len()],
-            blackholed_flits: 0,
-            first_fail_order_slot: None,
             last_motion_slot: 0,
-            deadlock: false,
-            post_delivery_wedge: false,
-            injectors: Vec::new(),
             pending_paced: 0,
             probe,
             workload_loaded: false,
             slots: 0,
-            drained: false,
             last_accept_slot: 0,
-            flit_time_ns: config.link_config().flit_time_ns,
+            flit_time_ns: link_cfg.flit_time_ns,
             topology,
             routing,
             config,
@@ -1040,24 +911,14 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         self.slots as f64 * self.flit_time_ns
     }
 
-    /// The active egress lookup: the scenario-recomputed table once a switch
+    /// The active routing table: the scenario-recomputed one once a switch
     /// has been drained or failed, the pristine shared table otherwise.
     #[inline]
-    fn egress_of(&self, sw: usize, dst: usize) -> usize {
-        match &self.routing_override {
-            Some(r) => r.egress(sw, dst),
-            None => self.routing.egress(sw, dst),
-        }
-    }
-
-    /// The active minimal next-hop candidate set (adaptive choice set),
-    /// with the same override dispatch as [`Self::egress_of`].
-    #[inline]
-    fn candidates_of(&self, sw: usize, dst: usize) -> &[usize] {
-        match &self.routing_override {
-            Some(r) => r.candidates(sw, dst),
-            None => self.routing.candidates(sw, dst),
-        }
+    fn routes(&self) -> &RoutingTable {
+        self.faults
+            .routing_override
+            .as_ref()
+            .unwrap_or(self.routing)
     }
 
     /// The escape VC a flit with dateline-crossing state `crossed` rides on
@@ -1068,11 +929,10 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// single-queue behaviour, deadlock included.
     #[inline]
     fn escape_vc(&self, sw: usize, egress: usize, crossed: u8) -> usize {
-        if self.vcc < 2 {
-            return 0;
-        }
-        match self.port_peer[sw][egress] {
-            PortPeer::Trunk { trunk, .. } => ((crossed >> self.trunk_dim[trunk]) & 1) as usize,
+        match self.switches[sw].peers[egress] {
+            PortPeer::Trunk { dim, .. } if self.config.vc_count >= 2 => {
+                ((crossed >> dim) & 1) as usize
+            }
             _ => 0,
         }
     }
@@ -1090,7 +950,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     #[inline]
     fn corrupt_on_link(&mut self, link: usize, payload: &mut FlitPayload, now: f64) -> usize {
         let cursor = &mut self.link_cursors[link];
-        let channel: &mut dyn Channel = match &mut self.link_channels {
+        let channel: &mut dyn Channel = match &mut self.faults.link_channels {
             Some(overrides) => match &mut overrides[link] {
                 Some(ch) => ch.as_mut(),
                 None => &mut self.config.channel,
@@ -1107,7 +967,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// Records a fault-injection blackhole drop at switch `sw` (which is
     /// flit motion for deadlock-classification purposes: state changed).
     fn note_blackhole(&mut self, sw: usize) {
-        self.blackholed_flits += 1;
+        self.report.blackholed_flits += 1;
         self.last_motion_slot = self.slots;
         if P::ENABLED {
             self.probe.on_blackhole(self.slots, sw);
@@ -1129,22 +989,17 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         }
     }
 
-    /// Lane index of `(port, vc)` in the flat per-switch lane arrays.
+    /// Takes the head of lane `(port, vc)` of switch `sw` out of the fabric
+    /// (see [`SwitchNode::pop`]), keeping the active-switch set and the
+    /// destination's in-flight count in step.
     #[inline]
-    fn lane(&self, port: usize, vc: usize) -> usize {
-        port * self.vcc + vc
-    }
-
-    /// Free credit on VC `vc` of output port `(sw, port)`. The ledger counts
-    /// flits that already arrived this slot (staged) as occupying.
-    #[inline]
-    fn has_credit(&self, sw: usize, port: usize, vc: usize) -> bool {
-        debug_assert_eq!(
-            self.credits[sw][port].occupancy(vc),
-            self.out_q[sw][self.lane(port, vc)].len() + self.staged[sw][self.lane(port, vc)].len(),
-            "credit ledger must mirror the lane queues"
-        );
-        self.credits[sw][port].has_credit(vc)
+    fn pop(&mut self, sw: usize, port: usize, vc: usize) -> RoutedFlit {
+        let rf = self.switches[sw].pop(port, vc);
+        if self.switches[sw].active.is_empty() {
+            self.active_switches.remove(sw);
+        }
+        self.endpoints[rf.dst].in_flight -= 1;
+        rf
     }
 
     /// Where the next hop of a flit bound for `dst`, arriving at switch `sw`
@@ -1160,22 +1015,19 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// stays available as the Duato valve either way, so deadlock freedom
     /// never depends on the pins.
     fn plan_hop(&self, sw: usize, dst: usize, crossed: u8, others: u32) -> HopPlan {
-        let escape = self.egress_of(sw, dst);
+        let escape = self.routes().egress(sw, dst);
         if escape == NO_ROUTE {
             return HopPlan::Blackhole;
         }
+        let node = &self.switches[sw];
         // Minimal-adaptive first: the adaptive VC (2..vcc) of the
         // least-occupied candidate port with a free credit, ties broken by
         // (port, vc) — a pure function of queue state, no RNG draws.
         if self.config.adaptive {
-            let pinned = if others > 0 {
-                self.adaptive_pin[sw][dst]
-            } else {
-                NO_PIN
-            };
+            let pinned = if others > 0 { node.pins[dst] } else { NO_PIN };
             let mut best: Option<(usize, usize, usize)> = None;
-            for &port in self.candidates_of(sw, dst) {
-                if matches!(self.port_peer[sw][port], PortPeer::Endpoint(_)) {
+            for &port in self.routes().candidates(sw, dst) {
+                if matches!(node.peers[port], PortPeer::Endpoint(_)) {
                     // Final-hop delivery always rides VC 0 of the endpoint
                     // lane (an unconditional sink — nothing to adapt).
                     continue;
@@ -1183,9 +1035,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 if pinned != NO_PIN && port as u32 != pinned {
                     continue;
                 }
-                let occupancy = self.credits[sw][port].total_occupancy();
-                for vc in 2..self.vcc {
-                    if self.has_credit(sw, port, vc) {
+                let occupancy = node.credits(port).total_occupancy();
+                for vc in 2..self.config.vc_count {
+                    if node.has_credit(port, vc) {
                         let key = (occupancy, port, vc);
                         if best.is_none_or(|b| key < b) {
                             best = Some(key);
@@ -1200,58 +1052,10 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         }
         // Escape path: the deterministic route on the dateline-classed VC.
         let vc = self.escape_vc(sw, escape, crossed);
-        if self.has_credit(sw, escape, vc) {
+        if node.has_credit(escape, vc) {
             HopPlan::Lane { egress: escape, vc }
         } else {
             HopPlan::Blocked
-        }
-    }
-
-    /// Records that `staged[sw][port]` became non-empty this slot.
-    #[inline]
-    fn mark_staged(&mut self, sw: usize, port: usize) {
-        let (wi, mask) = (port / 64, 1u64 << (port % 64));
-        if self.staged_nonempty[sw][wi] & mask == 0 {
-            self.staged_nonempty[sw][wi] |= mask;
-            if self.sw_staged_count[sw] == 0 {
-                self.sw_staged_any[sw / 64] |= 1u64 << (sw % 64);
-            }
-            self.sw_staged_count[sw] += 1;
-        }
-    }
-
-    /// Records that `out_q[sw][port]` became non-empty (phase 3 merge).
-    #[inline]
-    fn mark_out_nonempty(&mut self, sw: usize, port: usize) {
-        let (wi, mask) = (port / 64, 1u64 << (port % 64));
-        if self.out_nonempty[sw][wi] & mask == 0 {
-            self.out_nonempty[sw][wi] |= mask;
-            self.nonempty_out_ports += 1;
-            if self.sw_out_count[sw] == 0 {
-                self.sw_out_any[sw / 64] |= 1u64 << (sw % 64);
-            }
-            self.sw_out_count[sw] += 1;
-        }
-    }
-
-    /// Clears the tracking bit for port `port` if the lane pop that just
-    /// happened emptied *every* lane of the port (the bitmaps stay
-    /// port-granular; lanes share their port's bit).
-    #[inline]
-    fn note_out_pop(&mut self, sw: usize, port: usize) {
-        let first = self.lane(port, 0);
-        if self.out_q[sw][first..first + self.vcc]
-            .iter()
-            .all(VecDeque::is_empty)
-        {
-            let (wi, mask) = (port / 64, 1u64 << (port % 64));
-            debug_assert_ne!(self.out_nonempty[sw][wi] & mask, 0);
-            self.out_nonempty[sw][wi] &= !mask;
-            self.nonempty_out_ports -= 1;
-            self.sw_out_count[sw] -= 1;
-            if self.sw_out_count[sw] == 0 {
-                self.sw_out_any[sw / 64] &= !(1u64 << (sw % 64));
-            }
         }
     }
 
@@ -1269,33 +1073,27 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         mut rf: RoutedFlit,
         now: f64,
     ) -> Option<RoutedFlit> {
-        // An injection (endpoint attachment link) is not yet counted in
-        // `in_flight`; a trunk arrival is.
+        // `rf` is on the wire — freshly emitted, or popped off its previous
+        // lane — so `in_flight` counts only the other flits of its stream.
         let injecting = link < self.endpoints.len();
-        let others = self.in_flight[rf.dst] - u32::from(!injecting);
-        if self.dead_switches[sw] {
-            if !injecting {
-                self.in_flight[rf.dst] -= 1;
-            }
+        let others = self.endpoints[rf.dst].in_flight;
+        if self.faults.dead_switches[sw] {
             self.note_blackhole(sw);
             return None;
         }
         let (egress, vc) = match self.plan_hop(sw, rf.dst, rf.crossed, others) {
             HopPlan::Blackhole => {
-                if !injecting {
-                    self.in_flight[rf.dst] -= 1;
-                }
                 self.note_blackhole(sw);
                 return None;
             }
             HopPlan::Blocked => {
-                self.credit_stalls += 1;
+                self.report.credit_stalls += 1;
                 if P::ENABLED {
                     // Charge the stall to the planned escape egress — the
                     // port whose lanes were out of credit — so spatial
                     // probes can attribute ingress stalls to the congested
                     // link. Plan state is pure queue/table lookup: no RNG.
-                    let egress = self.egress_of(sw, rf.dst);
+                    let egress = self.routes().egress(sw, rf.dst);
                     let evc = self.escape_vc(sw, egress, rf.crossed);
                     self.probe
                         .on_credit_stall(self.slots, sw, Some(egress), Some(evc));
@@ -1327,14 +1125,16 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         // CRC verify, no re-encode — and, for a still-deferred
         // [`FlitPayload::Clean`] flit, no wire bytes at all.
         let verdict = if flips == 0 && self.clean_switch {
-            self.switches[sw].forward_clean();
+            self.switches[sw].switch.forward_clean();
             ProcessVerdict::Forwarded {
                 corrected_symbols: 0,
                 internally_corrupted: false,
             }
         } else {
             let wire = rf.payload.materialize(&self.codec);
-            self.switches[sw].process_in_place(wire, &mut self.rng)
+            self.switches[sw]
+                .switch
+                .process_in_place(wire, &mut self.rng)
         };
         match verdict {
             ProcessVerdict::Forwarded {
@@ -1349,28 +1149,23 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                         corrected_symbols,
                     });
                 }
-                rf.vc = vc as u8;
-                let dst = rf.dst;
-                let lane = self.lane(egress, vc);
-                self.staged[sw][lane].push(rf);
-                if injecting {
-                    self.in_flight[dst] += 1;
-                }
+                self.endpoints[rf.dst].in_flight += 1;
+                let node = &mut self.switches[sw];
                 if self.config.adaptive {
                     // Record the path taken at *every* hop, not just the
                     // choosing one: a lead flit reaches downstream switches
                     // after its followers were injected, and those switches
                     // must replay its exact ports or the followers could
                     // overtake it on a divergent equal-length path.
-                    self.adaptive_pin[sw][dst] = egress as u32;
+                    node.pins[rf.dst] = egress as u32;
                 }
-                self.credits[sw][egress].occupy(vc);
+                node.push(egress, vc, rf, self.slots);
+                self.active_switches.insert(sw);
                 if P::ENABLED {
-                    let occupancy = self.credits[sw][egress].occupancy(vc);
+                    let occupancy = self.switches[sw].credits(egress).occupancy(vc);
                     self.probe
                         .on_vc_occupancy(self.slots, sw, egress, vc, occupancy);
                 }
-                self.mark_staged(sw, egress);
             }
             ProcessVerdict::DroppedUncorrectable => {
                 if P::ENABLED {
@@ -1382,18 +1177,15 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                         corrected_symbols: 0,
                     });
                 }
-                if !injecting {
-                    self.in_flight[rf.dst] -= 1;
-                }
                 // Silent drop; the endpoints' retry machinery (or lack of
                 // it, for baseline CXL's blind spot) is on its own.
                 if rf.protocol {
-                    self.protocol_flit_drops += 1;
+                    self.report.protocol_flit_drops += 1;
                     if !rf.retransmission {
-                        self.payload_drops += 1;
-                        if !self.gap_open[rf.dst] && !self.endpoints[rf.dst].rx().awaiting_replay()
-                        {
-                            self.eligible_payload_drops += 1;
+                        self.report.payload_drops += 1;
+                        let dst = &self.endpoints[rf.dst];
+                        if !dst.gap_open && !dst.link.rx().awaiting_replay() {
+                            self.report.eligible_payload_drops += 1;
                         }
                     }
                 }
@@ -1412,41 +1204,34 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// *every* non-empty VC was blocked records one credit-stall slot —
     /// with `vc_count == 1` exactly the pre-VC per-port accounting.
     fn forward_port(&mut self, sw: usize, port: usize, now: f64) {
-        let vcc = self.vcc;
         let mut any_blocked = false;
         let mut blocked_vc: Option<usize> = None;
-        for k in 0..vcc {
-            let vc = self.arb[sw][port].pick(k, vcc);
-            let lane = self.lane(port, vc);
-            let Some(head) = self.out_q[sw][lane].front() else {
+        for k in 0..self.config.vc_count {
+            let node = &self.switches[sw];
+            let (vc, Some(head)) = node.head(port, k, self.slots) else {
                 continue;
             };
-            let head_dst = head.dst;
-            let head_crossed = head.crossed;
-            match self.port_peer[sw][port] {
+            let (head_dst, head_crossed) = (head.dst, head.crossed);
+            match node.peers[port] {
                 PortPeer::Endpoint(dst) => {
                     debug_assert_eq!(head_dst, dst);
-                    let rf = self.out_q[sw][lane].pop_front().expect("head exists");
-                    self.in_flight[dst] -= 1;
-                    self.credits[sw][port].release(vc);
-                    self.note_out_pop(sw, port);
-                    self.arb[sw][port].grant(vc, vcc);
+                    let rf = self.pop(sw, port, vc);
                     self.deliver_to_endpoint(dst, rf, now);
                     return;
                 }
                 PortPeer::Trunk {
                     switch: next,
                     trunk,
+                    dateline,
+                    ..
                 } => {
                     // A dead next hop (or a destination no surviving route
                     // reaches) swallows the flit instead of wedging the
                     // queue.
-                    if self.dead_switches[next] || self.egress_of(next, head_dst) == NO_ROUTE {
-                        let _ = self.out_q[sw][lane].pop_front().expect("head exists");
-                        self.in_flight[head_dst] -= 1;
-                        self.credits[sw][port].release(vc);
-                        self.note_out_pop(sw, port);
-                        self.arb[sw][port].grant(vc, vcc);
+                    if self.faults.dead_switches[next]
+                        || self.routes().egress(next, head_dst) == NO_ROUTE
+                    {
+                        let _ = self.pop(sw, port, vc);
                         self.note_blackhole(next);
                         return;
                     }
@@ -1455,8 +1240,8 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                     // flit's `crossed` bits on arrival, so the plan uses the
                     // post-crossing state while the trunk itself was
                     // traversed under the pre-crossing class.
-                    let crossed = head_crossed | self.trunk_dateline_mask[trunk];
-                    let others = self.in_flight[head_dst] - 1;
+                    let crossed = head_crossed | dateline;
+                    let others = self.endpoints[head_dst].in_flight - 1;
                     if self.plan_hop(next, head_dst, crossed, others) == HopPlan::Blocked {
                         any_blocked = true;
                         if blocked_vc.is_none() {
@@ -1464,11 +1249,8 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                         }
                         continue;
                     }
-                    let mut rf = self.out_q[sw][lane].pop_front().expect("head exists");
+                    let mut rf = self.pop(sw, port, vc);
                     rf.crossed = crossed;
-                    self.credits[sw][port].release(vc);
-                    self.note_out_pop(sw, port);
-                    self.arb[sw][port].grant(vc, vcc);
                     let link = self.endpoints.len() + trunk;
                     let held = self.transmit_into(next, link, rf, now);
                     debug_assert!(held.is_none(), "credit was checked above");
@@ -1480,7 +1262,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             }
         }
         if any_blocked {
-            self.credit_stalls += 1;
+            self.report.credit_stalls += 1;
             if P::ENABLED {
                 self.probe
                     .on_credit_stall(self.slots, sw, Some(port), blocked_vc);
@@ -1508,31 +1290,23 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         // was ever corrupted — even if a switch FEC-corrected it back —
         // stays `Wire` and takes the full decode, byte-for-byte the
         // eager-encode engine's behaviour.
+        let node = &mut self.endpoints[dst];
         let result = match &rf.payload {
-            FlitPayload::Clean { flit, seq } => {
-                self.endpoints[dst].receive_trusted(flit, *seq, now)
-            }
-            FlitPayload::Wire(wire) => self.endpoints[dst].receive(wire, now),
+            FlitPayload::Clean { flit, seq } => node.link.receive_trusted(flit, *seq, now),
+            FlitPayload::Wire(wire) => node.link.receive(wire, now),
         };
         self.accepted_this_slot |= result.accepted;
 
-        let session = self.session_of[dst];
-        let is_device = self.topology.endpoints[dst].role == NodeRole::Device;
-        let audit = if is_device {
-            &mut self.downstream_audits[session]
-        } else {
-            &mut self.upstream_audits[session]
-        };
         let mut out_of_order = false;
         for msg in &result.delivered {
-            let verdict = audit.observe_delivery(msg);
+            let verdict = node.audit.observe_delivery(msg);
             out_of_order |= verdict == DeliveryVerdict::OutOfOrder;
             if P::ENABLED {
                 self.probe.on_deliver(DeliverEvent {
                     slot: self.slots,
-                    session,
+                    session: node.session,
                     dst,
-                    downstream: is_device,
+                    downstream: node.is_device,
                     key: message_key(msg),
                     tag: msg.tag(),
                     verdict,
@@ -1559,19 +1333,17 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         // RXL never forwards unchecked, so it can never produce such events.
         if result.delivered_header.is_some() {
             if result.accepted && !result.sequence_checked && out_of_order {
-                if self.endpoints[dst].rx().awaiting_replay() {
-                    self.replay_leak_events += 1;
-                } else if !self.gap_open[dst] {
-                    self.undetected_drop_events += 1;
-                    if self.first_fail_order_slot.is_none() {
-                        self.first_fail_order_slot = Some(self.slots);
-                    }
+                if node.link.rx().awaiting_replay() {
+                    self.report.replay_leak_events += 1;
+                } else if !node.gap_open {
+                    self.report.undetected_drop_events += 1;
+                    self.report.first_fail_order_slot.get_or_insert(self.slots);
                     if P::ENABLED {
-                        self.probe.on_fail_order(self.slots, session, dst);
+                        self.probe.on_fail_order(self.slots, node.session, dst);
                     }
                 }
             }
-            self.gap_open[dst] = audit.has_open_gaps();
+            node.gap_open = node.audit.has_open_gaps();
         }
     }
 
@@ -1618,19 +1390,20 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         }
         self.workload_loaded = true;
 
-        self.injectors = vec![Injector::default(); self.topology.endpoints.len()];
         for (s, session) in self.topology.sessions.iter().enumerate() {
             let (down, up) = (&workload.downstream[s], &workload.upstream[s]);
-            self.downstream_audits[s] = DeliveryAuditor::for_stream(Arc::clone(down));
-            self.upstream_audits[s] = DeliveryAuditor::for_stream(Arc::clone(up));
             let (host, device) = (session.host, session.device);
+            // Each side audits the stream the other side sends.
+            self.endpoints[device].audit = DeliveryAuditor::for_stream(Arc::clone(down));
+            self.endpoints[host].audit = DeliveryAuditor::for_stream(Arc::clone(up));
             match pacing {
                 Some(p) => {
                     // `InjectionPacing` is borrowed, so its schedules are
                     // the one per-message copy a paced trial still makes.
-                    self.injectors[host] =
+                    self.endpoints[host].injector =
                         Injector::paced(Arc::clone(down), p.downstream[s].clone());
-                    self.injectors[device] = Injector::paced(Arc::clone(up), p.upstream[s].clone());
+                    self.endpoints[device].injector =
+                        Injector::paced(Arc::clone(up), p.upstream[s].clone());
                     self.pending_paced += down.len() + up.len();
                 }
                 None => {
@@ -1638,8 +1411,8 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                         inject_events(&mut self.probe, 0, s, host, device, true, down);
                         inject_events(&mut self.probe, 0, s, device, host, false, up);
                     }
-                    self.injectors[host] = Injector::greedy(Arc::clone(down));
-                    self.injectors[device] = Injector::greedy(Arc::clone(up));
+                    self.endpoints[host].injector = Injector::greedy(Arc::clone(down));
+                    self.endpoints[device].injector = Injector::greedy(Arc::clone(up));
                 }
             }
         }
@@ -1653,11 +1426,10 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     fn release_due(&mut self) {
         let now_slot = self.slots;
         let mut released = 0;
-        for (e, injector) in self.injectors.iter_mut().enumerate() {
-            let batch = injector.release(now_slot);
+        for (e, node) in self.endpoints.iter_mut().enumerate() {
+            let batch = node.injector.release(now_slot);
             if P::ENABLED && !batch.is_empty() {
-                let (session, dst) = (self.session_of[e], self.peer_of[e]);
-                let down = self.topology.endpoints[dst].role == NodeRole::Device;
+                let (session, dst, down) = (node.session, node.peer, !node.is_device);
                 inject_events(&mut self.probe, now_slot, session, e, dst, down, batch);
             }
             released += batch.len();
@@ -1674,7 +1446,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// [`StepOutcome::Budget`] means the trial can continue.
     pub fn step(&mut self, budget: u64) -> StepOutcome {
         assert!(self.workload_loaded, "step requires begin");
-        if self.drained {
+        if self.report.drained {
             return StepOutcome::Drained;
         }
         let mut stepped = 0u64;
@@ -1706,15 +1478,16 @@ impl<'a, P: Probe> FabricSim<'a, P> {
 
             // Phase 1 — endpoint transmit opportunities, in endpoint order.
             for e in 0..self.endpoints.len() {
-                let sw = self.topology.endpoints[e].switch;
-                if let Some(rf) = self.stalled[e].take() {
+                let node = &mut self.endpoints[e];
+                let (sw, session, dst) = (node.switch, node.session, node.peer);
+                if let Some(rf) = node.stalled.take() {
                     // A stalled flit consumes this slot's opportunity.
                     all_endpoints_idle = false;
-                    self.stalled[e] = self.transmit_into(sw, e, rf, now);
+                    self.endpoints[e].stalled = self.transmit_into(sw, e, rf, now);
                     continue;
                 }
-                self.injectors[e].feed(&mut self.endpoints[e]);
-                let emission = self.endpoints[e].emit(now);
+                node.injector.feed(&mut node.link);
+                let emission = node.link.emit(now);
                 let (protocol, retransmission) = match &emission {
                     rxl_link::TxEmission::Protocol { retransmission, .. } => {
                         (true, *retransmission)
@@ -1723,9 +1496,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 };
                 if P::ENABLED {
                     if retransmission {
-                        self.probe.on_retransmit(self.slots, e, self.session_of[e]);
+                        self.probe.on_retransmit(self.slots, e, session);
                     } else if matches!(&emission, rxl_link::TxEmission::Nack { .. }) {
-                        self.probe.on_nack(self.slots, e, self.session_of[e]);
+                        self.probe.on_nack(self.slots, e, session);
                     }
                 }
                 if let Some((flit, seq)) = emission.into_flit() {
@@ -1737,35 +1510,28 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                     // forces the encode.
                     let rf = RoutedFlit {
                         payload: FlitPayload::Clean { flit, seq },
-                        dst: self.peer_of[e],
+                        dst,
+                        staged_at: 0,
                         protocol,
                         retransmission,
-                        vc: 0,
                         crossed: 0,
                     };
-                    self.stalled[e] = self.transmit_into(sw, e, rf, now);
+                    self.endpoints[e].stalled = self.transmit_into(sw, e, rf, now);
                 }
             }
             self.phase_mark(&mut phase_clock, EnginePhase::EndpointTx);
 
-            // Phase 2 — every non-empty switch output port forwards at most
-            // one flit, in ascending (switch, port) order — exactly the
-            // visit order of the dense sweep this replaces, restricted to
-            // ports that actually hold flits (empty ports made no RNG draws,
-            // so skipping them is bit-identical; see the type-level docs).
-            // The word snapshots are safe because processing a port can only
-            // clear its *own* bit (the single pop below) and set *staged*
-            // bits, never other out-queue bits.
-            for swi in 0..self.sw_out_any.len() {
-                let mut sw_word = self.sw_out_any[swi];
-                while sw_word != 0 {
-                    let sw = swi * 64 + sw_word.trailing_zeros() as usize;
-                    sw_word &= sw_word - 1;
-                    for pwi in 0..self.out_nonempty[sw].len() {
-                        let mut port_word = self.out_nonempty[sw][pwi];
-                        while port_word != 0 {
-                            let port = pwi * 64 + port_word.trailing_zeros() as usize;
-                            port_word &= port_word - 1;
+            // Phase 2 — every active switch output port forwards at most one
+            // flit, in ascending (switch, port) order: the visit order of a
+            // dense sweep, restricted to ports that hold flits (see the
+            // type-level docs). Walking snapshots is safe: forwarding from a
+            // port removes at most that port from the sets, and what it adds
+            // holds only a flit that arrived this slot, where a visit does
+            // nothing.
+            for swi in 0..self.active_switches.words() {
+                for sw in self.active_switches.snapshot(swi) {
+                    for pwi in 0..self.switches[sw].active.words() {
+                        for port in self.switches[sw].active.snapshot(pwi) {
                             self.forward_port(sw, port, now);
                         }
                     }
@@ -1773,40 +1539,13 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             }
             self.phase_mark(&mut phase_clock, EnginePhase::SwitchForward);
 
-            // Phase 3 — flits that arrived this slot become visible next
-            // slot (one switch traversal per slot). Only ports that staged
-            // something are touched; the staged buffers keep their capacity.
-            for swi in 0..self.sw_staged_any.len() {
-                let sw_word = std::mem::take(&mut self.sw_staged_any[swi]);
-                let mut bits = sw_word;
-                while bits != 0 {
-                    let sw = swi * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    for pwi in 0..self.staged_nonempty[sw].len() {
-                        let mut port_word = std::mem::take(&mut self.staged_nonempty[sw][pwi]);
-                        while port_word != 0 {
-                            let port = pwi * 64 + port_word.trailing_zeros() as usize;
-                            port_word &= port_word - 1;
-                            let (queues, staged) = (&mut self.out_q[sw], &mut self.staged[sw]);
-                            for lane in (port * self.vcc)..((port + 1) * self.vcc) {
-                                queues[lane].extend(staged[lane].drain(..));
-                            }
-                            self.mark_out_nonempty(sw, port);
-                        }
-                    }
-                    self.sw_staged_count[sw] = 0;
-                }
-            }
-            self.phase_mark(&mut phase_clock, EnginePhase::StageMerge);
-            let queues_empty = self.nonempty_out_ports == 0;
-
             if all_endpoints_idle
-                && queues_empty
-                && self.stalled.iter().all(Option::is_none)
-                && self.injectors.iter().all(Injector::exhausted)
-                && self.endpoints.iter().all(LinkEndpoint::is_quiescent)
+                && self.active_switches.is_empty()
+                && self.endpoints.iter().all(|node| {
+                    node.stalled.is_none() && node.injector.exhausted() && node.link.is_quiescent()
+                })
             {
-                self.drained = true;
+                self.report.drained = true;
                 return StepOutcome::Drained;
             }
 
@@ -1828,14 +1567,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 // retransmitted ACK/NACK exchange that can no longer
                 // converge), not lost payload: the trial *did* drain the
                 // workload. Report it drained and classify the residual.
-                if self
-                    .downstream_audits
-                    .iter()
-                    .chain(&self.upstream_audits)
-                    .all(DeliveryAuditor::all_delivered)
-                {
-                    self.post_delivery_wedge = true;
-                    self.drained = true;
+                if self.endpoints.iter().all(|node| node.audit.all_delivered()) {
+                    self.report.post_delivery_wedge = true;
+                    self.report.drained = true;
                     return StepOutcome::Drained;
                 }
                 // Classify the wedge: flits stuck in the fabric with no
@@ -1844,11 +1578,12 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 // motion ceases entirely); motion without acceptance is the
                 // documented replay livelock, which keeps flits moving every
                 // few slots right up to the guard.
-                self.deadlock = (self.nonempty_out_ports > 0
-                    || self.stalled.iter().any(Option::is_some))
+                self.report.deadlock = (!self.active_switches.is_empty()
+                    || self.endpoints.iter().any(|node| node.stalled.is_some()))
                     && self.slots - self.last_motion_slot >= self.config.stall_slots.div_ceil(2);
                 return StepOutcome::Stalled;
             }
+            self.phase_mark(&mut phase_clock, EnginePhase::StageMerge);
         }
         StepOutcome::SlotLimit
     }
@@ -1887,22 +1622,22 @@ impl<'a, P: Probe> FabricSim<'a, P> {
 
     /// Like [`Self::finish`], additionally handing back the probe with
     /// everything it recorded over the trial.
-    pub fn finish_with_probe(self) -> (FabricReport, P) {
+    pub fn finish_with_probe(mut self) -> (FabricReport, P) {
         let sim_time_ns = self.now();
         let mut links = LinkStats::default();
-        for ep in &self.endpoints {
-            links.merge(&ep.stats());
+        for node in &self.endpoints {
+            links.merge(&node.link.stats());
         }
         let mut switches = SwitchStats::default();
-        for sw in &self.switches {
-            switches.merge(sw.stats());
+        for node in &self.switches {
+            switches.merge(node.switch.stats());
         }
         let mut downstream = FailureCounts::default();
         let mut upstream = FailureCounts::default();
-        let mut per_session = Vec::with_capacity(self.downstream_audits.len());
-        for (down, up) in self.downstream_audits.into_iter().zip(self.upstream_audits) {
-            let d = down.finalize();
-            let u = up.finalize();
+        let mut per_session = Vec::with_capacity(self.topology.sessions.len());
+        for session in &self.topology.sessions {
+            let d = std::mem::take(&mut self.endpoints[session.device].audit).finalize();
+            let u = std::mem::take(&mut self.endpoints[session.host].audit).finalize();
             downstream.merge(&d);
             upstream.merge(&u);
             let mut both = d;
@@ -1916,19 +1651,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             per_session,
             links,
             switches,
-            undetected_drop_events: self.undetected_drop_events,
-            protocol_flit_drops: self.protocol_flit_drops,
-            payload_drops: self.payload_drops,
-            eligible_payload_drops: self.eligible_payload_drops,
-            replay_leak_events: self.replay_leak_events,
-            credit_stalls: self.credit_stalls,
-            blackholed_flits: self.blackholed_flits,
             slots: self.slots,
             sim_time_ns,
-            drained: self.drained,
-            deadlock: self.deadlock,
-            post_delivery_wedge: self.post_delivery_wedge,
-            first_fail_order_slot: self.first_fail_order_slot,
+            ..self.report
         };
         (report, self.probe)
     }
@@ -1957,24 +1682,24 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// Snapshot of the cumulative counters, for per-epoch deltas.
     pub fn counters(&self) -> FabricCounters {
         let mut failures = FailureCounts::default();
-        for audit in self.downstream_audits.iter().chain(&self.upstream_audits) {
-            failures.merge(audit.counts());
+        for node in &self.endpoints {
+            failures.merge(node.audit.counts());
         }
         FabricCounters {
             slots: self.slots,
             failures,
-            undetected_drop_events: self.undetected_drop_events,
-            replay_leak_events: self.replay_leak_events,
-            payload_drops: self.payload_drops,
-            protocol_flit_drops: self.protocol_flit_drops,
-            blackholed_flits: self.blackholed_flits,
-            credit_stalls: self.credit_stalls,
+            undetected_drop_events: self.report.undetected_drop_events,
+            replay_leak_events: self.report.replay_leak_events,
+            payload_drops: self.report.payload_drops,
+            protocol_flit_drops: self.report.protocol_flit_drops,
+            blackholed_flits: self.report.blackholed_flits,
+            credit_stalls: self.report.credit_stalls,
         }
     }
 
     /// Slot of the first undetected-drop (`Fail_order`) event so far.
     pub fn first_fail_order_slot(&self) -> Option<u64> {
-        self.first_fail_order_slot
+        self.report.first_fail_order_slot
     }
 
     /// Installs a (possibly time-varying) channel on one link, replacing the
@@ -1985,6 +1710,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         let n = self.topology.link_count();
         assert!(link.index() < n, "link out of range");
         let overrides = self
+            .faults
             .link_channels
             .get_or_insert_with(|| (0..n).map(|_| None).collect());
         overrides[link.index()] = Some(channel);
@@ -1997,7 +1723,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
 
     /// Reverts one link to the static `config.channel`.
     pub fn reset_link_channel(&mut self, link: LinkId) {
-        if let Some(overrides) = &mut self.link_channels {
+        if let Some(overrides) = &mut self.faults.link_channels {
             if overrides[link.index()].take().is_some() {
                 self.link_cursors[link.index()].reset();
             }
@@ -2010,10 +1736,10 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// it are blackholed.
     pub fn drain_switch(&mut self, sw: usize) {
         assert!(sw < self.switches.len(), "switch out of range");
-        if self.no_transit[sw] {
+        if self.faults.no_transit[sw] {
             return;
         }
-        self.no_transit[sw] = true;
+        self.faults.no_transit[sw] = true;
         if P::ENABLED {
             self.probe.on_switch_drain(self.slots, sw, false);
         }
@@ -2023,76 +1749,47 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// Restores a drained (not failed) switch to transit eligibility.
     pub fn undrain_switch(&mut self, sw: usize) {
         assert!(sw < self.switches.len(), "switch out of range");
-        if self.dead_switches[sw] || !self.no_transit[sw] {
+        if self.faults.dead_switches[sw] || !self.faults.no_transit[sw] {
             return;
         }
-        self.no_transit[sw] = false;
+        self.faults.no_transit[sw] = false;
         if P::ENABLED {
             self.probe.on_switch_drain(self.slots, sw, true);
         }
         self.rebuild_routing();
     }
 
-    /// Kills switch `sw` outright: every flit queued or staged on it is
-    /// lost, all future ingress is blackholed, and routing is recomputed so
-    /// surviving sessions reroute (destination-based lookups re-resolve at
-    /// every hop, so flits already in flight elsewhere reroute too).
-    /// Endpoints attached to it are orphaned; their traffic blackholes.
+    /// Kills switch `sw` outright: every flit queued on it is lost, all
+    /// future ingress is blackholed, and routing is recomputed so surviving
+    /// sessions reroute (destination-based lookups re-resolve at every hop,
+    /// so flits already in flight elsewhere reroute too). Endpoints attached
+    /// to it are orphaned; their traffic blackholes.
     pub fn fail_switch(&mut self, sw: usize) {
         assert!(sw < self.switches.len(), "switch out of range");
-        if self.dead_switches[sw] {
+        if self.faults.dead_switches[sw] {
             return;
         }
-        self.dead_switches[sw] = true;
-        self.no_transit[sw] = true;
-        let purged_before = self.blackholed_flits;
-        for port in 0..self.topology.switches[sw].ports {
-            let (mut queued, mut staged) = (0usize, 0usize);
-            for vc in 0..self.vcc {
-                let lane = port * self.vcc + vc;
-                for rf in std::mem::take(&mut self.out_q[sw][lane]) {
-                    self.in_flight[rf.dst] -= 1;
-                    queued += 1;
-                }
-                for rf in std::mem::take(&mut self.staged[sw][lane]) {
-                    self.in_flight[rf.dst] -= 1;
-                    staged += 1;
-                }
-            }
-            if queued > 0 {
-                self.blackholed_flits += queued as u64;
-                let (wi, mask) = (port / 64, 1u64 << (port % 64));
-                debug_assert_ne!(self.out_nonempty[sw][wi] & mask, 0);
-                self.out_nonempty[sw][wi] &= !mask;
-                self.nonempty_out_ports -= 1;
-                self.sw_out_count[sw] -= 1;
-            }
-            if staged > 0 {
-                self.blackholed_flits += staged as u64;
-                let (wi, mask) = (port / 64, 1u64 << (port % 64));
-                debug_assert_ne!(self.staged_nonempty[sw][wi] & mask, 0);
-                self.staged_nonempty[sw][wi] &= !mask;
-                self.sw_staged_count[sw] -= 1;
-            }
-            self.credits[sw][port].purge();
-        }
-        debug_assert_eq!(self.sw_out_count[sw], 0);
-        debug_assert_eq!(self.sw_staged_count[sw], 0);
-        self.sw_out_any[sw / 64] &= !(1u64 << (sw % 64));
-        self.sw_staged_any[sw / 64] &= !(1u64 << (sw % 64));
+        self.faults.dead_switches[sw] = true;
+        self.faults.no_transit[sw] = true;
+        let mut purged = 0u64;
+        self.switches[sw].purge(|rf| {
+            self.endpoints[rf.dst].in_flight -= 1;
+            purged += 1;
+        });
+        self.active_switches.remove(sw);
+        self.report.blackholed_flits += purged;
         self.last_motion_slot = self.slots;
         if P::ENABLED {
-            self.probe
-                .on_switch_fail(self.slots, sw, self.blackholed_flits - purged_before);
+            self.probe.on_switch_fail(self.slots, sw, purged);
         }
         self.rebuild_routing();
     }
 
     fn rebuild_routing(&mut self) {
-        self.routing_override = Some(RoutingTable::degraded(
+        self.faults.routing_override = Some(RoutingTable::degraded(
             self.topology,
-            &self.no_transit,
-            &self.dead_switches,
+            &self.faults.no_transit,
+            &self.faults.dead_switches,
         ));
     }
 }
@@ -2547,5 +2244,193 @@ mod tests {
         let mut workload = FabricWorkload::symmetric(t.session_count(), 30, 8, 1);
         workload.upstream.pop();
         FabricSim::new(&t, &routing, FabricConfig::new(ProtocolVariant::Rxl)).begin(&workload);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 5 is claimed by two sessions, 0 and 1")]
+    fn an_endpoint_claimed_by_two_sessions_is_rejected() {
+        let mut t = FabricTopology::leaf_spine(2, 1, 2);
+        t.sessions[1].device = t.sessions[0].device;
+        let routing = RoutingTable::new(&t);
+        let _ = FabricSim::new(&t, &routing, FabricConfig::new(ProtocolVariant::Rxl));
+    }
+
+    #[test]
+    fn an_endpoint_in_no_session_stays_legal_and_silent() {
+        let full = FabricTopology::leaf_spine(2, 1, 2);
+        let mut t = full.clone();
+        let idle = t.sessions.pop().expect("four sessions");
+        let routing = RoutingTable::new(&t);
+        let config =
+            FabricConfig::new(ProtocolVariant::Rxl).with_channel(ChannelErrorModel::ideal());
+        let workload = FabricWorkload::symmetric(t.session_count(), 60, 8, 7);
+        let mut sim = FabricSim::new(&t, &routing, config);
+        sim.begin(&workload);
+        assert_eq!(sim.step(u64::MAX), StepOutcome::Drained);
+        for e in [idle.host, idle.device] {
+            // Idle slots are all an unclaimed endpoint ever "sends".
+            let stats = LinkStats {
+                idle_flits_sent: 0,
+                ..sim.endpoints[e].link.stats()
+            };
+            assert_eq!(stats, LinkStats::default());
+        }
+        let report = sim.finish();
+        assert_eq!(report.per_session.len(), 3);
+        assert!(report.total_failures().is_clean());
+        assert_eq!(report.total_failures().clean_deliveries, 3 * 2 * 60);
+    }
+
+    /// Slot and link of every endpoint-link traversal.
+    #[derive(Default)]
+    struct HopRecorder(Vec<(u64, usize, LinkHop)>);
+
+    impl Probe for HopRecorder {
+        fn on_link_traversal(&mut self, ev: LinkTraversalEvent) {
+            self.0.push((ev.slot, ev.link, ev.hop));
+        }
+    }
+
+    /// The propagation model, pinned directly: a flit delivered `n` slots
+    /// after its injection crossed `n` switches. Leaf 0 → spine 2 → leaf 1
+    /// is the route on which ascending `(switch, port)` order reaches the
+    /// flit's new lane later in the very slot it arrived.
+    #[test]
+    fn a_flit_crosses_exactly_one_switch_per_slot() {
+        for mut t in [
+            FabricTopology::leaf_spine(2, 1, 1),
+            FabricTopology::ring(5, 1, 2),
+            FabricTopology::torus(3, 3, 1),
+            FabricTopology::dragonfly(3, 2, 1),
+        ] {
+            // One session, one message each way: nothing contends for a port.
+            t.sessions.truncate(1);
+            let (host, device) = (t.sessions[0].host, t.sessions[0].device);
+            let routing = RoutingTable::new(&t);
+            let config = FabricConfig::new(ProtocolVariant::Rxl)
+                .with_channel(ChannelErrorModel::ideal())
+                .with_vc_count(2);
+            let mut sim = FabricSim::with_probe(&t, &routing, config, HopRecorder::default());
+            sim.begin(&FabricWorkload::symmetric(1, 1, 8, 7));
+            assert_eq!(sim.step(u64::MAX), StepOutcome::Drained);
+            let switches_between = |src: usize, dst: usize| {
+                let (mut sw, mut crossed) = (t.endpoints[src].switch, 1);
+                while let PortPeer::Trunk { switch, .. } =
+                    sim.switches[sw].peers[routing.egress(sw, dst)]
+                {
+                    (sw, crossed) = (switch, crossed + 1);
+                }
+                assert_eq!(sw, t.endpoints[dst].switch);
+                crossed
+            };
+            let first = |link: usize, hop: LinkHop| {
+                let seen = sim.probe().0.iter().find(|ev| ev.1 == link && ev.2 == hop);
+                seen.expect("the flit traversed this link").0
+            };
+            let mut longest = 0;
+            for (src, dst) in [(host, device), (device, host)] {
+                let crossed = switches_between(src, dst);
+                assert_eq!(
+                    first(dst, LinkHop::Deliver) - first(src, LinkHop::Inject),
+                    crossed,
+                    "{}: {src} → {dst}",
+                    t.name
+                );
+                longest = longest.max(crossed);
+            }
+            assert!(
+                longest >= 2,
+                "{}: the route must leave its first switch",
+                t.name
+            );
+        }
+    }
+
+    impl<P: Probe> FabricSim<'_, P> {
+        /// The conservation invariants that hold between slots: every
+        /// switch's own ([`SwitchNode::check_invariants`]), the active-switch
+        /// set naming exactly the switches with an active port, and every
+        /// endpoint's `in_flight` counting exactly the flits queued for it.
+        fn check_invariants(&self) {
+            let mut bound_for = vec![0u32; self.endpoints.len()];
+            let mut busy = Vec::new();
+            for (sw, node) in self.switches.iter().enumerate() {
+                node.check_invariants(self.slots, &mut bound_for);
+                if !node.active.is_empty() {
+                    busy.push(sw);
+                }
+            }
+            assert_eq!(self.active_switches.members(), busy, "active switches");
+            let in_flight: Vec<u32> = self.endpoints.iter().map(|e| e.in_flight).collect();
+            assert_eq!(in_flight, bound_for, "in-flight counts");
+        }
+
+        /// Steps to the end of the trial one slot at a time, checking the
+        /// invariants after every slot and calling `at_slot` between slots.
+        fn run_checked(&mut self, mut at_slot: impl FnMut(&mut Self)) -> StepOutcome {
+            loop {
+                let outcome = self.step(1);
+                self.check_invariants();
+                if outcome != StepOutcome::Budget {
+                    return outcome;
+                }
+                at_slot(self);
+            }
+        }
+    }
+
+    #[test]
+    fn invariants_hold_after_every_slot() {
+        let noisy = ChannelErrorModel::random(2e-4);
+        let cases = [
+            (FabricTopology::leaf_spine(2, 2, 2), 1, false, None, 16),
+            (FabricTopology::ring(6, 2, 2), 2, false, None, 4),
+            (FabricTopology::torus(3, 3, 2), 3, true, None, 4),
+            (FabricTopology::ring(4, 1, 2), 2, false, Some(0.3), 8),
+            (FabricTopology::dragonfly(3, 2, 1), 3, true, Some(0.6), 2),
+        ];
+        for (t, vcs, adaptive, load, queue_capacity) in cases {
+            let routing = RoutingTable::new(&t);
+            let mut config = FabricConfig {
+                queue_capacity,
+                ..FabricConfig::new(ProtocolVariant::Rxl)
+            }
+            .with_channel(noisy)
+            .with_seed(11)
+            .with_vc_count(vcs)
+            .with_adaptive(adaptive);
+            config.offered_load = load;
+            let workload = FabricWorkload::symmetric(t.session_count(), 150, 8, 3);
+            let mut sim = FabricSim::new(&t, &routing, config);
+            sim.begin(&workload);
+            assert_eq!(sim.run_checked(|_| ()), StepOutcome::Drained, "{}", t.name);
+            let report = sim.finish();
+            assert!(report.total_failures().is_clean(), "{}", t.name);
+            assert!(report.switches.flits_forwarded > 0);
+        }
+    }
+
+    #[test]
+    fn invariants_hold_across_a_switch_failure_and_a_drain() {
+        let t = FabricTopology::leaf_spine(2, 3, 2);
+        let routing = RoutingTable::new(&t);
+        let config = FabricConfig::new(ProtocolVariant::Rxl)
+            .with_channel(ChannelErrorModel::ideal())
+            .with_vc_count(2);
+        let workload = FabricWorkload::symmetric(t.session_count(), 600, 8, 3);
+        let mut sim = FabricSim::new(&t, &routing, config);
+        sim.begin(&workload);
+        let outcome = sim.run_checked(|sim| match sim.slot() {
+            40 => {
+                sim.fail_switch(2);
+                sim.check_invariants();
+            }
+            80 => sim.drain_switch(3),
+            _ => {}
+        });
+        assert_eq!(outcome, StepOutcome::Drained);
+        let report = sim.finish();
+        assert!(report.blackholed_flits > 0, "the failed spine held flits");
+        assert!(report.total_failures().is_clean());
     }
 }

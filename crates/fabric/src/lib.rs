@@ -35,6 +35,7 @@ pub mod crosscheck;
 pub mod engine;
 mod injector;
 pub mod montecarlo;
+mod node;
 pub mod probe;
 pub mod routing;
 pub mod topology;

@@ -146,8 +146,9 @@ pub enum EnginePhase {
     /// Phase 2: switch output-port forwarding — trunk hops *and* endpoint
     /// deliveries (delivery happens inside this phase's port scan).
     SwitchForward = 2,
-    /// Phase 3: staged→visible queue merge (the one-traversal-per-slot
-    /// barrier).
+    /// The slot epilogue: the quiescence check and the stall guard, which no
+    /// other phase accounts for. Named for the queue merge that once ended a
+    /// slot; the perf ledger keys `fabric.phase_stage_merge_share` on the label.
     StageMerge = 3,
 }
 
