@@ -27,11 +27,6 @@ impl ProtocolOverhead {
         self.overhead_bytes as f64 / (self.overhead_bytes + self.payload_bytes) as f64
     }
 
-    /// Bytes of overhead paid per byte of payload.
-    pub fn overhead_per_payload_byte(&self) -> f64 {
-        self.overhead_bytes as f64 / self.payload_bytes as f64
-    }
-
     /// Units (segments / flits) needed to move `bytes` of payload.
     pub fn units_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.payload_bytes as u64)

@@ -8,16 +8,18 @@
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin chaos_sweep --release -- \
-//!     [--json] [--small] [--out DIR]
+//!     [--json] [--out DIR]
 //! ```
 //!
-//! * `--small` shrinks the sweep to a CI-sized smoke run.
-//! * `--json` writes the rows to `BENCH_chaos.json` at the
-//!   repository root (override the directory with `--out DIR`) (schema: see [`rxl_bench::chaos_json`]).
+//! * `--json` writes the rows to `BENCH_chaos.json` at the repository root
+//!   (override the directory with `--out DIR`; schema: see
+//!   [`rxl_bench::chaos_json`]).
+//!   The committed file is what this bin writes: `cargo test -p rxl-bench
+//!   --test artifacts` checks it byte for byte.
 
 fn main() {
-    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out"], 0);
-    let rows = rxl_bench::run_chaos_sweep(cli.small);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 0);
+    let rows = rxl_bench::run_chaos_sweep();
     println!("{}", rxl_bench::chaos_table(&rows));
     if cli.json {
         println!(

@@ -8,25 +8,27 @@
 //!
 //! `--json` additionally writes machine-readable results to
 //! `BENCH_fabric.json` at the repository root (override the directory with
-//! `--out DIR`).
+//! `--out DIR`). The committed file is what this bin writes without
+//! positionals: `cargo test -p rxl-bench --test artifacts` checks it byte
+//! for byte. A positional that is not a number is a usage error.
 
+use rxl_bench::cli::{usage_error, Cli};
+use rxl_bench::fabriccheck::{DEVICES, LEVELS};
 use rxl_core::FabricSimOptions;
 
 fn main() {
-    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 5);
+    let cli = Cli::parse(&["--json", "--out"], 5);
     let number = |idx: usize, default: f64| -> f64 {
-        cli.positional
-            .get(idx)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(default)
+        cli.number(idx, default).unwrap_or_else(|e| usage_error(&e))
     };
-    let devices = number(0, 16_384.0) as u64;
-    let levels = number(1, 2.0) as u32;
+    let defaults = FabricSimOptions::default();
+    let devices = number(0, DEVICES as f64) as u64;
+    let levels = number(1, LEVELS as f64) as u32;
     let opts = FabricSimOptions {
-        ber: number(2, 1e-4),
-        trials: number(3, 8.0) as u64,
-        messages_per_session: number(4, 600.0) as usize,
-        ..FabricSimOptions::default()
+        ber: number(2, defaults.ber),
+        trials: number(3, defaults.trials as f64) as u64,
+        messages_per_session: number(4, defaults.messages_per_session as f64) as usize,
+        ..defaults
     };
 
     let rows = rxl_bench::run_fabric_crosscheck(devices, levels, &opts);

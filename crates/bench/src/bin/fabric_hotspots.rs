@@ -8,17 +8,18 @@
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin fabric_hotspots --release -- \
-//!     [--json] [--small] [--out DIR]
+//!     [--json] [--out DIR]
 //! ```
 //!
-//! * `--small` shrinks the sweep to a CI-sized smoke run.
 //! * `--json` writes link / attribution / heat rows to
 //!   `BENCH_hotspots.json` at the repository root (override the directory
 //!   with `--out DIR`; schema: see [`rxl_bench::hotspots_json`]).
+//!   The committed file is what this bin writes: `cargo test -p rxl-bench
+//!   --test artifacts` checks it byte for byte.
 
 fn main() {
-    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out"], 0);
-    let report = rxl_bench::run_hotspots(cli.small);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 0);
+    let report = rxl_bench::run_hotspots();
     println!("{}", rxl_bench::hotspots_table(&report));
     if cli.json {
         println!(

@@ -9,19 +9,20 @@
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin request_tail --release -- \
-//!     [--json] [--small] [--out DIR] [--spans FILE]
+//!     [--json] [--out DIR] [--spans FILE]
 //! ```
 //!
-//! * `--small` shrinks the ladders to a CI-sized smoke run.
 //! * `--json` writes the rows to `BENCH_requests.json` at the repository
-//!   root (override the directory with `--out DIR`) (schema: see
+//!   root (override the directory with `--out DIR`; schema: see
 //!   [`rxl_bench::requests_json`]).
+//!   The committed file is what this bin writes: `cargo test -p rxl-bench
+//!   --test artifacts` checks it byte for byte.
 //! * `--spans FILE` additionally writes the binding rung's per-shard span
 //!   trace as JSONL (with its dropped-span meta line).
 
 fn main() {
-    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out", "--spans"], 0);
-    let report = rxl_bench::run_requests(cli.small);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out", "--spans"], 0);
+    let report = rxl_bench::run_requests();
     println!("{}", rxl_bench::requests_table(&report));
     println!(
         "span trace: {} spans retained, {} dropped",

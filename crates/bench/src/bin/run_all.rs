@@ -1,10 +1,11 @@
 //! Regenerates every table and figure of the paper's evaluation in one run.
 //! The output of this binary is the basis of EXPERIMENTS.md.
 //!
-//! Pass `--json` to additionally write the fabric cross-check results to
-//! `BENCH_fabric.json` at the repository root (the machine-readable perf
-//! trajectory seed); `--out DIR` redirects the artifact directory.
+//! Every sweep prints its one, committed configuration. Pass `--json` to
+//! additionally write the fabric cross-check results to `BENCH_fabric.json`
+//! at the repository root; `--out DIR` redirects the artifact directory.
 
+use rxl_bench::fabriccheck::{DEVICES, LEVELS};
 use rxl_core::FabricSimOptions;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
     println!("{}", rxl_bench::sim_crosscheck_table(2e-4, 8, 2_000));
 
     let opts = FabricSimOptions::default();
-    let rows = rxl_bench::run_fabric_crosscheck(16_384, 2, &opts);
+    let rows = rxl_bench::run_fabric_crosscheck(DEVICES, LEVELS, &opts);
     println!("{}", rxl_bench::fabric_crosscheck_table(&rows, &opts));
     if cli.json {
         println!(
@@ -36,35 +37,13 @@ fn main() {
         );
     }
 
-    // Fault-injection scenarios, CI-sized. The committed trajectory
-    // (`BENCH_chaos.json`) is produced by the dedicated `chaos_sweep`
-    // binary on the full sweep.
+    // The sweeps behind the other `BENCH_*.json` files; their `--json`
+    // lives on the dedicated bins.
+    println!("{}", rxl_bench::chaos_table(&rxl_bench::run_chaos_sweep()));
     println!(
         "{}",
-        rxl_bench::chaos_table(&rxl_bench::run_chaos_sweep(true))
+        rxl_bench::latency_table(&rxl_bench::run_latency_sweep())
     );
-
-    // Latency vs offered load, CI-sized. The committed trajectory
-    // (`BENCH_latency.json`) is produced by the dedicated `latency_sweep`
-    // binary on the full ladder.
-    println!(
-        "{}",
-        rxl_bench::latency_table(&rxl_bench::run_latency_sweep(true))
-    );
-
-    // Spatial congestion attribution, CI-sized. The committed trajectory
-    // (`BENCH_hotspots.json`) is produced by the dedicated `fabric_hotspots`
-    // binary on the full ladder.
-    println!(
-        "{}",
-        rxl_bench::hotspots_table(&rxl_bench::run_hotspots(true))
-    );
-
-    // Request-scale serving mode, CI-sized. The committed trajectory
-    // (`BENCH_requests.json`) is produced by the dedicated `request_tail`
-    // binary on the full fanout ladder.
-    println!(
-        "{}",
-        rxl_bench::requests_table(&rxl_bench::run_requests(true))
-    );
+    println!("{}", rxl_bench::hotspots_table(&rxl_bench::run_hotspots()));
+    println!("{}", rxl_bench::requests_table(&rxl_bench::run_requests()));
 }

@@ -8,16 +8,18 @@
 //! Usage:
 //! ```text
 //! cargo run -p rxl-bench --bin slo_replay --release -- \
-//!     [--json] [--small] [--out DIR]
+//!     [--json] [--out DIR]
 //! ```
 //!
-//! * `--small` shrinks the replays to a CI-sized smoke run.
 //! * `--json` writes summary + per-window rows to `BENCH_slo.json` at the
-//!   repository root (override the directory with `--out DIR`) (schema: see [`rxl_bench::slo_json`]).
+//!   repository root (override the directory with `--out DIR`; schema: see
+//!   [`rxl_bench::slo_json`]).
+//!   The committed file is what this bin writes: `cargo test -p rxl-bench
+//!   --test artifacts` checks it byte for byte.
 
 fn main() {
-    let cli = rxl_bench::cli::Cli::parse(&["--json", "--small", "--out"], 0);
-    let measurements = rxl_bench::run_slo_replay(cli.small);
+    let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 0);
+    let measurements = rxl_bench::run_slo_replay();
     println!("{}", rxl_bench::slo_table(&measurements));
     if cli.json {
         println!(

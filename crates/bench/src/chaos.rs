@@ -125,21 +125,16 @@ fn row_from_report(
     }
 }
 
-/// Runs the chaos sweep and returns the measured rows. `small` selects the
-/// CI-sized smoke configuration.
-pub fn run_chaos_sweep(small: bool) -> Vec<ChaosRow> {
-    let (messages, trials, storm_start, storm_len, factors): (usize, u64, u64, u64, &[f64]) =
-        if small {
-            (3_000, 2, 120, 180, &[20.0])
-        } else {
-            (12_000, 4, 400, 600, &[10.0, 20.0, 50.0])
-        };
+/// Runs the chaos sweep and returns the measured rows.
+pub fn run_chaos_sweep() -> Vec<ChaosRow> {
+    let (messages, trials, storm_start, storm_len) = (12_000, 4, 400, 600);
+    let factors = [10.0, 20.0, 50.0];
     let base_ber = 1e-5;
     let mut rows = Vec::new();
 
     // Uplink-storm sweep: one spine, so every session crosses the stormed
     // leaf 0 → spine trunk in one of its directions.
-    for &factor in factors {
+    for factor in factors {
         let topology = FabricTopology::leaf_spine(2, 1, 2);
         let sessions = topology.session_count();
         let uplink = topology.trunk_between(0, 2).expect("leaf 0 uplink");
@@ -277,14 +272,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_sweep_runs_and_serialises() {
-        let rows = run_chaos_sweep(true);
-        assert_eq!(rows.len(), 4, "1 storm factor + failover, × 2 variants");
+    fn sweep_runs_and_serialises() {
+        let rows = run_chaos_sweep();
+        assert_eq!(rows.len(), 8, "3 storm factors + failover, × 2 variants");
         for r in &rows {
             assert!(r.trials > 0);
-            assert!(r.availability_mean > 0.0);
+            assert!(r.availability_mean > 0.0 && r.availability_mean <= 1.0);
         }
-        // RXL rows never show Fail_order events.
+        // RXL rows never show Fail_order events, nor any other failure.
         for r in rows.iter().filter(|r| r.variant == "RXL") {
             assert_eq!(
                 (r.before_events, r.during_events, r.after_events),
@@ -292,10 +287,20 @@ mod tests {
                 "{}",
                 r.scenario
             );
+            assert_eq!(r.total_failures, 0, "{}", r.scenario);
         }
+        let storms = rows
+            .iter()
+            .filter(|r| r.scenario.starts_with("uplink_storm"));
+        assert_eq!(storms.count(), 6);
         // The failover scenario keeps delivering after the failure for both
         // protocols.
-        for r in rows.iter().filter(|r| r.scenario == "spine_failover") {
+        let failover: Vec<&ChaosRow> = rows
+            .iter()
+            .filter(|r| r.scenario == "spine_failover")
+            .collect();
+        assert_eq!(failover.len(), 2);
+        for r in failover {
             assert!(r.during_clean_deliveries > 0, "{} rerouted", r.variant);
             assert!(r.blackholed_flits > 0);
         }

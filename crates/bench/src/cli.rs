@@ -2,8 +2,9 @@
 //!
 //! Every artifact-writing bin takes the same few options; each names the
 //! subset it accepts and gets a [`Cli`] back. Anything else — an option the
-//! bin did not list, a missing value, more positionals than it takes — is a
-//! usage error (exit status 2).
+//! bin did not list, a missing value, more positionals than it takes, a
+//! positional that is not the number it should be — is a usage error (exit
+//! status 2).
 
 use std::path::PathBuf;
 
@@ -12,8 +13,6 @@ use std::path::PathBuf;
 pub struct Cli {
     /// `--json`: also write the bin's `BENCH_*.json` artifact.
     pub json: bool,
-    /// `--small`: the CI-sized smoke configuration.
-    pub small: bool,
     /// `--out DIR`: artifact directory (the repository root when `None`).
     pub out: Option<PathBuf>,
     /// `--spans FILE` (`request_tail`): JSONL span-trace destination.
@@ -24,14 +23,28 @@ pub struct Cli {
 
 impl Cli {
     /// Parses the process arguments, accepting only the `options` named
-    /// (from `--json`, `--small`, `--out`, `--spans`) and at most
-    /// `max_positional` positionals. Prints the problem and exits with
-    /// status 2 on a usage error.
+    /// (from `--json`, `--out`, `--spans`) and at most `max_positional`
+    /// positionals. Prints the problem and exits with status 2 on a usage
+    /// error.
     pub fn parse(options: &[&str], max_positional: usize) -> Cli {
-        Cli::parse_from(std::env::args().skip(1), options, max_positional).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        Cli::parse_from(std::env::args().skip(1), options, max_positional)
+            .unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Positional `idx` as a finite, non-negative number, `default` when
+    /// absent. Anything else is an error naming the argument and its
+    /// position — never silently the default.
+    pub fn number(&self, idx: usize, default: f64) -> Result<f64, String> {
+        let Some(arg) = self.positional.get(idx) else {
+            return Ok(default);
+        };
+        match arg.parse::<f64>() {
+            Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+            _ => Err(format!(
+                "argument {} ({arg:?}) is not a non-negative number",
+                idx + 1
+            )),
+        }
     }
 
     fn parse_from(
@@ -52,7 +65,6 @@ impl Cli {
                     return Err(format!("unknown argument: {arg}"));
                 }
                 "--json" => cli.json = true,
-                "--small" => cli.small = true,
                 "--out" => cli.out = Some(path()?),
                 "--spans" => cli.spans = Some(path()?),
                 _ if cli.positional.len() < max_positional => cli.positional.push(arg),
@@ -61,6 +73,12 @@ impl Cli {
         }
         Ok(cli)
     }
+}
+
+/// Prints `message` and exits with the usage-error status.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -73,9 +91,9 @@ mod tests {
 
     #[test]
     fn parses_the_shared_options_and_positionals() {
-        let all = ["--json", "--small", "--out", "--spans"];
+        let all = ["--json", "--out", "--spans"];
         let cli = parse(
-            &["--small", "--out", "d", "7", "--json", "--spans", "s.jsonl"],
+            &["--out", "d", "7", "--json", "--spans", "s.jsonl"],
             &all,
             1,
         )
@@ -84,7 +102,6 @@ mod tests {
             cli,
             Cli {
                 json: true,
-                small: true,
                 out: Some(PathBuf::from("d")),
                 spans: Some(PathBuf::from("s.jsonl")),
                 positional: vec!["7".to_string()],
@@ -97,8 +114,8 @@ mod tests {
     fn rejects_what_the_binary_did_not_list() {
         let opts = ["--json", "--out"];
         assert_eq!(
-            parse(&["--small"], &opts, 0).unwrap_err(),
-            "unknown argument: --small"
+            parse(&["--spans", "s"], &opts, 0).unwrap_err(),
+            "unknown argument: --spans"
         );
         assert_eq!(
             parse(&["--label", "x"], &opts, 0).unwrap_err(),
@@ -112,5 +129,22 @@ mod tests {
             parse(&["--out"], &opts, 0).unwrap_err(),
             "--out requires a value"
         );
+    }
+
+    #[test]
+    fn a_positional_is_a_number_or_a_usage_error_never_the_default() {
+        let cli = parse(&["3", "abc", "1e-4x", "nan", "-1"], &[], 5).expect("valid");
+        assert_eq!(cli.number(0, 9.0), Ok(3.0));
+        assert_eq!(cli.number(5, 1e-4), Ok(1e-4), "absent takes the default");
+        assert_eq!(
+            cli.number(1, 9.0).unwrap_err(),
+            "argument 2 (\"abc\") is not a non-negative number"
+        );
+        assert_eq!(
+            cli.number(2, 9.0).unwrap_err(),
+            "argument 3 (\"1e-4x\") is not a non-negative number"
+        );
+        assert!(cli.number(3, 9.0).is_err(), "NaN would cast to 0");
+        assert!(cli.number(4, 9.0).is_err(), "a negative would cast to 0");
     }
 }

@@ -13,6 +13,13 @@ use rxl_core::{FabricSimEvidence, FabricSimOptions, FabricSpec, ProtocolKind};
 use crate::json::{JsonDocument, JsonRow};
 use crate::{render_table, sci};
 
+/// Devices of the committed `BENCH_fabric.json` fabric (simulated with
+/// `FabricSimOptions::default()`).
+pub const DEVICES: u64 = 16_384;
+
+/// Switching levels of the committed `BENCH_fabric.json` fabric.
+pub const LEVELS: u32 = 2;
+
 /// One protocol's worth of fabric cross-check evidence.
 #[derive(Clone, Debug)]
 pub struct FabricCheckRow {

@@ -8,8 +8,8 @@
 //! axis), and a link × window traversal heatmap. (Where the *simulator's*
 //! wall-clock goes is the perf ledger's business: `benchmark/` reports the
 //! engine self-profiler's phases as `fabric.phase_*`.) The machine-readable
-//! form (`BENCH_hotspots.json`) is schema-checked in CI alongside the other
-//! `BENCH_*.json` trajectories.
+//! form (`BENCH_hotspots.json`) is compared byte for byte with the committed
+//! file by `tests/artifacts.rs`, like the other `BENCH_*.json` trajectories.
 //!
 //! The workload is deliberately asymmetric — [`TrafficMatrix::Incast`] onto
 //! leaf 1 loads only the two leaf-0 hosts, downstream-only — because a
@@ -50,15 +50,11 @@ pub struct HotspotsReport {
 }
 
 /// Runs the spatial-attribution suite (incast onto leaf 1 of the leaf–spine
-/// pod, RXL, ideal channel). `small` selects the CI smoke configuration.
-pub fn run_hotspots(small: bool) -> HotspotsReport {
-    let (loads, messages, trials) = if small {
-        (vec![0.20, 0.80], 300, 1)
-    } else {
-        // Both leaf-0 hosts inject downstream-only, so the uplink crosses
-        // line rate at per-session load 0.5; the ladder brackets that knee.
-        (vec![0.10, 0.20, 0.30, 0.40, 0.60, 0.80], 2_000, 4)
-    };
+/// pod, RXL, ideal channel).
+pub fn run_hotspots() -> HotspotsReport {
+    // Both leaf-0 hosts inject downstream-only, so the uplink crosses line
+    // rate at per-session load 0.5; the ladder brackets that knee.
+    let (loads, messages, trials) = (vec![0.10, 0.20, 0.30, 0.40, 0.60, 0.80], 2_000, 4);
     let topology = FabricTopology::leaf_spine(2, 1, 2);
     let config = FabricConfig {
         // Shallow lanes surface the incast backlog as credit stalls.
@@ -236,13 +232,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_suite_attributes_the_uplink_and_serialises() {
-        let report = run_hotspots(true);
+    fn suite_attributes_the_uplink_and_serialises() {
+        let report = run_hotspots();
         // The heavy rung's top attribution names the leaf-0 uplink (dense
-        // link 8 = first trunk of the 8-endpoint pod).
+        // link 8 = first trunk of the 8-endpoint pod): a stalling trunk,
+        // not just the hottest utilization tie.
         let heavy = report.sweep.rungs.last().expect("ladder is non-empty");
         assert_eq!(heavy.top[0].link, 8, "top link: {:?}", heavy.top);
         assert!(heavy.top[0].stall_slots > 0);
+        assert!(heavy.top[0].description.contains("trunk"));
+        for l in report.sweep.rungs.iter().flat_map(|r| &r.top) {
+            assert!((0.0..=1.0).contains(&l.utilization), "{l:?}");
+        }
+        // One heat count per link in every window of the hot rung.
+        let hot = report
+            .sweep
+            .report
+            .knee
+            .expect("the ladder crosses the knee");
+        let links = report.fabric.link_count();
+        for counts in report.sweep.registries[hot].heatmap() {
+            assert_eq!(counts.len(), links);
+        }
         let table = hotspots_table(&report);
         assert!(table.contains("Congestion attribution"));
         let json = hotspots_json(&report);

@@ -4,8 +4,8 @@
 //! for both protocols and reports one row per ladder point: delivered
 //! throughput, efficiency, and the latency distribution (p50/p90/p99/p99.9/
 //! max, in flit slots). The machine-readable form (`BENCH_latency.json`) is
-//! the repository's latency trajectory, schema-checked in CI alongside the
-//! chaos snapshot.
+//! the repository's latency trajectory, compared byte for byte with the
+//! committed file by `tests/artifacts.rs`.
 
 use rxl_fabric::{FabricConfig, FabricTopology};
 use rxl_link::{ChannelErrorModel, ProtocolVariant};
@@ -58,13 +58,9 @@ pub struct LatencyRow {
 }
 
 /// Runs the latency sweep suite (leaf–spine pod × CXL and RXL) and returns
-/// one row per ladder point. `small` selects the CI smoke configuration.
-pub fn run_latency_sweep(small: bool) -> Vec<LatencyRow> {
-    let (loads, messages, trials) = if small {
-        (vec![0.10, 0.40], 150, 1)
-    } else {
-        (vec![0.05, 0.10, 0.20, 0.30, 0.50, 0.80], 600, 4)
-    };
+/// one row per ladder point.
+pub fn run_latency_sweep() -> Vec<LatencyRow> {
+    let (loads, messages, trials) = (vec![0.05, 0.10, 0.20, 0.30, 0.50, 0.80], 600, 4);
     let topology = FabricTopology::leaf_spine(2, 1, 2);
     let mut rows = Vec::new();
     for variant in [ProtocolVariant::CxlPiggyback, ProtocolVariant::Rxl] {
@@ -193,14 +189,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_suite_runs_and_serialises() {
-        let rows = run_latency_sweep(true);
-        // 2 protocols × 2 ladder points.
-        assert_eq!(rows.len(), 4);
+    fn suite_runs_and_serialises() {
+        let rows = run_latency_sweep();
+        // 2 protocols × 6 ladder points.
+        assert_eq!(rows.len(), 12);
+        for protocol in ["CXL", "RXL"] {
+            assert_eq!(rows.iter().filter(|r| r.protocol == protocol).count(), 6);
+        }
         for r in &rows {
+            assert!(r.offered_load > 0.0 && r.offered_load <= 1.0);
             assert!(r.delivered_messages > 0);
             assert_eq!(r.injected_messages, r.delivered_messages);
-            assert!(r.p50 > 0 && r.p99 >= r.p50 && r.max >= r.p999);
+            assert!(r.p50 > 0);
+            assert!(r.p50 <= r.p90 && r.p90 <= r.p99 && r.p99 <= r.p999 && r.p999 <= r.max);
             assert!(r.efficiency > 0.0);
         }
         let table = latency_table(&rows);

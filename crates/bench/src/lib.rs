@@ -36,10 +36,12 @@
 //! `fabric_hotspots --json` writes `BENCH_hotspots.json`;
 //! `request_tail --json` writes `BENCH_requests.json`.
 //! Artifacts land at the repository root regardless of the invoking working
-//! directory; every bin takes `--out DIR` to redirect them, and the sweeps
-//! take `--small` for their CI-sized configuration ([`cli`] is the one
-//! parser they share). Host-speed numbers are not produced here: the perf
-//! ledger under `benchmark/` (declared by `BENCHMARK.json`) owns those.
+//! directory; every bin takes `--out DIR` to redirect them ([`cli`] is the
+//! one parser they share). Each sweep has one configuration, and the
+//! committed file is what the bin writes: `cargo test -p rxl-bench --test
+//! artifacts` checks all six byte for byte. Host-speed numbers are not
+//! produced here: the perf ledger under `benchmark/` (declared by
+//! `BENCHMARK.json`) owns those.
 
 pub mod chaos;
 pub mod cli;

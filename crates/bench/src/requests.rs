@@ -15,8 +15,8 @@
 //!   binding bottleneck link (the leaf-0 → spine uplink), joining the
 //!   request-scale view to the spatial bottleneck ranking.
 //!
-//! The machine-readable form (`BENCH_requests.json`) is schema-checked in
-//! CI alongside the other `BENCH_*.json` trajectories; the per-shard span
+//! The machine-readable form (`BENCH_requests.json`) is compared byte for
+//! byte with the committed file by `tests/artifacts.rs`; the per-shard span
 //! trace of the binding rung exports as JSONL with its dropped-span
 //! counters surfaced (bounded rings truncate, and the export must say so).
 
@@ -85,26 +85,19 @@ fn pod_config(variant: ProtocolVariant, seed: u64) -> FabricConfig {
     }
 }
 
-/// Runs the request-tail suite. `small` selects the CI smoke configuration.
-pub fn run_requests(small: bool) -> RequestsReport {
-    let (fanouts, ladder_loads, trials, measure_slots) = if small {
-        (vec![1, 4], vec![0.05, 0.50], 1, 1_500)
-    } else {
-        // The incast pod's two leaf-0 streams cross uplink line rate at
-        // per-session load 0.5; the ladder brackets that crossing.
-        (
-            vec![1, 2, 4, 8],
-            vec![0.05, 0.10, 0.20, 0.30, 0.40, 0.60],
-            2,
-            4_000,
-        )
-    };
+/// Runs the request-tail suite.
+pub fn run_requests() -> RequestsReport {
+    let fanouts = [1, 2, 4, 8];
+    // The incast pod's two leaf-0 streams cross uplink line rate at
+    // per-session load 0.5; the ladder brackets that crossing.
+    let ladder_loads = vec![0.05, 0.10, 0.20, 0.30, 0.40, 0.60];
+    let (trials, measure_slots) = (2, 4_000);
     let topology = FabricTopology::leaf_spine(2, 1, 2);
 
     let mut fanout_rows = Vec::new();
     for variant in [ProtocolVariant::CxlPiggyback, ProtocolVariant::Rxl] {
         let mut base_p99 = None;
-        for &k in &fanouts {
+        for k in fanouts {
             let report = RequestSweep::new(
                 topology.clone(),
                 // Same seed at every fanout: the generator's shared arrival
@@ -374,33 +367,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_suite_amplifies_the_tail_and_names_the_uplink() {
-        let report = run_requests(true);
-        // Fanout 4 amplifies the request p99 over fanout 1 for both
-        // protocols at the same per-message load.
+    fn suite_amplifies_the_tail_and_names_the_uplink() {
+        let report = run_requests();
+        assert_eq!(report.ladder.fanout, 2);
+        // The request p99 is monotone in fanout, and fanout 8 amplifies it
+        // over fanout 1, for both protocols at the same per-message load.
         for proto in ["CXL", "RXL"] {
             let rows: Vec<&FanoutRow> = report
                 .fanout_rows
                 .iter()
                 .filter(|r| r.protocol == proto)
                 .collect();
+            assert_eq!(rows.len(), 4, "{proto}");
             assert!(
                 rows.windows(2)
                     .all(|w| { w[1].point.steady.stats.p99 >= w[0].point.steady.stats.p99 }),
                 "{proto} p99 not monotone in fanout"
             );
             assert!(
-                rows.last().unwrap().amplification >= 1.0,
+                rows.last().unwrap().amplification > 1.0,
                 "{proto} tail not amplified"
             );
         }
         // The binding constraint is the leaf-0 uplink (dense link 8).
         let binding = report.operating.binding_link.as_ref().expect("binding");
         assert_eq!(binding.link, 8, "binding link: {}", binding.description);
+        assert!(binding.description.contains("trunk"));
         assert!(report.operating.summary.contains("binding constraint"));
         // Exports carry the request families and the truncation counters.
         assert!(report.prometheus.contains("rxl_request_latency_p99"));
-        assert!(report.trace_jsonl.contains("\"dropped_spans\""));
+        // The span trace closes with exactly one meta line that counts the
+        // retained spans and both truncation counters, and every span's
+        // latency is its deliver slot minus its inject slot.
+        let field = |line: &str, key: &str| -> u64 {
+            let rest = line.split(&format!("\"{key}\":")).nth(1).expect(key);
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+            digits.unwrap().parse().expect(key)
+        };
+        let kind = |k: &'static str| {
+            let tag = format!("\"type\":\"{k}\"");
+            report.trace_jsonl.lines().filter(move |l| l.contains(&tag))
+        };
+        let meta: Vec<&str> = kind("meta").collect();
+        assert_eq!(meta.len(), 1);
+        assert_eq!(report.trace_jsonl.lines().last(), Some(meta[0]));
+        assert!(report.trace_spans > 0);
+        assert_eq!(field(meta[0], "spans"), report.trace_spans as u64);
+        assert_eq!(field(meta[0], "dropped_spans"), report.dropped_spans);
+        assert!(meta[0].contains("\"dropped_instants\""));
+        assert_eq!(kind("span").count(), report.trace_spans);
+        for span in kind("span") {
+            assert_eq!(
+                field(span, "latency"),
+                field(span, "deliver_slot") - field(span, "inject_slot"),
+                "{span}"
+            );
+        }
         let table = requests_table(&report);
         assert!(table.contains("Request tail amplification"));
         assert!(table.contains("operating point:"));

@@ -53,14 +53,9 @@ pub struct SloMeasurement {
 }
 
 /// Runs both incident replays for both protocols and returns the scored
-/// measurements. `small` selects the CI-sized smoke configuration.
-pub fn run_slo_replay(small: bool) -> Vec<SloMeasurement> {
-    let (messages, trials, fault_at, storm_len, window_slots): (usize, u64, u64, u64, u64) =
-        if small {
-            (800, 1, 150, 150, 100)
-        } else {
-            (12_000, 4, 2_000, 2_000, 500)
-        };
+/// measurements.
+pub fn run_slo_replay() -> Vec<SloMeasurement> {
+    let (messages, trials, fault_at, storm_len, window_slots) = (12_000, 4, 2_000, 2_000, 500);
     // 10% of line rate: each stream's arrivals spread over
     // `messages / (0.10 × MESSAGES_PER_FLIT)` slots, so the fault interval
     // sits mid-run with settled windows before it and a visible recovery
@@ -281,9 +276,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_replay_runs_and_serialises() {
-        let ms = run_slo_replay(true);
+    fn replay_runs_and_serialises() {
+        let ms = run_slo_replay();
         assert_eq!(ms.len(), 4, "storm + failover, × 2 variants");
+        assert!(ms[0].scenario.starts_with("uplink_storm"));
+        assert_eq!(ms[3].scenario, "spine_failover");
         for m in &ms {
             assert!(
                 m.report.stats.len() > 1,
@@ -292,7 +289,11 @@ mod tests {
             );
             assert_eq!(m.report.stats.len(), m.report.burn.len());
             let score = m.report.score.as_ref().expect("both scenarios have events");
-            assert_eq!(score.incident_start, 150);
+            assert_eq!(score.incident_start, 2_000);
+            for (w, b) in m.report.stats.iter().zip(&m.report.burn) {
+                assert!((0.0..=1.0).contains(&w.availability), "{}", m.scenario);
+                assert!(b.burn >= 0.0, "{}", m.scenario);
+            }
             // Paced injection puts arrivals in more than the first window.
             let windows_with_arrivals = m.report.stats.iter().filter(|w| w.injected > 0).count();
             assert!(windows_with_arrivals > 1, "{}", m.scenario);

@@ -1,7 +1,7 @@
 //! Time-varying channel models.
 //!
 //! The paper's channel model (PAPER.md §2.2) assumes independent bit errors
-//! at one stationary BER. Real fabrics break that assumption in three
+//! at one stationary BER. Real fabrics break that assumption in two
 //! characteristic ways, each modelled here as an implementation of the
 //! [`Channel`] trait from `rxl-link`:
 //!
@@ -10,11 +10,9 @@
 //!   the classic model for correlated link-quality excursions;
 //! * [`BerSchedule`] — a piecewise-stationary BER: the channel switches
 //!   between static operating points at configured simulation times
-//!   (degradation ramps, maintenance windows);
-//! * [`FlapChannel`] — a link that periodically goes *down* (every flit
-//!   garbled beyond FEC correction, i.e. lost) and comes back up.
+//!   (degradation ramps, maintenance windows).
 //!
-//! All three follow the RNG-draw-order rules documented on [`Channel`]:
+//! Both follow the RNG-draw-order rules documented on [`Channel`]:
 //! randomness only from the passed RNG, draw counts a deterministic function
 //! of channel state and inputs, and **no draws for deterministic decisions**
 //! — a Gilbert–Elliott channel pinned to its good state by zero transition
@@ -22,14 +20,14 @@
 //! the static model it degenerates to (none, when ideal), which keeps it
 //! bit-identical to [`ChannelErrorModel::ideal`].
 //!
-//! All three also implement the event-jump half of the trait
+//! Both also implement the event-jump half of the trait
 //! ([`Channel::next_error_slot`] / [`Channel::corrupt_at_event`]):
 //! Gilbert–Elliott samples geometric state-dwell lengths and walks dwell
-//! segments until one contains an error event, while the piecewise channels
-//! (schedule, flap) sample a geometric jump under the currently active
-//! model and expire the prediction at their next time boundary — discarding
-//! an unexpired jump at a boundary is distribution-exact because the
-//! per-traversal error process is memoryless.
+//! segments until one contains an error event, while the schedule samples
+//! a geometric jump under the currently active model and expires the
+//! prediction at its next time boundary — discarding an unexpired jump at a
+//! boundary is distribution-exact because the per-traversal error process
+//! is memoryless.
 
 use rand::{Rng, RngCore};
 use rxl_link::{geometric_failures, Channel, ChannelErrorModel, ErrorPrediction};
@@ -375,104 +373,6 @@ impl Channel for BerSchedule {
     }
 }
 
-/// A flapping link: deterministically alternates between an *up* channel and
-/// a *down* window at the start of every period. The default down model
-/// garbles roughly a quarter of all bits, far beyond the interleaved FEC's
-/// correction power, so every flit crossing a down window is dropped at the
-/// next switch — the discrete-event analogue of a link that lost lock.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FlapChannel {
-    /// Channel while the link is up.
-    pub up: ChannelErrorModel,
-    /// Channel while the link is down.
-    pub down: ChannelErrorModel,
-    /// Flap period in simulation nanoseconds.
-    pub period_ns: f64,
-    /// Fraction of each period (from the period's start) spent down.
-    pub down_fraction: f64,
-    /// Phase offset: the first period starts at this simulation time.
-    pub phase_ns: f64,
-}
-
-impl FlapChannel {
-    /// A loss-flap over `up`: down windows garble everything.
-    pub fn loss(up: ChannelErrorModel, period_ns: f64, down_fraction: f64) -> Self {
-        assert!(period_ns > 0.0, "flap period must be positive");
-        assert!(
-            (0.0..=1.0).contains(&down_fraction),
-            "down fraction must be in [0, 1]"
-        );
-        FlapChannel {
-            up,
-            down: ChannelErrorModel::random(0.25),
-            period_ns,
-            down_fraction,
-            phase_ns: 0.0,
-        }
-    }
-
-    /// `true` if the link is down at `now_ns`.
-    pub fn is_down(&self, now_ns: f64) -> bool {
-        let t = (now_ns - self.phase_ns).rem_euclid(self.period_ns);
-        t < self.down_fraction * self.period_ns
-    }
-
-    /// Returns the flap with the *up* channel scaled by `factor` (storms do
-    /// not make a down link any more down).
-    pub fn scaled(&self, factor: f64) -> Self {
-        FlapChannel {
-            up: self.up.scaled(factor),
-            ..*self
-        }
-    }
-}
-
-impl Channel for FlapChannel {
-    fn corrupt(&mut self, data: &mut [u8], now_ns: f64, rng: &mut dyn RngCore) -> usize {
-        let model = if self.is_down(now_ns) {
-            self.down
-        } else {
-            self.up
-        };
-        model.apply(data, rng)
-    }
-
-    fn next_error_slot(
-        &mut self,
-        now_slot: u64,
-        now_ns: f64,
-        bits: u64,
-        rng: &mut dyn RngCore,
-    ) -> ErrorPrediction {
-        let t = (now_ns - self.phase_ns).rem_euclid(self.period_ns);
-        let down_end = self.down_fraction * self.period_ns;
-        // Cap the prediction at the next up/down edge; `rem_euclid` keeps
-        // `t` in [0, period), so both remaining-window spans are positive.
-        let (model, expires_ns) = if t < down_end {
-            (self.down, now_ns + (down_end - t))
-        } else {
-            (self.up, now_ns + (self.period_ns - t))
-        };
-        let p_flit = model.unit_error_probability(bits as usize);
-        if p_flit <= 0.0 {
-            return ErrorPrediction::until(u64::MAX, expires_ns);
-        }
-        ErrorPrediction::until(
-            now_slot.saturating_add(geometric_failures(p_flit, rng)),
-            expires_ns,
-        )
-    }
-
-    fn corrupt_at_event(&mut self, data: &mut [u8], now_ns: f64, rng: &mut dyn RngCore) -> usize {
-        let model = if self.is_down(now_ns) {
-            self.down
-        } else {
-            self.up
-        };
-        model.apply_conditioned(data, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,39 +527,5 @@ mod tests {
             noisy_traversals > 95,
             "noisy window barely fired: {noisy_traversals}/100"
         );
-    }
-
-    #[test]
-    fn flap_skip_ahead_matches_down_windows() {
-        let flap = FlapChannel::loss(ChannelErrorModel::ideal(), 100.0, 0.25);
-        let mut ch = flap;
-        let mut cursor = rxl_link::EventCursor::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        for slot in 0..500u64 {
-            let now_ns = slot as f64;
-            let mut data = [0u8; 64];
-            let flips = cursor.advance(&mut ch, &mut data, now_ns, &mut rng);
-            if flap.is_down(now_ns) {
-                assert!(flips > 50, "down window must garble at {now_ns}: {flips}");
-            } else {
-                assert_eq!(flips, 0, "up window corrupted at {now_ns}");
-            }
-        }
-    }
-
-    #[test]
-    fn flap_windows_are_deterministic() {
-        let flap = FlapChannel::loss(ChannelErrorModel::ideal(), 100.0, 0.25);
-        assert!(flap.is_down(0.0));
-        assert!(flap.is_down(24.9));
-        assert!(!flap.is_down(25.0));
-        assert!(!flap.is_down(99.9));
-        assert!(flap.is_down(100.0));
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut ch = flap;
-        let mut data = [0u8; 64];
-        assert!(ch.corrupt(&mut data, 10.0, &mut rng) > 50, "down garbles");
-        let mut data = [0u8; 64];
-        assert_eq!(ch.corrupt(&mut data, 60.0, &mut rng), 0, "up is ideal");
     }
 }

@@ -9,11 +9,11 @@
 //! independent-bit-error assumption breaks down.
 //!
 //! * [`channels`] — time-varying per-link channel models behind the
-//!   `rxl_link::Channel` trait: a Gilbert–Elliott two-state bursty channel,
-//!   a piecewise BER schedule, and a deterministic link flap;
+//!   `rxl_link::Channel` trait: a Gilbert–Elliott two-state bursty channel
+//!   and a piecewise BER schedule;
 //! * [`scenario`] — deterministic, seed-reproducible timelines of epochal
-//!   events (`BerStorm`, `LinkDegrade`, `LinkFlap`, `SwitchDrain`,
-//!   `SwitchFail`) applied to named links and switches of a
+//!   events (`BerStorm`, `LinkDegrade`, `SwitchDrain`, `SwitchFail`)
+//!   applied to named links and switches of a
 //!   `FabricTopology`;
 //! * [`runner`] — executes a scenario against one `FabricSim` trial,
 //!   pausing at epoch boundaries to mutate channels and rout­ing, and
@@ -47,7 +47,7 @@ pub mod montecarlo;
 pub mod runner;
 pub mod scenario;
 
-pub use channels::{BerSchedule, FlapChannel, GeState, GilbertElliott};
+pub use channels::{BerSchedule, GeState, GilbertElliott};
 pub use montecarlo::{ChaosMonteCarlo, ChaosMonteCarloReport, EpochAggregate};
 pub use runner::{run_scenario, run_scenario_probed, ChaosReport, EpochReport};
 pub use scenario::{ChannelSpec, ChaosEvent, Scenario, TimedEvent};

@@ -132,7 +132,7 @@ pub fn run_scenario_probed<P: Probe>(
             }
         }
         for (slot, &link) in installed.iter_mut().zip(&targeted) {
-            let spec = scenario.effective_channel(link, start, config.channel, flit_time_ns);
+            let spec = scenario.effective_channel(link, start, config.channel);
             if spec != *slot {
                 match &spec {
                     Some(s) => sim.set_link_channel(link, s.instantiate(flit_time_ns)),

@@ -10,7 +10,7 @@
 //! The timeline is compiled into **epochs**: the sorted set of slot
 //! boundaries at which any event starts or expires. At each boundary the
 //! scenario runner recomputes the effective channel of every targeted link
-//! from scratch (degrade base → storm scaling → flap wrap), applies switch
+//! from scratch (degrade base → storm scaling), applies switch
 //! drains/failures, and resumes the simulation until the next boundary —
 //! which is where the per-epoch failure counts of the chaos reports come
 //! from.
@@ -18,7 +18,7 @@
 use rxl_fabric::{FabricTopology, LinkId};
 use rxl_link::{Channel, ChannelErrorModel};
 
-use crate::channels::{BerSchedule, FlapChannel, GilbertElliott};
+use crate::channels::{BerSchedule, GilbertElliott};
 
 /// A cloneable description of a channel, instantiated into a fresh
 /// [`Channel`] trait object per trial (stateful channels like
@@ -37,8 +37,6 @@ pub enum ChannelSpec {
     /// converted to simulation nanoseconds by [`Self::instantiate`];
     /// a raw `BerSchedule` used directly as a `Channel` is in nanoseconds.
     Schedule(BerSchedule),
-    /// A deterministic up/down flap.
-    Flap(FlapChannel),
 }
 
 impl ChannelSpec {
@@ -50,7 +48,6 @@ impl ChannelSpec {
             ChannelSpec::Static(m) => Box::new(*m),
             ChannelSpec::GilbertElliott(ge) => Box::new(*ge),
             ChannelSpec::Schedule(s) => Box::new(s.with_time_scale(flit_time_ns)),
-            ChannelSpec::Flap(f) => Box::new(*f),
         }
     }
 
@@ -62,20 +59,6 @@ impl ChannelSpec {
             ChannelSpec::Static(m) => ChannelSpec::Static(m.scaled(factor)),
             ChannelSpec::GilbertElliott(ge) => ChannelSpec::GilbertElliott(ge.scaled(factor)),
             ChannelSpec::Schedule(s) => ChannelSpec::Schedule(s.scaled(factor)),
-            ChannelSpec::Flap(f) => ChannelSpec::Flap(f.scaled(factor)),
-        }
-    }
-
-    /// The static projection of this spec: the stationary model a flap's
-    /// *up* phase runs when a flap is layered over it. Non-static bases have
-    /// no single stationary model, so they project onto their dominant
-    /// component (the good state / the first segment / the up model).
-    fn static_projection(&self) -> ChannelErrorModel {
-        match self {
-            ChannelSpec::Static(m) => *m,
-            ChannelSpec::GilbertElliott(ge) => ge.good,
-            ChannelSpec::Schedule(s) => *s.model_at(f64::NEG_INFINITY),
-            ChannelSpec::Flap(f) => f.up,
         }
     }
 }
@@ -101,17 +84,6 @@ pub enum ChaosEvent {
         /// Their new channel.
         channel: ChannelSpec,
     },
-    /// Flaps `links` up and down for `duration` slots.
-    LinkFlap {
-        /// Links that flap.
-        links: Vec<LinkId>,
-        /// Flap period in slots.
-        period_slots: u64,
-        /// Fraction of each period spent down.
-        down_fraction: f64,
-        /// Flap length in slots.
-        duration: u64,
-    },
     /// Gracefully drains a switch: recomputed routes avoid it as a transit
     /// hop while its endpoints stay reachable and its queues keep
     /// forwarding.
@@ -132,9 +104,7 @@ impl ChaosEvent {
     /// permanent).
     fn duration(&self) -> Option<u64> {
         match self {
-            ChaosEvent::BerStorm { duration, .. } | ChaosEvent::LinkFlap { duration, .. } => {
-                Some(*duration)
-            }
+            ChaosEvent::BerStorm { duration, .. } => Some(*duration),
             _ => None,
         }
     }
@@ -153,15 +123,6 @@ impl ChaosEvent {
             ChaosEvent::LinkDegrade { links, .. } => {
                 format!("degrade {}", describe_links(topology, links))
             }
-            ChaosEvent::LinkFlap {
-                links,
-                period_slots,
-                down_fraction,
-                duration,
-            } => format!(
-                "flap (period {period_slots}, down {down_fraction}) for {duration} slots on {}",
-                describe_links(topology, links)
-            ),
             ChaosEvent::SwitchDrain { switch } => format!("drain switch {switch}"),
             ChaosEvent::SwitchFail { switch } => format!("fail switch {switch}"),
         }
@@ -227,27 +188,6 @@ impl Scenario {
         self.push(at, ChaosEvent::LinkDegrade { links, channel })
     }
 
-    /// Flaps `links` for `duration` slots from slot `at`.
-    pub fn link_flap(
-        self,
-        at: u64,
-        duration: u64,
-        links: Vec<LinkId>,
-        period_slots: u64,
-        down_fraction: f64,
-    ) -> Self {
-        assert!(duration > 0 && period_slots > 0);
-        self.push(
-            at,
-            ChaosEvent::LinkFlap {
-                links,
-                period_slots,
-                down_fraction,
-                duration,
-            },
-        )
-    }
-
     /// Drains `switch` at slot `at`.
     pub fn switch_drain(self, at: u64, switch: usize) -> Self {
         self.push(at, ChaosEvent::SwitchDrain { switch })
@@ -285,9 +225,9 @@ impl Scenario {
             .events
             .iter()
             .flat_map(|te| match &te.event {
-                ChaosEvent::BerStorm { links, .. }
-                | ChaosEvent::LinkDegrade { links, .. }
-                | ChaosEvent::LinkFlap { links, .. } => links.clone(),
+                ChaosEvent::BerStorm { links, .. } | ChaosEvent::LinkDegrade { links, .. } => {
+                    links.clone()
+                }
                 _ => Vec::new(),
             })
             .collect();
@@ -299,20 +239,16 @@ impl Scenario {
     /// The effective channel of `link` at slot `at_slot`, or `None` when the
     /// link is back on the fabric's static configuration. Composition order:
     /// the latest active [`ChaosEvent::LinkDegrade`] forms the base (default
-    /// `static_channel`), active storms scale it multiplicatively, and an
-    /// active flap wraps its static projection. `flit_time_ns` converts
-    /// slot-denominated parameters into simulation time.
+    /// `static_channel`) and active storms scale it multiplicatively.
     pub fn effective_channel(
         &self,
         link: LinkId,
         at_slot: u64,
         static_channel: ChannelErrorModel,
-        flit_time_ns: f64,
     ) -> Option<ChannelSpec> {
         let mut base: Option<ChannelSpec> = None;
         let mut base_at: Option<u64> = None;
         let mut storm_factor = 1.0f64;
-        let mut flap: Option<(u64, u64, f64)> = None; // (start, period, down)
         for te in &self.events {
             if te.at_slot > at_slot {
                 continue;
@@ -335,31 +271,15 @@ impl Scenario {
                 } if links.contains(&link) && active(*duration) => {
                     storm_factor *= factor;
                 }
-                ChaosEvent::LinkFlap {
-                    links,
-                    period_slots,
-                    down_fraction,
-                    duration,
-                } if links.contains(&link) && active(*duration) => {
-                    flap = Some((te.at_slot, *period_slots, *down_fraction));
-                }
                 _ => {}
             }
         }
-        if base.is_none() && storm_factor == 1.0 && flap.is_none() {
+        if base.is_none() && storm_factor == 1.0 {
             return None;
         }
         let mut spec = base.unwrap_or(ChannelSpec::Static(static_channel));
         if storm_factor != 1.0 {
             spec = spec.scaled(storm_factor);
-        }
-        if let Some((start, period, down)) = flap {
-            let mut f =
-                FlapChannel::loss(spec.static_projection(), period as f64 * flit_time_ns, down);
-            // Slot s runs at simulation time (s + 1) · flit_time, so the
-            // first down window opens exactly when the flap starts.
-            f.phase_ns = (start + 1) as f64 * flit_time_ns;
-            spec = ChannelSpec::Flap(f);
         }
         Some(spec)
     }
@@ -434,25 +354,25 @@ mod tests {
             )
             .ber_storm(100, 100, vec![uplink], 10.0);
         // Untouched before anything fires.
-        assert!(s.effective_channel(uplink, 0, base, 2.0).is_none());
+        assert!(s.effective_channel(uplink, 0, base).is_none());
         // Degrade only.
-        match s.effective_channel(uplink, 60, base, 2.0) {
+        match s.effective_channel(uplink, 60, base) {
             Some(ChannelSpec::Static(m)) => assert!((m.ber - 1e-5).abs() < 1e-18),
             other => panic!("expected static degrade, got {other:?}"),
         }
         // Degrade × storm.
-        match s.effective_channel(uplink, 150, base, 2.0) {
+        match s.effective_channel(uplink, 150, base) {
             Some(ChannelSpec::Static(m)) => assert!((m.ber - 1e-4).abs() < 1e-17),
             other => panic!("expected scaled degrade, got {other:?}"),
         }
         // Storm expired at 200: back to the degrade alone.
-        match s.effective_channel(uplink, 200, base, 2.0) {
+        match s.effective_channel(uplink, 200, base) {
             Some(ChannelSpec::Static(m)) => assert!((m.ber - 1e-5).abs() < 1e-18),
             other => panic!("expected static degrade, got {other:?}"),
         }
         // Other links untouched throughout.
         let other = t.trunk_between(1, 3).unwrap();
-        assert!(s.effective_channel(other, 150, base, 2.0).is_none());
+        assert!(s.effective_channel(other, 150, base).is_none());
     }
 
     #[test]
@@ -461,11 +381,11 @@ mod tests {
         let uplink = t.trunk_between(0, 2).unwrap();
         let base = ChannelErrorModel::random(2e-5);
         let s = Scenario::named("storm").ber_storm(10, 20, vec![uplink], 50.0);
-        match s.effective_channel(uplink, 10, base, 2.0) {
+        match s.effective_channel(uplink, 10, base) {
             Some(ChannelSpec::Static(m)) => assert!((m.ber - 1e-3).abs() < 1e-15),
             other => panic!("expected scaled static, got {other:?}"),
         }
-        assert!(s.effective_channel(uplink, 30, base, 2.0).is_none());
+        assert!(s.effective_channel(uplink, 30, base).is_none());
     }
 
     #[test]
@@ -480,16 +400,13 @@ mod tests {
         let s = Scenario::named("ooo")
             .link_degrade(500, vec![uplink], late.clone())
             .link_degrade(100, vec![uplink], early.clone());
-        assert_eq!(s.effective_channel(uplink, 200, base, 2.0), Some(early));
-        assert_eq!(
-            s.effective_channel(uplink, 600, base, 2.0),
-            Some(late.clone())
-        );
+        assert_eq!(s.effective_channel(uplink, 200, base), Some(early));
+        assert_eq!(s.effective_channel(uplink, 600, base), Some(late.clone()));
         // Simultaneous degrades resolve to the later insertion.
         let s2 = Scenario::named("tie")
             .link_degrade(100, vec![uplink], ChannelSpec::Static(base))
             .link_degrade(100, vec![uplink], late.clone());
-        assert_eq!(s2.effective_channel(uplink, 100, base, 2.0), Some(late));
+        assert_eq!(s2.effective_channel(uplink, 100, base), Some(late));
     }
 
     #[test]

@@ -159,9 +159,8 @@ impl FabricSpec {
 
     /// Instantiates the canonical accelerated-BER ring fabric this spec's
     /// simulation evidence runs on: the topology, protocol variant and trial
-    /// configuration shared by [`Self::simulate`] and the chaos bridge
-    /// (`Self::simulate_storm`).
-    pub(crate) fn instantiate(
+    /// configuration of [`Self::simulate`].
+    fn instantiate(
         &self,
         opts: &FabricSimOptions,
     ) -> (FabricTopology, ProtocolVariant, FabricConfig) {

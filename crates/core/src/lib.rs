@@ -16,12 +16,6 @@
 //!   training job see an interconnect-induced failure?), and
 //!   [`FabricSpec::simulate`]: backing that projection with `rxl-fabric`
 //!   discrete-event simulation evidence at an accelerated BER.
-//! * [`chaos`] — [`FabricSpec::simulate_storm`]: stressing the same fabric
-//!   with `rxl-chaos` fault injection (a BER storm on one uplink) and
-//!   reporting per-epoch failure counts plus availability.
-//! * [`load`] — [`FabricSpec::simulate_load`]: pacing open-loop traffic
-//!   into the same fabric across an offered-load ladder (`rxl-load`) and
-//!   reporting latency-vs-load curves with a detected saturation knee.
 //!
 //! The lower layers remain available as independent crates (`rxl-crc`,
 //! `rxl-fec`, `rxl-flit`, `rxl-link`, `rxl-switch`, `rxl-sim`) for users who
@@ -53,14 +47,10 @@
 //! assert!(receiver.receive(&wire_b).is_ok());
 //! ```
 
-pub mod chaos;
 pub mod config;
 pub mod fabric;
-pub mod load;
 pub mod stack;
 
-pub use chaos::{ChaosEvidence, StormSpec};
 pub use config::{ProtocolKind, StackConfig};
 pub use fabric::{FabricReliability, FabricSimEvidence, FabricSimOptions, FabricSpec};
-pub use load::{LoadEvidence, LoadSweepSpec, RequestEvidence, RequestSweepSpec};
 pub use stack::{CxlStack, ReceiveError, RxlStack};

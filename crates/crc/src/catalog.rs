@@ -52,8 +52,7 @@ pub const CRC32_ISO_HDLC: CrcSpec = CrcSpec::new(
     0xFFFF_FFFF,
 );
 
-/// CRC-16/CCITT-FALSE (used by the 68-byte flit format in this reproduction).
-/// Check value: `0x29B1`.
+/// CRC-16/CCITT-FALSE. Check value: `0x29B1`.
 pub const CRC16_CCITT_FALSE: CrcSpec =
     CrcSpec::new("CRC-16/CCITT-FALSE", 16, 0x1021, 0xFFFF, false, false, 0);
 
@@ -76,7 +75,7 @@ pub static CRC64_XZ_ENGINE: TableCrc = TableCrc::new(CRC64_XZ);
 pub static CRC64_ECMA_182_ENGINE: TableCrc = TableCrc::new(CRC64_ECMA_182);
 /// Compile-time CRC-32/ISO-HDLC engine.
 pub static CRC32_ISO_HDLC_ENGINE: TableCrc = TableCrc::new(CRC32_ISO_HDLC);
-/// Compile-time CRC-16/CCITT-FALSE engine (the 68-byte flit CRC).
+/// Compile-time CRC-16/CCITT-FALSE engine.
 pub static CRC16_CCITT_FALSE_ENGINE: TableCrc = TableCrc::new(CRC16_CCITT_FALSE);
 /// Compile-time CRC-16/ARC engine.
 pub static CRC16_ARC_ENGINE: TableCrc = TableCrc::new(CRC16_ARC);
@@ -159,79 +158,16 @@ impl Default for Crc64 {
     }
 }
 
-/// Convenience wrapper: a table-driven CRC-32.
-#[derive(Clone, Debug)]
-pub struct Crc32 {
-    engine: TableCrc,
-}
-
-impl Crc32 {
-    /// Creates the standard CRC-32/ISO-HDLC engine.
-    pub fn new() -> Self {
-        Crc32 {
-            engine: CRC32_ISO_HDLC_ENGINE.clone(),
-        }
-    }
-
-    /// Computes the checksum of `data`.
-    #[inline]
-    pub fn checksum(&self, data: &[u8]) -> u32 {
-        self.engine.checksum(data) as u32
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Convenience wrapper: a table-driven CRC-16 (CCITT-FALSE), used for the
-/// 68-byte reduced-latency flit format.
-#[derive(Clone, Debug)]
-pub struct Crc16 {
-    engine: TableCrc,
-}
-
-impl Crc16 {
-    /// Creates the CRC-16/CCITT-FALSE engine.
-    pub fn new() -> Self {
-        Crc16 {
-            engine: CRC16_CCITT_FALSE_ENGINE.clone(),
-        }
-    }
-
-    /// Computes the checksum of `data`.
-    #[inline]
-    pub fn checksum(&self, data: &[u8]) -> u16 {
-        self.engine.checksum(data) as u16
-    }
-}
-
-impl Default for Crc16 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn wrappers_match_raw_engines() {
+    fn crc64_wrapper_matches_raw_engine() {
         let data: Vec<u8> = (0..240u32).map(|i| (i * 7) as u8).collect();
         assert_eq!(
             Crc64::flit().checksum(&data),
             TableCrc::new(FLIT_CRC64).checksum(&data)
-        );
-        assert_eq!(
-            Crc32::new().checksum(&data) as u64,
-            TableCrc::new(CRC32_ISO_HDLC).checksum(&data)
-        );
-        assert_eq!(
-            Crc16::new().checksum(&data) as u64,
-            TableCrc::new(CRC16_CCITT_FALSE).checksum(&data)
         );
     }
 

@@ -8,8 +8,7 @@
 //!   to 64 bits with both a reference bitwise engine ([`engine`]) and a fast
 //!   table-driven engine ([`table`]),
 //! * a catalog of standard algorithms ([`catalog`]) including the 64-bit CRC
-//!   protecting CXL 256-byte flits, CRC-32, CRC-16, and the Internet
-//!   checksum used for the TCP header-overhead comparison,
+//!   protecting CXL 256-byte flits, CRC-32 and CRC-16,
 //! * the **ISN construction** ([`isn`]): folding the 10-bit flit sequence
 //!   number into the CRC computation so that a sequence mismatch at the
 //!   receiver manifests as a CRC error — the paper's core mechanism,
@@ -39,15 +38,13 @@
 pub mod analysis;
 pub mod catalog;
 pub mod engine;
-pub mod internet;
 pub mod isn;
 pub mod slice;
 pub mod spec;
 pub mod table;
 
-pub use catalog::{Crc16, Crc32, Crc64, FLIT_CRC64};
+pub use catalog::{Crc64, FLIT_CRC64};
 pub use engine::BitwiseCrc;
-pub use internet::internet_checksum;
 pub use isn::{IsnCrc64, IsnMode};
 pub use slice::{SliceBy8Crc64, FLIT_CRC64_SLICE};
 pub use spec::CrcSpec;

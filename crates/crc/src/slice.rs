@@ -12,7 +12,7 @@
 //! reflected algorithms, where the next input byte XORs into the low byte).
 //! Checksums are bit-identical to the other engines — the construction is an
 //! implementation strategy, not a different code — which the unit and
-//! property tests below pin against [`TableCrc`] and [`BitwiseCrc`].
+//! property tests below pin against [`crate::TableCrc`] and [`BitwiseCrc`].
 //!
 //! All tables are built by a `const fn`, so the [`FLIT_CRC64_SLICE`] engine
 //! is materialised at compile time and costs nothing to reference at runtime.

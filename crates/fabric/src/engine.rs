@@ -595,7 +595,8 @@ const _: () = assert!(std::mem::size_of::<RoutedFlit>() <= 32);
 /// [`FabricSim::plan_hop`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HopPlan {
-    /// No surviving route: the flit is swallowed by fault injection.
+    /// Dead switch or no surviving route: the flit is swallowed by fault
+    /// injection.
     Blackhole,
     /// Buffer the flit in VC `vc` of output port `egress`.
     Lane { egress: usize, vc: usize },
@@ -1016,7 +1017,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// never depends on the pins.
     fn plan_hop(&self, sw: usize, dst: usize, crossed: u8, others: u32) -> HopPlan {
         let escape = self.routes().egress(sw, dst);
-        if escape == NO_ROUTE {
+        if self.faults.dead_switches[sw] || escape == NO_ROUTE {
             return HopPlan::Blackhole;
         }
         let node = &self.switches[sw];
@@ -1059,33 +1060,16 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         }
     }
 
-    /// Transmits `rf` into switch `sw` over link `link` (applying that
-    /// link's channel error and the switch's forwarding pipeline) towards
-    /// the lane chosen by [`Self::plan_hop`] — `rf.crossed` must already
-    /// reflect the dateline crossing of the link just traversed. Returns the
-    /// flit untouched if every usable lane is out of credits; `None` once it
-    /// has been queued, silently dropped, or blackholed by fault injection
-    /// (dead switch / no surviving route).
-    fn transmit_into(
-        &mut self,
-        sw: usize,
-        link: usize,
-        mut rf: RoutedFlit,
-        now: f64,
-    ) -> Option<RoutedFlit> {
-        // `rf` is on the wire — freshly emitted, or popped off its previous
-        // lane — so `in_flight` counts only the other flits of its stream.
-        let injecting = link < self.endpoints.len();
+    /// Endpoint `e`'s transmit opportunity: plans `rf`'s hop into the
+    /// endpoint's switch `sw` and sends it there. Returns the flit untouched
+    /// if every usable lane is out of credits; `None` once it has been
+    /// queued, silently dropped, or blackholed by fault injection.
+    fn inject(&mut self, sw: usize, e: usize, rf: RoutedFlit, now: f64) -> Option<RoutedFlit> {
+        // `rf` is freshly emitted, so `in_flight` counts only the other
+        // flits of its stream.
         let others = self.endpoints[rf.dst].in_flight;
-        if self.faults.dead_switches[sw] {
-            self.note_blackhole(sw);
-            return None;
-        }
-        let (egress, vc) = match self.plan_hop(sw, rf.dst, rf.crossed, others) {
-            HopPlan::Blackhole => {
-                self.note_blackhole(sw);
-                return None;
-            }
+        match self.plan_hop(sw, rf.dst, rf.crossed, others) {
+            HopPlan::Blackhole => self.note_blackhole(sw),
             HopPlan::Blocked => {
                 self.report.credit_stalls += 1;
                 if P::ENABLED {
@@ -1100,14 +1084,31 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 }
                 return Some(rf);
             }
-            HopPlan::Lane { egress, vc } => (egress, vc),
-        };
+            HopPlan::Lane { egress, vc } => self.enter_lane(sw, e, egress, vc, rf, now),
+        }
+        None
+    }
+
+    /// Sends `rf` over link `link` into lane `(egress, vc)` of switch `sw`
+    /// — the lane [`Self::plan_hop`] chose, so it has a credit — applying
+    /// the link's channel error and the switch's forwarding pipeline, which
+    /// may silently drop the flit instead. `rf.crossed` must already reflect
+    /// the dateline crossing of the link just traversed.
+    fn enter_lane(
+        &mut self,
+        sw: usize,
+        link: usize,
+        egress: usize,
+        vc: usize,
+        mut rf: RoutedFlit,
+        now: f64,
+    ) {
         self.last_motion_slot = self.slots;
         if P::ENABLED {
             self.probe.on_link_traversal(LinkTraversalEvent {
                 slot: self.slots,
                 link,
-                hop: if injecting {
+                hop: if link < self.endpoints.len() {
                     LinkHop::Inject
                 } else {
                     LinkHop::Trunk
@@ -1191,7 +1192,6 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 }
             }
         }
-        None
     }
 
     /// One output port's transmit opportunity for this slot: scan the port's
@@ -1225,35 +1225,41 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                     dateline,
                     ..
                 } => {
-                    // A dead next hop (or a destination no surviving route
-                    // reaches) swallows the flit instead of wedging the
-                    // queue.
-                    if self.faults.dead_switches[next]
-                        || self.routes().egress(next, head_dst) == NO_ROUTE
-                    {
-                        let _ = self.pop(sw, port, vc);
-                        self.note_blackhole(next);
-                        return;
-                    }
                     // Plan the hop (lane + credit) against the next switch
                     // before popping: crossing a dateline trunk updates the
                     // flit's `crossed` bits on arrival, so the plan uses the
                     // post-crossing state while the trunk itself was
-                    // traversed under the pre-crossing class.
+                    // traversed under the pre-crossing class. The head is
+                    // itself in flight, hence the `- 1`; the pop touches
+                    // `sw` and the plan read `next`, so the plan still holds
+                    // after it.
                     let crossed = head_crossed | dateline;
                     let others = self.endpoints[head_dst].in_flight - 1;
-                    if self.plan_hop(next, head_dst, crossed, others) == HopPlan::Blocked {
-                        any_blocked = true;
-                        if blocked_vc.is_none() {
-                            blocked_vc = Some(vc);
+                    match self.plan_hop(next, head_dst, crossed, others) {
+                        // A dead next hop (or a destination no surviving
+                        // route reaches) swallows the flit instead of
+                        // wedging the queue.
+                        HopPlan::Blackhole => {
+                            let _ = self.pop(sw, port, vc);
+                            self.note_blackhole(next);
                         }
-                        continue;
+                        HopPlan::Blocked => {
+                            any_blocked = true;
+                            if blocked_vc.is_none() {
+                                blocked_vc = Some(vc);
+                            }
+                            continue;
+                        }
+                        HopPlan::Lane {
+                            egress,
+                            vc: next_vc,
+                        } => {
+                            let mut rf = self.pop(sw, port, vc);
+                            rf.crossed = crossed;
+                            let link = self.endpoints.len() + trunk;
+                            self.enter_lane(next, link, egress, next_vc, rf, now);
+                        }
                     }
-                    let mut rf = self.pop(sw, port, vc);
-                    rf.crossed = crossed;
-                    let link = self.endpoints.len() + trunk;
-                    let held = self.transmit_into(next, link, rf, now);
-                    debug_assert!(held.is_none(), "credit was checked above");
                     return;
                 }
                 PortPeer::Unconnected => {
@@ -1483,7 +1489,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 if let Some(rf) = node.stalled.take() {
                     // A stalled flit consumes this slot's opportunity.
                     all_endpoints_idle = false;
-                    self.endpoints[e].stalled = self.transmit_into(sw, e, rf, now);
+                    self.endpoints[e].stalled = self.inject(sw, e, rf, now);
                     continue;
                 }
                 node.injector.feed(&mut node.link);
@@ -1516,7 +1522,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                         retransmission,
                         crossed: 0,
                     };
-                    self.endpoints[e].stalled = self.transmit_into(sw, e, rf, now);
+                    self.endpoints[e].stalled = self.inject(sw, e, rf, now);
                 }
             }
             self.phase_mark(&mut phase_clock, EnginePhase::EndpointTx);
@@ -1741,20 +1747,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         }
         self.faults.no_transit[sw] = true;
         if P::ENABLED {
-            self.probe.on_switch_drain(self.slots, sw, false);
-        }
-        self.rebuild_routing();
-    }
-
-    /// Restores a drained (not failed) switch to transit eligibility.
-    pub fn undrain_switch(&mut self, sw: usize) {
-        assert!(sw < self.switches.len(), "switch out of range");
-        if self.faults.dead_switches[sw] || !self.faults.no_transit[sw] {
-            return;
-        }
-        self.faults.no_transit[sw] = false;
-        if P::ENABLED {
-            self.probe.on_switch_drain(self.slots, sw, true);
+            self.probe.on_switch_drain(self.slots, sw);
         }
         self.rebuild_routing();
     }

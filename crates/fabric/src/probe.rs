@@ -141,7 +141,7 @@ pub enum EnginePhase {
     /// Phase 0: paced-injection release of due arrivals.
     PacedRelease = 0,
     /// Phase 1: endpoint transmit opportunities (emission, replay, and the
-    /// injection-link channel sampling of `transmit_into`).
+    /// injection-link channel sampling of `enter_lane`).
     EndpointTx = 1,
     /// Phase 2: switch output-port forwarding — trunk hops *and* endpoint
     /// deliveries (delivery happens inside this phase's port scan).
@@ -277,9 +277,8 @@ pub trait Probe {
     /// A switch failed hard, purging `purged_flits` queued flits.
     fn on_switch_fail(&mut self, _slot: u64, _switch: usize, _purged_flits: u64) {}
 
-    /// A switch was drained from (`restored == false`) or restored to
-    /// (`restored == true`) transit eligibility.
-    fn on_switch_drain(&mut self, _slot: u64, _switch: usize, _restored: bool) {}
+    /// A switch was drained from transit eligibility.
+    fn on_switch_drain(&mut self, _slot: u64, _switch: usize) {}
 
     /// A scenario epoch boundary was applied at `slot` (fired by the
     /// `rxl-chaos` runner, not the engine itself; `epoch` indexes the epoch
@@ -362,9 +361,9 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.0.on_switch_fail(slot, switch, purged_flits);
         self.1.on_switch_fail(slot, switch, purged_flits);
     }
-    fn on_switch_drain(&mut self, slot: u64, switch: usize, restored: bool) {
-        self.0.on_switch_drain(slot, switch, restored);
-        self.1.on_switch_drain(slot, switch, restored);
+    fn on_switch_drain(&mut self, slot: u64, switch: usize) {
+        self.0.on_switch_drain(slot, switch);
+        self.1.on_switch_drain(slot, switch);
     }
     fn on_epoch(&mut self, slot: u64, epoch: usize) {
         self.0.on_epoch(slot, epoch);
@@ -455,7 +454,7 @@ impl Probe for CountingProbe {
     fn on_switch_fail(&mut self, _slot: u64, _switch: usize, _purged_flits: u64) {
         self.switch_fails += 1;
     }
-    fn on_switch_drain(&mut self, _slot: u64, _switch: usize, _restored: bool) {
+    fn on_switch_drain(&mut self, _slot: u64, _switch: usize) {
         self.switch_drains += 1;
     }
     fn on_epoch(&mut self, _slot: u64, _epoch: usize) {

@@ -620,44 +620,6 @@ impl FabricTopology {
             .map(|i| self.trunk_link(i))
     }
 
-    /// The link attached at port `port` of switch `sw`, if any — the
-    /// inverse of the per-port attachment encoded in [`Self::endpoints`]
-    /// and [`Self::trunks`]. Spatial-metrics consumers use it to map
-    /// per-port counters (e.g. credit stalls) onto physical links.
-    pub fn link_at_port(&self, sw: usize, port: usize) -> Option<LinkId> {
-        if let Some(i) = self
-            .endpoints
-            .iter()
-            .position(|ep| ep.switch == sw && ep.port == port)
-        {
-            return Some(LinkId(i));
-        }
-        self.trunks
-            .iter()
-            .position(|t| t.a == (sw, port) || t.b == (sw, port))
-            .map(|i| self.trunk_link(i))
-    }
-
-    /// Every link that touches switch `sw`: its endpoints' attachment links
-    /// and its trunks, in deterministic id order.
-    pub fn links_of_switch(&self, sw: usize) -> Vec<LinkId> {
-        let mut links: Vec<LinkId> = self
-            .endpoints
-            .iter()
-            .enumerate()
-            .filter(|(_, ep)| ep.switch == sw)
-            .map(|(i, _)| LinkId(i))
-            .collect();
-        links.extend(
-            self.trunks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.a.0 == sw || t.b.0 == sw)
-                .map(|(i, _)| self.trunk_link(i)),
-        );
-        links
-    }
-
     /// Human-readable description of a link, for scenario reports.
     pub fn describe_link(&self, link: LinkId) -> String {
         if link.0 < self.endpoints.len() {

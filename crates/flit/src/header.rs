@@ -137,8 +137,8 @@ impl FlitHeader {
 
     /// Serialises the header into its 2-byte wire form.
     ///
-    /// Layout: byte 0 holds FSN[7:0]; byte 1 holds FSN[9:8] in bits [1:0],
-    /// ReplayCmd in bits [3:2] and the flit type in bits [7:4].
+    /// Layout: byte 0 holds FSN\[7:0\]; byte 1 holds FSN\[9:8\] in bits
+    /// \[1:0\], ReplayCmd in bits \[3:2\] and the flit type in bits \[7:4\].
     pub fn to_bytes(self) -> [u8; 2] {
         let fsn = self.fsn & FSN_MASK;
         let b0 = (fsn & 0xFF) as u8;

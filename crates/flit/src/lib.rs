@@ -9,12 +9,10 @@
 //!   failures Section 4.2 analyses,
 //! * [`slots`] — packing/unpacking of messages into the 240-byte flit
 //!   payload,
-//! * [`flit256`] / [`flit68`] — the 256-byte full-speed flit and the 68-byte
-//!   low-latency flit,
+//! * [`flit256`] — the 256-byte full-speed flit,
 //! * [`codec`] — the two wire pipelines: the **CXL baseline** (link-layer
 //!   CRC over header‖payload, FEC, explicit FSN) and **RXL** (transport-layer
-//!   ISN CRC bound to the sequence number, FEC unchanged),
-//! * [`builder`] — a convenience builder for filling flits with messages.
+//!   ISN CRC bound to the sequence number, FEC unchanged).
 //!
 //! # Example
 //!
@@ -33,18 +31,14 @@
 //! assert!(!codec.decode(&wire, 8).accepted());
 //! ```
 
-pub mod builder;
 pub mod codec;
 pub mod flit256;
-pub mod flit68;
 pub mod header;
 pub mod message;
 pub mod slots;
 
-pub use builder::FlitBuilder;
 pub use codec::{CxlDecode, CxlFlitCodec, RxlDecode, RxlFlitCodec, WireFlit, WIRE_FLIT_LEN};
 pub use flit256::{Flit256, FLIT_PAYLOAD_LEN};
-pub use flit68::Flit68;
 pub use header::{FlitHeader, FlitType, ReplayCmd, FSN_BITS, FSN_MASK};
 pub use message::{MemOp, Message, RspStatus};
 pub use slots::{

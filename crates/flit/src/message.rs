@@ -38,11 +38,6 @@ impl MemOp {
             _ => MemOp::RdCurr,
         }
     }
-
-    /// `true` if this operation expects data in the response.
-    pub fn expects_data(self) -> bool {
-        matches!(self, MemOp::RdCurr | MemOp::RdShared | MemOp::RdOwn)
-    }
 }
 
 /// Response status codes.
@@ -221,9 +216,6 @@ mod tests {
             assert_eq!(MemOp::from_bits(op as u8), op);
         }
         assert_eq!(MemOp::from_bits(0xFF), MemOp::RdCurr);
-        assert!(MemOp::RdCurr.expects_data());
-        assert!(MemOp::RdOwn.expects_data());
-        assert!(!MemOp::WrLine.expects_data());
     }
 
     #[test]

@@ -12,9 +12,6 @@ pub const GF256_PRIMITIVE_POLY: u16 = 0x11D;
 /// The generator (primitive element) of the multiplicative group, α = 2.
 pub const GF256_GENERATOR: u8 = 0x02;
 
-/// Number of non-zero field elements (order of the multiplicative group).
-pub const GF256_ORDER: usize = 255;
-
 /// Exponent table: `EXP[i] = α^i` for `i in 0..512`.
 ///
 /// The table is doubled in length so `EXP[log(a) + log(b)]` never needs a

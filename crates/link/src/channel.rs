@@ -85,7 +85,7 @@ impl ErrorPrediction {
 ///
 /// [`ChannelErrorModel`] is the stationary implementation the paper's
 /// analysis assumes; time-varying implementations (bursty Gilbert–Elliott
-/// states, piecewise BER schedules, flapping links — see the `rxl-chaos`
+/// states, piecewise BER schedules — see the `rxl-chaos`
 /// crate) model the non-stationary regimes real fabrics fail in. The fabric
 /// engine keeps the stationary model on a monomorphised zero-cost path and
 /// dispatches through `dyn Channel` only for links a scenario has overridden.
@@ -126,44 +126,31 @@ pub trait Channel {
     /// `now_ns`, drawing any randomness from `rng`. Returns the number of
     /// bits flipped.
     ///
-    /// This is the legacy per-traversal entry point: implementations decide
-    /// *whether* an error occurs as well as where. Skip-ahead callers use
-    /// [`Self::next_error_slot`] + [`Self::corrupt_at_event`] instead; this
-    /// method remains for direct per-flit use (the single-path `rxl-sim`
-    /// simulator) and as the fallback the default `corrupt_at_event`
-    /// delegates to.
+    /// This is the per-traversal entry point: implementations decide
+    /// *whether* an error occurs as well as where. Every simulator goes
+    /// through [`Self::next_error_slot`] + [`Self::corrupt_at_event`] (the
+    /// fabric engine) or calls [`ChannelErrorModel::apply`] directly
+    /// (`rxl-sim`'s `PathSim`); this method is the per-traversal reference
+    /// the skip-ahead statistics are compared against
+    /// (`crates/chaos/tests/channel_properties.rs`).
     fn corrupt(&mut self, data: &mut [u8], now_ns: f64, rng: &mut dyn RngCore) -> usize;
 
     /// Samples the traversal index of the channel's next error event, given
     /// that traversal `now_slot` (at simulated time `now_ns`, carrying
     /// `bits` bits) is about to happen. `prediction.slot == now_slot` means
     /// "this very traversal errs"; `u64::MAX` means the channel cannot err.
-    ///
-    /// The default implementation predicts an event at every traversal
-    /// without drawing, which makes [`EventCursor::advance`] call
-    /// [`Self::corrupt_at_event`] (and thus, by *its* default,
-    /// [`Self::corrupt`]) once per traversal — exactly the legacy
-    /// per-traversal behaviour, so third-party implementations keep working
-    /// unchanged under a skip-ahead engine.
     fn next_error_slot(
         &mut self,
         now_slot: u64,
-        _now_ns: f64,
-        _bits: u64,
-        _rng: &mut dyn RngCore,
-    ) -> ErrorPrediction {
-        ErrorPrediction::at(now_slot)
-    }
+        now_ns: f64,
+        bits: u64,
+        rng: &mut dyn RngCore,
+    ) -> ErrorPrediction;
 
     /// Corrupts `data` in place for a traversal [`Self::next_error_slot`]
-    /// predicted as an error event. Implementations that sample real event
-    /// jumps must condition on "at least one error" here (see
-    /// [`ChannelErrorModel::apply_conditioned`]); the default delegates to
-    /// the unconditional [`Self::corrupt`], matching the default
-    /// `next_error_slot`'s every-traversal prediction.
-    fn corrupt_at_event(&mut self, data: &mut [u8], now_ns: f64, rng: &mut dyn RngCore) -> usize {
-        self.corrupt(data, now_ns, rng)
-    }
+    /// predicted as an error event: the flips are conditioned on "at least
+    /// one error" (see [`ChannelErrorModel::apply_conditioned`]).
+    fn corrupt_at_event(&mut self, data: &mut [u8], now_ns: f64, rng: &mut dyn RngCore) -> usize;
 }
 
 impl Channel for ChannelErrorModel {
@@ -793,34 +780,6 @@ mod tests {
         }
         // Ten thousand quiet traversals: not one draw.
         assert_eq!(rng.next_u64(), twin.next_u64());
-    }
-
-    #[test]
-    fn event_cursor_runs_legacy_channels_per_traversal() {
-        // A channel that only implements `corrupt` (the legacy trait
-        // surface) must behave bit-identically under the cursor to calling
-        // `corrupt` once per traversal.
-        struct Legacy(ChannelErrorModel);
-        impl Channel for Legacy {
-            fn corrupt(&mut self, data: &mut [u8], _now_ns: f64, rng: &mut dyn RngCore) -> usize {
-                self.0.apply(data, rng)
-            }
-        }
-        let model = ChannelErrorModel::random(0.01);
-        let mut via_cursor = Legacy(model);
-        let mut cursor = EventCursor::new();
-        let mut direct = Legacy(model);
-        let mut a = StdRng::seed_from_u64(13);
-        let mut b = StdRng::seed_from_u64(13);
-        for s in 0..2_000u64 {
-            let mut da = [0u8; 64];
-            let mut db = [0u8; 64];
-            let fa = cursor.advance(&mut via_cursor, &mut da, s as f64, &mut a);
-            let fb = direct.corrupt(&mut db, s as f64, &mut b);
-            assert_eq!(fa, fb, "slot {s}");
-            assert_eq!(da, db, "slot {s}");
-        }
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -224,11 +224,6 @@ impl LoadSweep {
         &self.config
     }
 
-    /// The sweep shape.
-    pub fn sweep_config(&self) -> &LoadSweepConfig {
-        &self.sweep
-    }
-
     /// Runs the ladder and returns the latency-vs-load curve. Bit-identical
     /// for any worker-thread count (see the module docs).
     pub fn run(&self) -> LoadSweepReport {

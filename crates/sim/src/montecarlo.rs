@@ -50,16 +50,6 @@ impl MonteCarloReport {
         mean(&self.ordering_rates)
     }
 
-    /// Mean of the per-trial bandwidth overheads.
-    pub fn mean_bandwidth_overhead(&self) -> f64 {
-        mean(&self.bandwidth_overheads)
-    }
-
-    /// Standard error of the per-trial ordering failure rates.
-    pub fn ordering_rate_stderr(&self) -> f64 {
-        stderr(&self.ordering_rates)
-    }
-
     /// Probability (over delivered messages, pooled across trials) that a
     /// message experienced any failure.
     pub fn pooled_failure_rate(&self) -> f64 {
@@ -89,15 +79,6 @@ fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-fn stderr(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    (var / xs.len() as f64).sqrt()
 }
 
 impl MonteCarlo {
@@ -261,8 +242,6 @@ mod tests {
     fn statistics_helpers_behave() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stderr(&[1.0]), 0.0);
-        assert!(stderr(&[1.0, 3.0]) > 0.0);
         let mc_cfg = SimConfig {
             topology: Topology::Direct,
             ..SimConfig::new(ProtocolVariant::Rxl, 0)

@@ -161,17 +161,6 @@ impl MetricsRegistry {
         self.link_inject[link]
     }
 
-    /// Delivery-direction traversals of link `link` (switch → endpoint;
-    /// zero for trunks).
-    pub fn deliver_traversals(&self, link: usize) -> u64 {
-        self.link_deliver[link]
-    }
-
-    /// Protocol (payload-bearing) flit traversals of link `link`.
-    pub fn payload_traversals(&self, link: usize) -> u64 {
-        self.link_payload[link]
-    }
-
     /// Retransmission (go-back-N replay) flit traversals of link `link`.
     pub fn retransmit_traversals(&self, link: usize) -> u64 {
         self.link_retransmits[link]
@@ -225,16 +214,6 @@ impl MetricsRegistry {
     /// flit buffered into the lane.
     pub fn lane_samples(&self, sw: usize, port: usize, vc: usize) -> u64 {
         self.lane_samples[self.lane_index(sw, port, vc)]
-    }
-
-    /// Mean queue depth (post-arrival) of VC lane `(sw, port, vc)` over its
-    /// samples; 0 with no samples.
-    pub fn lane_mean_occupancy(&self, sw: usize, port: usize, vc: usize) -> f64 {
-        let i = self.lane_index(sw, port, vc);
-        if self.lane_samples[i] == 0 {
-            return 0.0;
-        }
-        self.lane_occupancy_sum[i] as f64 / self.lane_samples[i] as f64
     }
 
     /// Peak queue depth seen by VC lane `(sw, port, vc)`.

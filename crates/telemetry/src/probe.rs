@@ -73,11 +73,6 @@ impl SloProbe {
         self.inflight.len()
     }
 
-    /// Consumes the probe into its accumulator and optional trace.
-    pub fn into_parts(self) -> (WindowedTelemetry, Option<TraceRecorder>) {
-        (self.windows, self.trace)
-    }
-
     /// Merges another trial's telemetry in (exact; panics on differing
     /// window lengths). Traces do not merge — each trial's trace stands
     /// alone.
@@ -166,15 +161,10 @@ impl Probe for SloProbe {
         }
     }
 
-    fn on_switch_drain(&mut self, slot: u64, switch: usize, restored: bool) {
+    fn on_switch_drain(&mut self, slot: u64, switch: usize) {
         self.windows.record_switch_event(slot);
         if let Some(trace) = &mut self.trace {
-            let kind = if restored {
-                InstantKind::SwitchRestore
-            } else {
-                InstantKind::SwitchDrain
-            };
-            trace.instant(slot, kind, switch as u64, 0);
+            trace.instant(slot, InstantKind::SwitchDrain, switch as u64, 0);
         }
     }
 

@@ -69,8 +69,6 @@ pub enum InstantKind {
     SwitchFail,
     /// A switch was drained (`a` = switch, `b` unused).
     SwitchDrain,
-    /// A drained/failed switch was restored (`a` = switch, `b` unused).
-    SwitchRestore,
     /// A chaos epoch boundary was crossed (`a` = epoch index, `b` unused).
     Epoch,
     /// A fanout request completed — all shard spans delivered (`a` =
@@ -89,7 +87,6 @@ impl InstantKind {
             InstantKind::Blackhole => "blackhole",
             InstantKind::SwitchFail => "switch_fail",
             InstantKind::SwitchDrain => "switch_drain",
-            InstantKind::SwitchRestore => "switch_restore",
             InstantKind::Epoch => "epoch",
             InstantKind::RequestComplete => "request_complete",
         }

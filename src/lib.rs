@@ -10,14 +10,14 @@
 //! * [`flit`] — CXL/RXL flit formats and transaction-message packing.
 //! * [`link`] — link layer: channel error models, retry, ACK handling.
 //! * [`switch`] — stateless switching devices that drop uncorrectable flits.
-//! * [`transport`] — endpoint transaction layer for CXL and RXL.
+//! * [`transport`] — delivery auditing: `Fail_data` / `Fail_order` classification.
 //! * [`sim`] — discrete-event simulator and Monte-Carlo harness for one
 //!   host–device path.
 //! * [`fabric`] — fabric-scale simulator: whole topologies (leaf–spine,
 //!   fat-tree, ring) of concurrent sessions over shared switches, with a
 //!   sharded Monte-Carlo driver and an analytic FIT cross-check.
 //! * [`chaos`] — fault injection & scenario engine: time-varying per-link
-//!   channels (Gilbert–Elliott, BER schedules, link flaps), switch
+//!   channels (Gilbert–Elliott, BER schedules), switch
 //!   drain/fail timelines, and a sharded scenario Monte-Carlo with
 //!   per-epoch failure reports.
 //! * [`load`] — open-loop traffic generation & latency telemetry: arrival
@@ -52,8 +52,7 @@ pub mod prelude {
     pub use rxl_analysis::reliability::ReliabilityModel;
     pub use rxl_chaos::{ChaosMonteCarlo, GilbertElliott, Scenario};
     pub use rxl_core::{
-        CxlStack, FabricSimOptions, FabricSpec, LoadSweepSpec, ProtocolKind, RxlStack, StackConfig,
-        StormSpec,
+        CxlStack, FabricSimOptions, FabricSpec, ProtocolKind, RxlStack, StackConfig,
     };
     pub use rxl_crc::{Crc64, IsnCrc64};
     pub use rxl_fabric::{
