@@ -10,7 +10,8 @@
 //! `BENCH_fabric.json` at the repository root (override the directory with
 //! `--out DIR`). The committed file is what this bin writes without
 //! positionals: `cargo test -p rxl-bench --test artifacts` checks it byte
-//! for byte. A positional that is not a number is a usage error.
+//! for byte. A positional that is not a number, or a count that is not
+//! whole, is a usage error.
 
 use rxl_bench::cli::{usage_error, Cli};
 use rxl_bench::fabriccheck::{DEVICES, LEVELS};
@@ -18,16 +19,19 @@ use rxl_core::FabricSimOptions;
 
 fn main() {
     let cli = Cli::parse(&["--json", "--out"], 5);
-    let number = |idx: usize, default: f64| -> f64 {
-        cli.number(idx, default).unwrap_or_else(|e| usage_error(&e))
-    };
     let defaults = FabricSimOptions::default();
-    let devices = number(0, DEVICES as f64) as u64;
-    let levels = number(1, LEVELS as f64) as u32;
+    let devices = cli.count(0, DEVICES).unwrap_or_else(|e| usage_error(&e));
+    let levels = cli.count(1, LEVELS).unwrap_or_else(|e| usage_error(&e));
     let opts = FabricSimOptions {
-        ber: number(2, defaults.ber),
-        trials: number(3, defaults.trials as f64) as u64,
-        messages_per_session: number(4, defaults.messages_per_session as f64) as usize,
+        ber: cli
+            .number(2, defaults.ber)
+            .unwrap_or_else(|e| usage_error(&e)),
+        trials: cli
+            .count(3, defaults.trials)
+            .unwrap_or_else(|e| usage_error(&e)),
+        messages_per_session: cli
+            .count(4, defaults.messages_per_session)
+            .unwrap_or_else(|e| usage_error(&e)),
         ..defaults
     };
 

@@ -47,6 +47,19 @@ impl Cli {
         }
     }
 
+    /// Positional `idx` as a whole count (decimal digits) that fits in `T`,
+    /// `default` when absent. A fractional, negative or out-of-range count
+    /// is an error, never truncated.
+    pub fn count<T: TryFrom<u64>>(&self, idx: usize, default: T) -> Result<T, String> {
+        let Some(arg) = self.positional.get(idx) else {
+            return Ok(default);
+        };
+        arg.parse::<u64>()
+            .ok()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("argument {} ({arg:?}) is not a whole count", idx + 1))
+    }
+
     fn parse_from(
         args: impl IntoIterator<Item = String>,
         options: &[&str],
@@ -146,5 +159,23 @@ mod tests {
         );
         assert!(cli.number(3, 9.0).is_err(), "NaN would cast to 0");
         assert!(cli.number(4, 9.0).is_err(), "a negative would cast to 0");
+    }
+
+    #[test]
+    fn a_count_is_whole_or_a_usage_error() {
+        let cli = parse(&["300", "2.5", "-3", "70000", "x"], &[], 5).expect("valid");
+        assert_eq!(cli.count(0, 4u64), Ok(300));
+        assert_eq!(cli.count(5, 4u64), Ok(4), "absent takes the default");
+        assert_eq!(
+            cli.count::<u64>(1, 4).unwrap_err(),
+            "argument 2 (\"2.5\") is not a whole count"
+        );
+        assert!(
+            cli.count::<u64>(2, 4).is_err(),
+            "a negative would cast to 0"
+        );
+        assert_eq!(cli.count::<u32>(3, 4), Ok(70_000));
+        assert!(cli.count::<u16>(3, 4).is_err(), "out of range would wrap");
+        assert!(cli.count::<usize>(4, 4).is_err());
     }
 }

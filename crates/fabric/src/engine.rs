@@ -98,7 +98,7 @@ pub struct FabricConfig {
     /// `vc_count ≥ 3` (two escape VCs + at least one adaptive VC). Path
     /// choices are flowlet-gated: a destination's pinned path is re-chosen
     /// only while it has no flits in flight, so adaptive spreading never
-    /// reorders a session's flit stream (see [`FabricSim::plan_hop`]). The
+    /// reorders a session's flit stream (see `FabricSim::plan_hop`). The
     /// choice is a deterministic function of queue state — no RNG draws —
     /// so the engine's draw-order reproducibility contract is untouched.
     pub adaptive: bool,
@@ -666,7 +666,7 @@ struct Faults {
     no_transit: Vec<bool>,
 }
 
-/// One fabric trial: a [`SwitchNode`] per switch, an [`EndpointNode`] per
+/// One fabric trial: a `SwitchNode` per switch, an `EndpointNode` per
 /// endpoint, and the slot loop ([`Self::step`]) that drives them.
 ///
 /// Each slot, phase 0 makes paced arrivals due, phase 1 gives every endpoint
@@ -676,7 +676,7 @@ struct Faults {
 /// endpoint or sent over the trunk into a lane of the next switch, against a
 /// free credit of that lane. A lane is one FIFO queue; a flit is stamped with
 /// the slot it entered its lane in, and a head stamped with the running slot
-/// reads as absent ([`SwitchNode::head`]), so a flit crosses at most one
+/// reads as absent (`SwitchNode::head`), so a flit crosses at most one
 /// switch per slot even when ascending port order reaches its new lane later
 /// in the same phase.
 ///
@@ -692,7 +692,7 @@ struct Faults {
 /// ([`Channel::next_error_slot`] — one geometric jump per error event, plus
 /// one resample per piecewise boundary or state dwell for time-varying
 /// channels), so a traversal short of the cached event consumes **zero**
-/// draws and a quiet link costs no RNG work per slot. The [`PortSet`]s that
+/// draws and a quiet link costs no RNG work per slot. The `PortSet`s that
 /// steer phase 2 (each switch's ports with a non-empty lane, the engine's
 /// switches with such a port) compose with this unchanged: an empty port, or
 /// one holding only flits that arrived this slot, does nothing and draws
@@ -721,7 +721,7 @@ struct Faults {
 /// engine.
 ///
 /// Injection composes the same way: it never draws from the trial RNG
-/// (arrival schedules are precomputed). Every endpoint has an [`Injector`]
+/// (arrival schedules are precomputed). Every endpoint has an `Injector`
 /// over its session's shared stream, which tops the transmitter up to one
 /// flit's worth of pending messages before each transmit opportunity — the
 /// transmitter packs at most that many per flit, so it behaves exactly as if

@@ -21,7 +21,7 @@
 //! word `c(x)` (first wire symbol = highest degree) is a codeword exactly
 //! when its two syndromes `S0 = c(1)` and `S1 = c(α)` vanish. Both encoding
 //! and decoding reduce to evaluating that pair for every way over an
-//! interleaved run of symbols, which one kernel ([`syndromes`]) does without
+//! interleaved run of symbols, which one kernel (`syndromes`) does without
 //! de-interleaving: `S0` is the XOR of the way's symbols and `S1` a Horner
 //! evaluation at `α`, sliced eight symbols wide through the product tables
 //! [`ALPHA_POW_MUL`] (`T[m − 1][x] = x·α^m`, eight 256-entry tables, 2 KiB):

@@ -112,7 +112,10 @@ impl LinkEndpoint {
         self.tx.encode_emission(emission)
     }
 
-    /// Combined transmit + receive statistics for this endpoint.
+    /// Combined transmit + receive statistics for this endpoint: the two
+    /// halves' counters summed. Both halves count a NACK (the receiver its
+    /// decision, the transmitter its flit), so here
+    /// [`LinkStats::nacks_sent`] counts each emitted NACK twice.
     pub fn stats(&self) -> LinkStats {
         let mut s = *self.tx.stats();
         s.merge(self.rx.stats());
@@ -214,5 +217,31 @@ mod tests {
         assert!(a.stats().flits_sent >= 1);
         assert!(b.stats().flits_accepted >= 1);
         assert!(b.stats().acks_sent >= 1);
+    }
+
+    #[test]
+    fn one_detected_drop_counts_one_nack_per_half_and_two_on_the_endpoint() {
+        let cfg = LinkConfig::cxl3_x16(ProtocolVariant::Rxl);
+        let mut a = LinkEndpoint::new(cfg);
+        let mut b = LinkEndpoint::new(cfg);
+        let mut send = |tag: u16| {
+            a.enqueue_messages([Message::response_ok(0, tag)]);
+            let emission = a.emit(0.0);
+            a.encode_emission(&emission).expect("a protocol flit")
+        };
+        let (w0, _dropped, w2) = (send(0), send(1), send(2));
+        assert!(b.receive(&w0, 0.0).accepted);
+        let out = b.receive(&w2, 0.0);
+        assert_eq!(out.send_nack, Some(0), "the drop is detected");
+
+        // The receive half counts the NACK decision...
+        assert_eq!(b.rx().stats().nacks_sent, 1);
+        assert_eq!(b.tx().stats().nacks_sent, 0);
+        assert_eq!(b.stats().nacks_sent, 1);
+        // ...and the transmit half the NACK flit, so the endpoint sums two.
+        assert!(matches!(b.emit(0.0), TxEmission::Nack { last_good: 0, .. }));
+        assert_eq!(b.rx().stats().nacks_sent, 1);
+        assert_eq!(b.tx().stats().nacks_sent, 1);
+        assert_eq!(b.stats().nacks_sent, 2);
     }
 }

@@ -18,7 +18,11 @@ pub struct LinkStats {
     /// Flits discarded while waiting for a go-back-N replay to reach the
     /// expected sequence number.
     pub flits_discarded_in_replay: u64,
-    /// NACKs emitted by the receive side.
+    /// NACK counts of both halves: [`crate::LinkRx`] counts each NACK it
+    /// decides to send and [`crate::LinkTx`] each NACK flit it emits. A
+    /// half's own stats therefore count each NACK once, but
+    /// [`crate::LinkEndpoint::stats`] (and every report merged from it)
+    /// counts each emitted NACK twice.
     pub nacks_sent: u64,
     /// Acknowledgements emitted (piggybacked or standalone).
     pub acks_sent: u64,

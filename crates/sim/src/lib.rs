@@ -1,7 +1,7 @@
 //! # rxl-sim — Flit-level Monte-Carlo simulation of CXL/RXL paths
 //!
 //! The paper's evaluation is analytic; this crate provides the complementary
-//! simulation evidence. A [`PathSim`](path::PathSim) instantiates one
+//! simulation evidence. A [`PathSim`] instantiates one
 //! host–device pair connected either directly or through a chain of
 //! switching devices, drives bidirectional transaction traffic through the
 //! real link-layer state machines (`rxl-link`), the real FEC/CRC codecs

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use rxl_flit::Message;
 
 use crate::failure::FailureCounts;
-use crate::stream::{ident_of, SentStream};
+use crate::stream::{read_at, SentStream};
 
 /// A fast, deterministic hasher (the FxHash construction) for per-message
 /// maps on simulation hot paths, where the default SipHash cost is
@@ -109,6 +109,9 @@ pub fn mix64(mut z: u64) -> u64 {
 struct CqidCursor {
     /// Lowest send-order rank not yet delivered.
     next_undelivered: u32,
+    /// One past the rank of the CQID's last delivery (duplicates included):
+    /// where the next verdict looks first.
+    after_last: u32,
     /// Messages delivered (at least once) in this CQID.
     delivered_count: u32,
 }
@@ -184,35 +187,32 @@ impl DeliveryAuditor {
 
     /// Classifies one delivered message and updates the counters.
     ///
-    /// The hot path is the in-order delivery: one identity compare against
-    /// the stream message under the CQID's cursor. Everything else
-    /// (duplicates, out-of-order arrivals, never-sent identities) resolves
-    /// by binary search over the CQID's send-ordered positions.
+    /// Every verdict starts at the rank after the CQID's last delivery: one
+    /// whole-message compare with the stream message there decides the
+    /// common case — an in-order delivery when that rank is the next
+    /// undelivered one, and one of a run delivered past a lost message or
+    /// of a go-back-N duplicate window otherwise. On a miss (a jump, a
+    /// corrupted copy, a never-sent identity) the search steps outward from
+    /// that rank, so its cost grows with the distance jumped, not with the
+    /// CQID's length.
     pub fn observe_delivery(&mut self, msg: &Message) -> DeliveryVerdict {
         let stream: &SentStream = &self.stream;
         let index = stream.index();
         let Some(slot) = index.slot_of(msg.cqid()) else {
-            self.counts.data_failures += 1;
-            return DeliveryVerdict::Unexpected;
+            return self.unexpected();
         };
-        let positions = &index.cqs[slot].positions[..];
+        let cq = &index.cqs[slot];
+        let positions = &cq.positions[..];
         let cursor = &mut self.cursors[slot];
-        let ident = ident_of(msg);
-        let next = cursor.next_undelivered as usize;
-        let order = if positions
-            .get(next)
-            .is_some_and(|&p| ident_of(&stream[p as usize]) == ident)
-        {
-            next
-        } else {
-            match index.cqs[slot].find(stream, ident) {
-                Some(i) => i,
-                None => {
-                    self.counts.data_failures += 1;
-                    return DeliveryVerdict::Unexpected;
-                }
-            }
+        let hint = cursor.after_last as usize;
+        let (order, intact) = match positions.get(hint) {
+            Some(&p) if read_at(stream, p) == msg => (hint, true),
+            _ => match cq.find(stream, msg, hint) {
+                Some(order) => (order, stream[positions[order] as usize] == *msg),
+                None => return self.unexpected(),
+            },
         };
+        cursor.after_last = order as u32 + 1;
         let pos = positions[order] as usize;
         let (word, bit) = (pos / 64, 1u64 << (pos % 64));
         if self.delivered[word] & bit != 0 {
@@ -220,13 +220,12 @@ impl DeliveryAuditor {
             return DeliveryVerdict::Duplicate;
         }
         self.delivered[word] |= bit;
-        let intact = stream[pos] == *msg;
+        let mut next = cursor.next_undelivered as usize;
+        let in_order = order == next;
         let was_gapped = cursor.gapped();
         cursor.delivered_count += 1;
         self.delivered_unique += 1;
-        let in_order = order == next;
         // Advance the next-undelivered cursor over everything now delivered.
-        let mut next = next;
         while positions
             .get(next)
             .is_some_and(|&p| self.delivered[p as usize / 64] >> (p % 64) & 1 != 0)
@@ -250,6 +249,14 @@ impl DeliveryAuditor {
         }
         self.counts.clean_deliveries += 1;
         DeliveryVerdict::InOrder
+    }
+
+    /// The verdict on a never-sent identity.
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&mut self) -> DeliveryVerdict {
+        self.counts.data_failures += 1;
+        DeliveryVerdict::Unexpected
     }
 
     /// Counters accumulated so far (losses not yet included).
@@ -286,7 +293,9 @@ impl DeliveryAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::READS;
     use rxl_flit::{MemOp, Message};
+    use std::cell::Cell;
 
     fn req(cqid: u16, tag: u16) -> Message {
         Message::request(MemOp::RdCurr, tag as u64 * 64, cqid, tag)
@@ -478,5 +487,43 @@ mod tests {
         assert_eq!(b.observe_delivery(&req(0, 0)), DeliveryVerdict::InOrder);
         assert_eq!(a.finalize().lost_messages, 3);
         assert_eq!(b.finalize().lost_messages, 2);
+    }
+
+    #[test]
+    fn a_verdict_reads_only_positions_near_its_cqids_last_delivery() {
+        // The baseline-CXL failure at fabric scale: 8 CQIDs × 2 000
+        // messages, round-robin; message 0 of CQID 0 is lost, the rest
+        // arrive in order, then a go-back-N replay repeats the last 64.
+        const REWIND: usize = 64;
+        let sent: Vec<Message> = (0..2_000)
+            .flat_map(|tag| (0..8).map(move |cqid| req(cqid, tag)))
+            .collect();
+        let mut a = DeliveryAuditor::for_stream(Arc::new(SentStream::new(sent.clone())));
+        let mut observe = |m: &Message| {
+            let before = READS.with(Cell::get);
+            let verdict = a.observe_delivery(m);
+            (verdict, READS.with(Cell::get) - before)
+        };
+
+        for m in &sent[1..] {
+            let (verdict, reads) = observe(m);
+            let want = match m.cqid() {
+                0 => DeliveryVerdict::OutOfOrder,
+                _ => DeliveryVerdict::InOrder,
+            };
+            assert_eq!(verdict, want, "{m:?}");
+            assert!(reads <= 2, "{m:?}: {verdict:?} read {reads} positions");
+        }
+        let bound = 2 * REWIND.ilog2() as u64 + 2;
+        for m in &sent[sent.len() - REWIND..] {
+            let (verdict, reads) = observe(m);
+            assert_eq!(verdict, DeliveryVerdict::Duplicate, "{m:?}");
+            assert!(reads <= bound, "{m:?}: duplicate read {reads} > {bound}");
+        }
+        assert!(a.has_open_gaps());
+        let counts = a.finalize();
+        assert_eq!(counts.ordering_failures, 1_999);
+        assert_eq!(counts.duplicate_deliveries, REWIND as u64);
+        assert_eq!(counts.lost_messages, 1);
     }
 }

@@ -194,15 +194,47 @@ fn stream_of(draws: &[(u8, u8, u8, u8)], sorted: bool) -> Vec<Message> {
     msgs
 }
 
+/// A stream shaped like a fabric workload's: one message per draw, on CQID
+/// `cqid % cqids`, each CQID's tags counting up from 0 — so every CQID
+/// holds a long run of identities, increasing in registration order when
+/// `sorted` and scrambled (in blocks of 64) otherwise.
+fn long_stream(draws: &[(u8, u8, u8)], cqids: u8, sorted: bool) -> Vec<Message> {
+    let mut next_tag = [0u16; 256];
+    draws
+        .iter()
+        .map(|&(cqid, kind, chunk)| {
+            let cqid = cqid % cqids;
+            let n = next_tag[cqid as usize];
+            next_tag[cqid as usize] += 1;
+            let tag = if sorted { n } else { n ^ 0x2d };
+            message(cqid as u16, tag, kind, chunk, 0)
+        })
+        .collect()
+}
+
 /// One scripted delivery over `stream` (non-empty): in-send-order walks,
 /// random picks (reordering, duplicates, and — by omission — drops),
-/// corrupted copies and never-sent identities.
+/// corrupted copies, never-sent identities, and the walk's CXL-shaped
+/// jumps.
 fn delivery(stream: &[Message], walk: &mut usize, op: u8, arg: u16) -> Message {
     let pick = stream[arg as usize % stream.len()];
+    let k = arg as usize % (stream.len() + 1);
+    let step = |walk: &mut usize| {
+        *walk += 1;
+        stream[(*walk - 1) % stream.len()]
+    };
     match op {
-        0..=2 => {
-            *walk += 1;
-            stream[(*walk - 1) % stream.len()]
+        0..=2 => step(walk),
+        // A drop: the walk skips `k` messages, so each later delivery of
+        // the same CQID lands ahead of a lost one.
+        10 => {
+            *walk += k;
+            step(walk)
+        }
+        // A rewind: the walk steps back `k`, a go-back-N duplicate window.
+        11 => {
+            *walk = walk.saturating_sub(k);
+            step(walk)
         }
         3 | 4 => pick,
         5 => {
@@ -217,7 +249,7 @@ fn delivery(stream: &[Message], walk: &mut usize, op: u8, arg: u16) -> Message {
         }
         // A CQID no stream uses, or a tag past the drawn range.
         6 => message(9, arg, (arg >> 4) as u8, 0, 0),
-        _ => message(pick.cqid(), 100 + arg % 50, (arg >> 4) as u8, 0, 0),
+        _ => message(pick.cqid(), 1000 + arg % 50, (arg >> 4) as u8, 0, 0),
     }
 }
 
@@ -277,6 +309,44 @@ proptest! {
             prop_assert_eq!(audit.has_open_gaps(), reference.has_open_gaps());
             prop_assert_eq!(audit.all_delivered(), reference.all_delivered());
             prop_assert_eq!(audit.sent_count(), reference.registered);
+        }
+        prop_assert_eq!(audit.finalize(), reference.finalize());
+    }
+
+    /// CXL-shaped traffic over long per-CQID runs: mostly in-order walks,
+    /// with drops (runs delivered ahead of a lost message) and rewinds
+    /// (go-back-N duplicate windows) of up to the whole stream, plus the
+    /// occasional pick, corrupted copy or never-sent identity. The auditor
+    /// and the reference agree after every step and at `finalize()`.
+    #[test]
+    fn cxl_shaped_walks_match_the_record_copying_reference(
+        draws in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..3), 1..400),
+        cqids in 1u8..5,
+        sorted in any::<bool>(),
+        shared in any::<bool>(),
+        script in proptest::collection::vec((any::<u8>(), any::<u16>()), 0..600),
+    ) {
+        let stream = long_stream(&draws, cqids, sorted);
+        let mut reference = ReferenceAuditor::default();
+        stream.iter().for_each(|m| reference.record_sent(m));
+        let mut audit = if shared {
+            DeliveryAuditor::for_stream(Arc::new(SentStream::new(stream.clone())))
+        } else {
+            let mut a = DeliveryAuditor::new();
+            stream.iter().for_each(|m| a.record_sent(m));
+            a
+        };
+
+        let mut walk = 0usize;
+        for (op, arg) in script {
+            // Of 17 steps: 9 walk, 3 drop, 2 rewind, and one each picks,
+            // corrupts or invents a message.
+            let op = [0, 0, 0, 0, 0, 0, 0, 0, 0, 10, 10, 10, 11, 11, 3, 5, 7][op as usize % 17];
+            let m = delivery(&stream, &mut walk, op, arg);
+            prop_assert_eq!(audit.observe_delivery(&m), reference.observe_delivery(&m));
+            prop_assert_eq!(audit.counts(), &reference.counts);
+            prop_assert_eq!(audit.has_open_gaps(), reference.has_open_gaps());
+            prop_assert_eq!(audit.all_delivered(), reference.all_delivered());
         }
         prop_assert_eq!(audit.finalize(), reference.finalize());
     }

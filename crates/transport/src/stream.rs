@@ -1,10 +1,29 @@
 //! A message stream registered once and shared by every trial that sends it.
 
+#[cfg(test)]
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
 use rxl_flit::Message;
+
+#[cfg(test)]
+thread_local! {
+    /// Stream messages read by audit verdicts on this thread, in test builds
+    /// only: it pins what a verdict costs, not just what it answers.
+    pub(crate) static READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The message at stream position `p`, read on behalf of a verdict (and
+/// counted in `READS` in test builds).
+#[inline(always)]
+pub(crate) fn read_at(msgs: &[Message], p: u32) -> &Message {
+    #[cfg(test)]
+    READS.with(|reads| reads.set(reads.get() + 1));
+    &msgs[p as usize]
+}
 
 /// One direction's messages in send order — the ground truth an injector
 /// feeds from and a [`crate::DeliveryAuditor`] judges deliveries against.
@@ -22,7 +41,8 @@ use rxl_flit::Message;
 ///   under a [`OnceLock`], by the first auditor created over the stream
 ///   ([`crate::DeliveryAuditor::for_stream`]) — never at construction, so
 ///   wrapping a `Vec<Message>` is a move — and read by every later one, on
-///   any thread.
+///   any thread. A verdict reads it from the rank after its CQID's last
+///   delivery and searches outward from there only on a miss.
 /// * **Who holds handles**: the workload that built the stream, for as long
 ///   as the experiment runs; each trial's injector, from `begin` until the
 ///   trial is dropped; each trial's auditor, from `begin` until `finalize`.
@@ -49,13 +69,15 @@ pub(crate) struct StreamIndex {
 
 /// The messages of one CQID: where each sits in the stream, in send order.
 ///
-/// Deliveries on a quiet link arrive overwhelmingly in send order, so an
-/// auditor classifies one by comparing it with the message at the position
-/// under its cursor — no hashing, no probing, sequential access. Workload
-/// generators register identities in increasing order, which keeps `sorted`
-/// true and gives the out-of-order / duplicate / unexpected slow paths a
-/// binary search; an unsorted registration order merely downgrades those
-/// rare paths to a linear scan.
+/// A delivery usually follows the previous one of its CQID: in order on a
+/// quiet link, and still one rank on during a run delivered past a lost
+/// message or a go-back-N duplicate window. So an auditor classifies one by
+/// comparing it with the message one rank after the CQID's last delivery —
+/// no hashing, no probing, sequential access. Workload generators register
+/// identities in increasing order, which keeps `sorted` true; a miss then
+/// searches outward from that rank ([`Self::find`]), costing O(log
+/// distance). An unsorted registration order merely downgrades the miss to
+/// a linear scan.
 #[derive(Clone, Debug)]
 pub(crate) struct CqidIndex {
     pub(crate) positions: Vec<u32>,
@@ -131,15 +153,69 @@ impl StreamIndex {
 }
 
 impl CqidIndex {
-    /// Send-order rank within this CQID of the message with identity
-    /// `ident`, if one was registered.
-    pub(crate) fn find(&self, msgs: &[Message], ident: u32) -> Option<usize> {
-        let ident_at = |p: &u32| ident_of(&msgs[*p as usize]);
-        if self.sorted {
-            self.positions.binary_search_by_key(&ident, ident_at).ok()
-        } else {
-            self.positions.iter().position(|p| ident_at(p) == ident)
+    /// Send-order rank within this CQID of the message with `msg`'s
+    /// identity, if one was registered, searched for near rank `hint`
+    /// (at most the CQID's length): the caller has already compared `msg`
+    /// with the message at `hint` and found it different.
+    ///
+    /// On a sorted index the search steps outward from `hint` by 1, 2, 4, …
+    /// ranks until it brackets the identity, then binary-searches only
+    /// inside the bracket, so a rank `d` away costs O(log d) reads.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn find(&self, msgs: &[Message], msg: &Message, hint: usize) -> Option<usize> {
+        let ident = ident_of(msg);
+        let ident_at_pos = |p: u32| ident_of(read_at(msgs, p));
+        let ident_at = |rank: usize| ident_at_pos(self.positions[rank]);
+        let n = self.positions.len();
+        if !self.sorted {
+            return (0..n).find(|&rank| ident_at(rank) == ident);
         }
+        // The identity, if registered, lies in ranks `lo..hi`. The rank at
+        // `hint` is re-read uncounted: the caller's compare counted it.
+        let (mut lo, mut hi) = (0, n);
+        let below = match self.positions.get(hint) {
+            None => true,
+            Some(&p) => match ident.cmp(&ident_of(&msgs[p as usize])) {
+                Ordering::Equal => return Some(hint),
+                Ordering::Less => true,
+                Ordering::Greater => false,
+            },
+        };
+        let mut step = 1;
+        if below {
+            hi = hint;
+            while step <= hint {
+                let rank = hint - step;
+                match ident.cmp(&ident_at(rank)) {
+                    Ordering::Equal => return Some(rank),
+                    Ordering::Greater => {
+                        lo = rank + 1;
+                        break;
+                    }
+                    Ordering::Less => hi = rank,
+                }
+                step *= 2;
+            }
+        } else {
+            lo = hint + 1;
+            while hint + step < n {
+                let rank = hint + step;
+                match ident.cmp(&ident_at(rank)) {
+                    Ordering::Equal => return Some(rank),
+                    Ordering::Less => {
+                        hi = rank;
+                        break;
+                    }
+                    Ordering::Greater => lo = rank + 1,
+                }
+                step *= 2;
+            }
+        }
+        self.positions[lo..hi]
+            .binary_search_by(|&p| ident_at_pos(p).cmp(&ident))
+            .ok()
+            .map(|i| lo + i)
     }
 }
 

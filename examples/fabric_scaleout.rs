@@ -14,21 +14,20 @@
 //! ```text
 //! cargo run --release --example fabric_scaleout [ber] [trials] [messages]
 //! ```
+//!
+//! A malformed argument (`1e-4x`, `-3`, a fractional count) is a usage
+//! error (exit status 2), never silently the default.
 
 use rxl::fabric::{FabricConfig, FabricMonteCarlo, FabricTopology, FabricWorkload};
 use rxl::link::{ChannelErrorModel, ProtocolVariant};
 use rxl::prelude::{FabricSimOptions, FabricSpec, ProtocolKind};
+use rxl_bench::cli::{usage_error, Cli};
 
 fn main() {
-    let arg = |idx: usize, default: f64| -> f64 {
-        std::env::args()
-            .nth(idx)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(default)
-    };
-    let ber = arg(1, 1e-4);
-    let trials = arg(2, 4.0) as u64;
-    let messages = arg(3, 600.0) as usize;
+    let cli = Cli::parse(&[], 3);
+    let ber = cli.number(0, 1e-4).unwrap_or_else(|e| usage_error(&e));
+    let trials = cli.count(1, 4).unwrap_or_else(|e| usage_error(&e));
+    let messages = cli.count(2, 600).unwrap_or_else(|e| usage_error(&e));
 
     println!("fabric scale-out: accelerated BER {ber:.0e}, {trials} trials, {messages} messages/session\n");
 

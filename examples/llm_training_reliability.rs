@@ -10,23 +10,20 @@
 //! ```text
 //! cargo run --example llm_training_reliability [devices] [days] [levels]
 //! ```
+//!
+//! A malformed argument (not a non-negative number, or a fractional
+//! device or level count) is a usage error (exit status 2), never silently
+//! the default.
 
 use rxl::analysis::ReliabilityModel;
 use rxl::core::{FabricSpec, ProtocolKind};
+use rxl_bench::cli::{usage_error, Cli};
 
 fn main() {
-    let devices: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(16_384);
-    let days: f64 = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(54.0);
-    let levels: u32 = std::env::args()
-        .nth(3)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1);
+    let cli = Cli::parse(&[], 3);
+    let devices = cli.count(0, 16_384).unwrap_or_else(|e| usage_error(&e));
+    let days = cli.number(1, 54.0).unwrap_or_else(|e| usage_error(&e));
+    let levels = cli.count(2, 1).unwrap_or_else(|e| usage_error(&e));
     let job_hours = days * 24.0;
 
     println!(
