@@ -1,17 +1,14 @@
 //! Accelerated-BER Monte-Carlo cross-check of the analytic failure model:
 //! CXL (piggybacked ACKs) versus RXL through one switch level.
+//!
+//! Usage: `sim_crosscheck [BER] [TRIALS] [MESSAGES]` (defaults 2e-4, 8,
+//! 2000); a malformed argument is a usage error (exit status 2).
+use rxl_bench::cli::{usage_error, Cli};
+
 fn main() {
-    let ber: f64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2e-4);
-    let trials: u64 = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(8);
-    let messages: usize = std::env::args()
-        .nth(3)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2_000);
+    let cli = Cli::parse(&[], 3);
+    let ber = cli.number(0, 2e-4).unwrap_or_else(|e| usage_error(&e));
+    let trials = cli.count(1, 8).unwrap_or_else(|e| usage_error(&e));
+    let messages = cli.count(2, 2_000).unwrap_or_else(|e| usage_error(&e));
     println!("{}", rxl_bench::sim_crosscheck_table(ber, trials, messages));
 }

@@ -13,7 +13,25 @@ use rxl_fabric::{
 };
 use rxl_link::{ChannelErrorModel, ProtocolVariant};
 
-use crate::config::ProtocolKind;
+/// Which protocol a fabric runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+pub enum ProtocolKind {
+    /// Baseline CXL 3.x: link-layer CRC, explicit (multiplexed) FSN.
+    Cxl,
+    /// RXL: transport-layer ECRC with the Implicit Sequence Number.
+    #[default]
+    Rxl,
+}
+
+impl ProtocolKind {
+    /// Display name used in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProtocolKind::Cxl => "CXL",
+            ProtocolKind::Rxl => "RXL",
+        }
+    }
+}
 
 /// Description of a scaled-out fabric.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -261,6 +279,12 @@ impl FabricSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_are_stable() {
+        assert_eq!(ProtocolKind::Cxl.name(), "CXL");
+        assert_eq!(ProtocolKind::Rxl.name(), "RXL");
+    }
 
     #[test]
     fn cxl_fabric_at_scale_fails_constantly_rxl_practically_never() {

@@ -1,56 +1,35 @@
-//! # rxl-core — The paper's contribution as a library
+//! # rxl-core — the paper's FIT analysis projected onto whole fabrics
 //!
-//! This crate packages the Implicit Sequence Number (ISN) mechanism and the
-//! RXL protocol stack behind a small, session-oriented API:
+//! [`FabricSpec`] scales the per-device FIT analysis of Section 7.1 up to a
+//! multi-node fabric: how often does a 16K-GPU training job see an
+//! interconnect-induced ordering failure under baseline CXL, and under RXL?
+//! [`FabricSpec::simulate`] backs that projection with `rxl-fabric`
+//! discrete-event simulation evidence at an accelerated BER.
 //!
-//! * [`stack`] — [`RxlStack`] and [`CxlStack`]: one endpoint's send/receive
-//!   session at flit granularity. The RXL stack binds every transmitted flit
-//!   to a sequence number through the ISN ECRC and rejects anything that is
-//!   corrupted, dropped-ahead-of, or replayed; the CXL stack reproduces the
-//!   baseline behaviour (explicit FSN checks only when the header carries
-//!   one) for comparison.
-//! * [`config`] — [`StackConfig`] / [`ProtocolKind`]: which protocol, which
-//!   ISN folding mode, how many sequence bits.
-//! * [`fabric`] — [`FabricSpec`]: projecting the paper's per-device FIT
-//!   analysis onto whole multi-node fabrics (how often does a 16K-GPU
-//!   training job see an interconnect-induced failure?), and
-//!   [`FabricSpec::simulate`]: backing that projection with `rxl-fabric`
-//!   discrete-event simulation evidence at an accelerated BER.
-//!
-//! The lower layers remain available as independent crates (`rxl-crc`,
-//! `rxl-fec`, `rxl-flit`, `rxl-link`, `rxl-switch`, `rxl-sim`) for users who
-//! need the mechanisms rather than the sessions.
+//! The link itself — the send/receive state machines that bind every flit
+//! to its sequence number through the ISN ECRC, or, under baseline CXL,
+//! check it only when the header carries an explicit FSN — is
+//! `rxl-link`'s `LinkTx` / `LinkRx` / `LinkEndpoint`, the same receiver every
+//! simulator runs.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use rxl_core::{RxlStack, ReceiveError};
-//! use rxl_flit::{Flit256, FlitHeader, MemOp, Message};
+//! use rxl_core::{FabricSpec, ProtocolKind};
 //!
-//! let mut sender = RxlStack::new();
-//! let mut receiver = RxlStack::new();
+//! // A Llama-3.1-scale job: 16K accelerators behind one switch level, 54 days.
+//! let job_hours = 54.0 * 24.0;
+//! let cxl = FabricSpec::new(ProtocolKind::Cxl, 16_384, 1).project(job_hours);
+//! let rxl = FabricSpec::new(ProtocolKind::Rxl, 16_384, 1).project(job_hours);
 //!
-//! // Two flits leave the sender...
-//! let mut flit_a = Flit256::new(FlitHeader::ack(0));
-//! flit_a.pack_messages(&[Message::request(MemOp::RdCurr, 0x1000, 0, 0)]).unwrap();
-//! let wire_a = sender.send(&flit_a);
-//! let wire_b = sender.send(&flit_a);
-//!
-//! // ...but the first one is silently dropped. The receiver immediately
-//! // notices when the second one arrives.
-//! assert!(matches!(
-//!     receiver.receive(&wire_b),
-//!     Err(ReceiveError::SequenceOrDataMismatch)
-//! ));
-//! // Once the dropped flit is replayed, in-order delivery resumes.
-//! assert!(receiver.receive(&wire_a).is_ok());
-//! assert!(receiver.receive(&wire_b).is_ok());
+//! // Baseline CXL expects interconnect-induced failures during the job;
+//! // RXL's implicit sequence numbers make them vanishingly rare.
+//! assert!(cxl.failures_per_job > 1.0);
+//! assert!(rxl.failures_per_job < 1e-6 * cxl.failures_per_job);
 //! ```
 
-pub mod config;
 pub mod fabric;
-pub mod stack;
 
-pub use config::{ProtocolKind, StackConfig};
-pub use fabric::{FabricReliability, FabricSimEvidence, FabricSimOptions, FabricSpec};
-pub use stack::{CxlStack, ReceiveError, RxlStack};
+pub use fabric::{
+    FabricReliability, FabricSimEvidence, FabricSimOptions, FabricSpec, ProtocolKind,
+};

@@ -34,11 +34,10 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rxl_flit::{
-    CxlFlitCodec, Flit256, Message, RxlFlitCodec, WireFlit, MESSAGES_PER_FLIT, WIRE_FLIT_LEN,
-};
+use rxl_flit::{Message, WireFlit, MESSAGES_PER_FLIT, WIRE_FLIT_LEN};
 use rxl_link::{
-    Channel, ChannelErrorModel, EventCursor, FlitRef, LinkConfig, LinkStats, ProtocolVariant,
+    Channel, ChannelErrorModel, EventCursor, FlitRef, LinkCodec, LinkConfig, LinkStats,
+    ProtocolVariant,
 };
 use rxl_switch::{
     InternalErrorModel, LinkCrcMode, ProcessVerdict, SwitchConfig, SwitchStats, MAX_VCS,
@@ -484,36 +483,6 @@ impl FabricReport {
     }
 }
 
-/// The engine-held flit encoder, fixed per trial by
-/// [`FabricConfig::variant`]. `LinkTx`/`LinkRx` always run their codecs in
-/// default mode (there is no per-link codec knob; the switch-level
-/// [`LinkCrcMode`] is a forwarding-pipeline concept), so a wire image
-/// produced here is bit-identical to what the emitting endpoint's
-/// transmitter would have produced.
-enum SimCodec {
-    Cxl(CxlFlitCodec),
-    Rxl(RxlFlitCodec),
-}
-
-impl SimCodec {
-    fn for_variant(variant: ProtocolVariant) -> Self {
-        match variant {
-            ProtocolVariant::Rxl => SimCodec::Rxl(RxlFlitCodec::new()),
-            _ => SimCodec::Cxl(CxlFlitCodec::new()),
-        }
-    }
-
-    /// Encodes `flit` bound to link-layer sequence number `seq` (ignored by
-    /// the CXL codec, whose CRC has no sequence component).
-    #[inline]
-    fn encode(&self, flit: &Flit256, seq: u16) -> WireFlit {
-        match self {
-            SimCodec::Cxl(c) => c.encode(flit),
-            SimCodec::Rxl(c) => c.encode(flit, seq),
-        }
-    }
-}
-
 /// The payload of an in-fabric flit: either a handle to the *logical* flit
 /// plus its bound sequence number (no wire bytes materialised yet — the state
 /// every flit starts in and, on a quiet link, stays in for its whole
@@ -547,7 +516,7 @@ impl FlitPayload {
     /// Forces the wire image into existence (encoding on first call) and
     /// returns it for in-place mutation.
     #[inline]
-    fn materialize(&mut self, codec: &SimCodec) -> &mut WireFlit {
+    fn materialize(&mut self, codec: &LinkCodec) -> &mut WireFlit {
         if let FlitPayload::Clean { flit, seq } = self {
             *self = FlitPayload::Wire(Box::new(codec.encode(flit, *seq)));
         }
@@ -768,9 +737,11 @@ pub struct FabricSim<'a, P: Probe = NullProbe> {
     /// path.
     clean_switch: bool,
     /// The engine-held flit encoder used to materialise deferred
-    /// ([`FlitPayload::Clean`]) wire images on demand. Matches the
-    /// endpoints' codecs bit-for-bit (see [`SimCodec`]).
-    codec: SimCodec,
+    /// ([`FlitPayload::Clean`]) wire images on demand: the
+    /// [`LinkCodec`] of [`FabricConfig::variant`], the same one every
+    /// endpoint's transmitter holds, so the image is bit-identical to what
+    /// the emitting transmitter would have produced.
+    codec: LinkCodec,
     /// Slot at which a flit last moved anywhere (entered a lane, consumed by
     /// a switch pipeline, delivered, or blackholed). Distinguishes a credit
     /// deadlock (flits wedged, zero motion) from the baseline-CXL replay
@@ -890,7 +861,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             },
             link_cursors: vec![EventCursor::new(); topology.link_count()],
             clean_switch: config.switch_internal.per_flit_probability <= 0.0,
-            codec: SimCodec::for_variant(config.variant),
+            codec: LinkCodec::for_variant(config.variant),
             last_motion_slot: 0,
             pending_paced: 0,
             probe,

@@ -15,7 +15,7 @@
 //!   remains bound to its position in the stream.
 
 use rxl_crc::catalog::FLIT_CRC64;
-use rxl_crc::isn::{IsnCrc64, IsnMode};
+use rxl_crc::isn::IsnCrc64;
 use rxl_fec::{FlitFecResult, InterleavedFec};
 
 use crate::flit256::{Flit256, FLIT_CRC_LEN, FLIT_HEADER_LEN, FLIT_PAYLOAD_LEN, FLIT_TOTAL_LEN};
@@ -159,22 +159,13 @@ impl Default for RxlFlitCodec {
 }
 
 impl RxlFlitCodec {
-    /// Creates the codec with the default ISN folding mode.
+    /// Creates the codec with the default ISN folding mode and the 10-bit
+    /// sequence space.
     pub fn new() -> Self {
-        Self::with_mode(IsnMode::default())
-    }
-
-    /// Creates the codec with an explicit ISN folding mode.
-    pub fn with_mode(mode: IsnMode) -> Self {
         RxlFlitCodec {
-            isn: IsnCrc64::with_mode(FLIT_CRC64, mode, rxl_crc::isn::DEFAULT_SEQ_BITS),
+            isn: IsnCrc64::new(FLIT_CRC64),
             fec: InterleavedFec::cxl_flit(),
         }
-    }
-
-    /// The sequence-number mask (wrap point) of the ISN construction.
-    pub fn seq_mask(&self) -> u16 {
-        self.isn.seq_mask()
     }
 
     /// Encodes a flit bound to transport sequence number `seq`.
@@ -378,7 +369,6 @@ mod tests {
     #[test]
     fn rxl_sequence_space_wraps_at_ten_bits() {
         let rxl = RxlFlitCodec::new();
-        assert_eq!(rxl.seq_mask(), 0x3FF);
         let flit = sample_flit(10);
         let wire = rxl.encode(&flit, 1024 + 5);
         assert!(rxl.decode(&wire, 5).accepted());

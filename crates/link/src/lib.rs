@@ -9,7 +9,8 @@
 //! * [`retry`] — the transmit replay buffer and go-back-N bookkeeping,
 //! * [`ack`] — ACK scheduling: coalescing level and piggybacking policy,
 //! * [`variant`] — the three protocol variants evaluated in the paper:
-//!   CXL with ACK piggybacking, CXL with standalone ACK flits, and RXL,
+//!   CXL with ACK piggybacking, CXL with standalone ACK flits, and RXL —
+//!   and [`LinkCodec`], the flit codec each one puts on the wire,
 //! * [`tx`] / [`rx`] — transmit and receive state machines for one direction
 //!   of a link, faithful to the failure semantics of Fig. 4 (the baseline CXL
 //!   receiver cannot check the sequence of ACK-carrying flits and forwards
@@ -43,4 +44,4 @@ pub use rx::{Delivered, LinkRx, RxResult};
 pub use seq::{seq_add, seq_distance, seq_next, SEQ_MASK, SEQ_SPACE};
 pub use stats::LinkStats;
 pub use tx::{FlitRef, LinkTx, TxEmission};
-pub use variant::{LinkConfig, ProtocolVariant};
+pub use variant::{LinkCodec, LinkConfig, ProtocolVariant};

@@ -12,16 +12,21 @@
 //! * the **RXL** receiver validates every flit against its expected sequence
 //!   number through the ISN ECRC, so a drop is caught on the very next flit
 //!   and nothing out of order is ever forwarded.
+//!
+//! Each variant makes that decision in one place. [`LinkRx::receive`]
+//! decodes a wire flit and [`LinkRx::receive_trusted`] takes a flit known to
+//! be clean; both hand the outcome of the integrity checks to the same
+//! per-variant dispatch, and every rejection goes through one NACK-once
+//! transition.
 
 use rxl_flit::{
-    CxlFlitCodec, FlitHeader, FlitType, Message, ReplayCmd, RxlFlitCodec, WireFlit,
-    MESSAGES_PER_FLIT,
+    CxlDecode, Flit256, FlitHeader, FlitType, Message, ReplayCmd, WireFlit, MESSAGES_PER_FLIT,
 };
 
 use crate::ack::{AckPolicy, AckScheduler};
 use crate::seq::{seq_add, seq_next};
 use crate::stats::LinkStats;
-use crate::variant::{LinkConfig, ProtocolVariant};
+use crate::variant::{LinkCodec, LinkConfig};
 
 /// The transaction messages one flit forwarded to the upper layer: at most
 /// [`MESSAGES_PER_FLIT`], held inline so a receive allocates nothing. Derefs
@@ -93,15 +98,10 @@ pub struct RxResult {
     pub rejected: bool,
 }
 
-enum Codec {
-    Cxl(CxlFlitCodec),
-    Rxl(RxlFlitCodec),
-}
-
 /// The receive state machine for one link direction.
 pub struct LinkRx {
     config: LinkConfig,
-    codec: Codec,
+    codec: LinkCodec,
     /// Count-based expected sequence number of the next protocol flit.
     expected_seq: u16,
     /// Last sequence number that was explicitly verified (CXL only).
@@ -115,17 +115,13 @@ pub struct LinkRx {
 impl LinkRx {
     /// Creates a receiver with the given configuration.
     pub fn new(config: LinkConfig) -> Self {
-        let codec = match config.variant {
-            ProtocolVariant::Rxl => Codec::Rxl(RxlFlitCodec::new()),
-            _ => Codec::Cxl(CxlFlitCodec::new()),
-        };
         let policy = if config.variant.piggybacks_acks() {
             AckPolicy::Piggyback
         } else {
             AckPolicy::Standalone
         };
         LinkRx {
-            codec,
+            codec: LinkCodec::for_variant(config.variant),
             expected_seq: 0,
             last_verified_fsn: None,
             awaiting_replay: false,
@@ -162,20 +158,41 @@ impl LinkRx {
         self.acks.flush()
     }
 
-    /// Processes one arriving wire flit.
+    /// Processes one arriving wire flit: decode it, then dispatch on what the
+    /// integrity checks found.
     pub fn receive(&mut self, wire: &WireFlit) -> RxResult {
-        match self.config.variant {
-            ProtocolVariant::Rxl => self.receive_rxl(wire),
-            _ => self.receive_cxl(wire),
+        match &self.codec {
+            LinkCodec::Cxl(codec) => match codec.decode(wire) {
+                CxlDecode {
+                    flit: Some(flit),
+                    crc_ok: true,
+                    ..
+                } => self.dispatch_cxl(&flit),
+                _ => self.reject_unreadable(),
+            },
+            LinkCodec::Rxl(codec) => {
+                let decode = codec.decode(wire, self.expected_seq);
+                let Some(flit) = &decode.flit else {
+                    return self.reject_unreadable();
+                };
+                // Control flits live outside the transport sequence space
+                // and are bound to sequence 0 by the transmitter.
+                let verified = if flit.header.flit_type == FlitType::Protocol {
+                    decode.ecrc_ok
+                } else {
+                    codec.verify_flit(flit, decode.crc, 0)
+                };
+                self.dispatch_rxl(flit, verified)
+            }
         }
     }
 
     /// Processes one arriving flit that is *known clean*: the wire image the
     /// peer put on the link was bit-identical to `encode(flit, tx_seq)` and
     /// no traversal corrupted it, so decoding is pure overhead. This is the
-    /// receiver half of the fabric engine's known-clean fast path; it must
-    /// (and does) reproduce [`Self::receive`]'s exact accept/reject
-    /// decisions, statistics and state transitions for such a wire:
+    /// receiver half of the fabric engine's known-clean fast path. It runs
+    /// the same dispatch as [`Self::receive`] and only supplies, without a
+    /// decode, what the integrity checks would have found for such a wire:
     ///
     /// * FEC always accepts a clean codeword with zero corrections;
     /// * the CXL link CRC always verifies (it has no sequence component);
@@ -184,65 +201,29 @@ impl LinkRx {
     ///   (a 10-bit sequence folded into a CRC-64 can never collide across
     ///   distinct sequence numbers, see `rxl-crc`'s ISN docs) — and control
     ///   flits verify against their fixed binding to sequence 0.
-    pub fn receive_trusted(&mut self, flit: &rxl_flit::Flit256, tx_seq: u16) -> RxResult {
-        match self.config.variant {
-            ProtocolVariant::Rxl => self.receive_trusted_rxl(flit, tx_seq),
-            _ => self.dispatch_cxl(flit),
+    pub fn receive_trusted(&mut self, flit: &Flit256, tx_seq: u16) -> RxResult {
+        match self.codec {
+            LinkCodec::Cxl(_) => self.dispatch_cxl(flit),
+            LinkCodec::Rxl(_) => {
+                let verified = if flit.header.flit_type == FlitType::Protocol {
+                    tx_seq == self.expected_seq
+                } else {
+                    debug_assert_eq!(tx_seq, 0, "control flits are bound to sequence 0");
+                    true
+                };
+                self.dispatch_rxl(flit, verified)
+            }
         }
     }
 
-    // ----- baseline CXL ---------------------------------------------------
-
-    fn receive_cxl(&mut self, wire: &WireFlit) -> RxResult {
-        let Codec::Cxl(codec) = &self.codec else {
-            unreachable!("CXL receive with RXL codec")
-        };
-        let decode = codec.decode(wire);
+    /// Everything the baseline receiver does once FEC and link CRC have
+    /// passed. All decisions below depend only on header bits and receiver
+    /// state, never on wire bytes.
+    fn dispatch_cxl(&mut self, flit: &Flit256) -> RxResult {
         let mut result = RxResult::default();
-
-        if !decode.fec.accepted() || !decode.crc_ok {
-            // Data-integrity failure at the endpoint: discard and request a
-            // retry from the last sequence number we can vouch for.
-            self.stats.flits_rejected += 1;
-            result.rejected = true;
-            if !self.awaiting_replay {
-                let last_good = self.nack_reference();
-                result.send_nack = Some(last_good);
-                self.stats.nacks_sent += 1;
-                self.expected_seq = seq_next(last_good);
-                self.awaiting_replay = true;
-            } else {
-                self.stats.flits_discarded_in_replay += 1;
-            }
+        if flit.header.flit_type != FlitType::Protocol {
+            consume_control(&flit.header, &mut result);
             return result;
-        }
-
-        let flit = decode.flit.expect("accepted CXL flit carries contents");
-        self.dispatch_cxl(&flit)
-    }
-
-    /// The integrity-independent tail of [`Self::receive_cxl`]: everything
-    /// the baseline receiver does once FEC and CRC have passed (or are known
-    /// to pass, on the trusted fast path). All decisions below depend only
-    /// on header bits and receiver state, never on wire bytes.
-    fn dispatch_cxl(&mut self, flit: &rxl_flit::Flit256) -> RxResult {
-        let mut result = RxResult::default();
-        match flit.header.flit_type {
-            FlitType::LinkControl => {
-                result.accepted = true;
-                result.peer_nack = Some(flit.header.fsn);
-                return result;
-            }
-            FlitType::StandaloneAck => {
-                result.accepted = true;
-                result.peer_ack = Some(flit.header.fsn);
-                return result;
-            }
-            FlitType::Idle => {
-                result.accepted = true;
-                return result;
-            }
-            FlitType::Protocol => {}
         }
 
         match flit.header.replay_cmd {
@@ -253,29 +234,23 @@ impl LinkRx {
                 result.peer_ack = Some(flit.header.fsn);
                 result.sequence_checked = false;
                 self.stats.unchecked_sequence_accepts += 1;
-                self.accept_and_forward(flit.header, &flit.payload, &mut result);
+                self.accept_and_forward(flit, &mut result);
             }
             ReplayCmd::SeqNum => {
                 if flit.header.fsn == self.expected_seq {
                     self.last_verified_fsn = Some(flit.header.fsn);
                     self.awaiting_replay = false;
                     result.sequence_checked = true;
-                    self.accept_and_forward(flit.header, &flit.payload, &mut result);
-                } else if self.awaiting_replay {
-                    // Discard silently until the replay reaches the expected
-                    // sequence number.
-                    self.stats.flits_discarded_in_replay += 1;
-                    result.rejected = true;
+                    self.accept_and_forward(flit, &mut result);
                 } else {
                     // Explicit sequence mismatch: a drop is finally visible.
-                    self.stats.explicit_sequence_mismatches += 1;
-                    self.stats.flits_rejected += 1;
-                    result.rejected = true;
-                    let last_good = self.nack_reference();
-                    result.send_nack = Some(last_good);
-                    self.stats.nacks_sent += 1;
-                    self.expected_seq = seq_next(last_good);
-                    self.awaiting_replay = true;
+                    // While a replay is already on its way the flit is only
+                    // discarded, and counted as nothing else.
+                    if !self.awaiting_replay {
+                        self.stats.explicit_sequence_mismatches += 1;
+                        self.stats.flits_rejected += 1;
+                    }
+                    self.nack_once(&mut result);
                 }
             }
             ReplayCmd::NackGoBackN | ReplayCmd::NackSingleRetry => {
@@ -287,54 +262,14 @@ impl LinkRx {
         result
     }
 
-    /// The sequence number a CXL NACK refers to: the last *verified* FSN if
-    /// one exists, otherwise one before the count-based expectation.
-    fn nack_reference(&self) -> u16 {
-        self.last_verified_fsn
-            .unwrap_or_else(|| seq_add(self.expected_seq, -1))
-    }
-
-    // ----- RXL --------------------------------------------------------------
-
-    fn receive_rxl(&mut self, wire: &WireFlit) -> RxResult {
-        let Codec::Rxl(codec) = &self.codec else {
-            unreachable!("RXL receive with CXL codec")
-        };
-        let decode = codec.decode(wire, self.expected_seq);
+    /// Everything the RXL receiver does once the FEC has accepted, given
+    /// whether the flit's ISN ECRC `verified` — against the expected
+    /// sequence for a protocol flit, against sequence 0 for a control flit.
+    fn dispatch_rxl(&mut self, flit: &Flit256, verified: bool) -> RxResult {
         let mut result = RxResult::default();
-
-        if !decode.fec.accepted() {
-            self.stats.flits_rejected += 1;
-            result.rejected = true;
-            if !self.awaiting_replay {
-                let last_good = seq_add(self.expected_seq, -1);
-                result.send_nack = Some(last_good);
-                self.stats.nacks_sent += 1;
-                self.awaiting_replay = true;
-            } else {
-                self.stats.flits_discarded_in_replay += 1;
-            }
-            return result;
-        }
-
-        let flit = decode
-            .flit
-            .as_ref()
-            .expect("FEC-accepted flit has contents");
-
-        // Control flits live outside the transport sequence space and are
-        // bound to sequence 0 by the transmitter.
-        if matches!(
-            flit.header.flit_type,
-            FlitType::LinkControl | FlitType::StandaloneAck | FlitType::Idle
-        ) {
-            if codec.verify_flit(flit, decode.crc, 0) {
-                result.accepted = true;
-                match flit.header.flit_type {
-                    FlitType::LinkControl => result.peer_nack = Some(flit.header.fsn),
-                    FlitType::StandaloneAck => result.peer_ack = Some(flit.header.fsn),
-                    _ => {}
-                }
+        if flit.header.flit_type != FlitType::Protocol {
+            if verified {
+                consume_control(&flit.header, &mut result);
             } else {
                 self.stats.flits_rejected += 1;
                 result.rejected = true;
@@ -342,97 +277,65 @@ impl LinkRx {
             return result;
         }
 
-        if decode.ecrc_ok {
+        if verified {
             // Data intact *and* sequence as expected: forward.
             self.awaiting_replay = false;
             result.sequence_checked = true;
             if flit.header.replay_cmd == ReplayCmd::Ack {
                 result.peer_ack = Some(flit.header.fsn);
             }
-            let header = flit.header;
-            let payload = flit.payload;
-            self.accept_and_forward(header, &payload, &mut result);
+            self.accept_and_forward(flit, &mut result);
         } else {
             // Either the payload is corrupted or (at least) one flit before
             // this one was dropped. Both trigger the same response: retry.
             self.stats.ecrc_rejections += 1;
             self.stats.flits_rejected += 1;
-            result.rejected = true;
-            if !self.awaiting_replay {
-                let last_good = seq_add(self.expected_seq, -1);
-                result.send_nack = Some(last_good);
-                self.stats.nacks_sent += 1;
-                self.awaiting_replay = true;
-            } else {
-                self.stats.flits_discarded_in_replay += 1;
-            }
+            self.nack_once(&mut result);
         }
         result
     }
 
-    /// The RXL receiver's decision for a *known-clean* arrival bound to
-    /// `tx_seq` (see [`Self::receive_trusted`]): the FEC accepts, and the
-    /// ISN ECRC outcome is exactly `tx_seq == expected_seq` for protocol
-    /// flits (always-verifying for control flits, which the transmitter
-    /// binds to sequence 0). Mirrors [`Self::receive_rxl`] branch for
-    /// branch.
-    fn receive_trusted_rxl(&mut self, flit: &rxl_flit::Flit256, tx_seq: u16) -> RxResult {
+    /// A flit the FEC could not repair (or, under CXL, whose link CRC
+    /// failed): nothing in it can be trusted, so discard it and request a
+    /// retry.
+    fn reject_unreadable(&mut self) -> RxResult {
         let mut result = RxResult::default();
-
-        if matches!(
-            flit.header.flit_type,
-            FlitType::LinkControl | FlitType::StandaloneAck | FlitType::Idle
-        ) {
-            debug_assert_eq!(tx_seq, 0, "control flits are bound to sequence 0");
-            result.accepted = true;
-            match flit.header.flit_type {
-                FlitType::LinkControl => result.peer_nack = Some(flit.header.fsn),
-                FlitType::StandaloneAck => result.peer_ack = Some(flit.header.fsn),
-                _ => {}
-            }
-            return result;
-        }
-
-        if tx_seq == self.expected_seq {
-            // Data intact *and* sequence as expected: forward.
-            self.awaiting_replay = false;
-            result.sequence_checked = true;
-            if flit.header.replay_cmd == ReplayCmd::Ack {
-                result.peer_ack = Some(flit.header.fsn);
-            }
-            self.accept_and_forward(flit.header, &flit.payload, &mut result);
-        } else {
-            // A clean flit with the wrong sequence: (at least) one flit
-            // before this one was dropped, and the ECRC would have exposed
-            // it. Same response as the decode path: retry.
-            self.stats.ecrc_rejections += 1;
-            self.stats.flits_rejected += 1;
-            result.rejected = true;
-            if !self.awaiting_replay {
-                let last_good = seq_add(self.expected_seq, -1);
-                result.send_nack = Some(last_good);
-                self.stats.nacks_sent += 1;
-                self.awaiting_replay = true;
-            } else {
-                self.stats.flits_discarded_in_replay += 1;
-            }
-        }
+        self.stats.flits_rejected += 1;
+        self.nack_once(&mut result);
         result
     }
 
-    // ----- shared ----------------------------------------------------------
+    /// The one reject transition of both variants: the first rejection
+    /// NACKs back to [`Self::nack_reference`] and waits for the replay; every
+    /// rejection after it is discarded until the replay arrives.
+    fn nack_once(&mut self, result: &mut RxResult) {
+        result.rejected = true;
+        if self.awaiting_replay {
+            self.stats.flits_discarded_in_replay += 1;
+            return;
+        }
+        let last_good = self.nack_reference();
+        result.send_nack = Some(last_good);
+        self.stats.nacks_sent += 1;
+        self.expected_seq = seq_next(last_good);
+        self.awaiting_replay = true;
+    }
 
-    fn accept_and_forward(
-        &mut self,
-        header: FlitHeader,
-        payload: &[u8; rxl_flit::FLIT_PAYLOAD_LEN],
-        result: &mut RxResult,
-    ) {
+    /// The sequence number a NACK refers to: under CXL the last *verified*
+    /// FSN if one exists, otherwise one before the count-based expectation.
+    /// RXL never records a verified FSN, so its NACK always names the flit
+    /// before the expected one and leaves the expectation where it is.
+    fn nack_reference(&self) -> u16 {
+        self.last_verified_fsn
+            .unwrap_or_else(|| seq_add(self.expected_seq, -1))
+    }
+
+    fn accept_and_forward(&mut self, flit: &Flit256, result: &mut RxResult) {
         result.accepted = true;
-        result.delivered_header = Some(header);
+        result.delivered_header = Some(flit.header);
         // A payload that fails to unpack forwards nothing.
         result.delivered.len =
-            rxl_flit::unpack_messages_into(payload, &mut result.delivered.msgs).unwrap_or(0);
+            rxl_flit::unpack_messages_into(&flit.payload, &mut result.delivered.msgs).unwrap_or(0);
         self.stats.flits_accepted += 1;
 
         let accepted_seq = self.expected_seq;
@@ -444,11 +347,24 @@ impl LinkRx {
     }
 }
 
+/// Consumes a verified control flit (NACK, standalone ACK, idle): the link
+/// layer takes what it carries for the co-located transmitter and forwards
+/// nothing.
+fn consume_control(header: &FlitHeader, result: &mut RxResult) {
+    result.accepted = true;
+    match header.flit_type {
+        FlitType::LinkControl => result.peer_nack = Some(header.fsn),
+        FlitType::StandaloneAck => result.peer_ack = Some(header.fsn),
+        FlitType::Idle | FlitType::Protocol => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tx::{LinkTx, TxEmission};
-    use rxl_flit::{Flit256, MemOp};
+    use crate::variant::ProtocolVariant;
+    use rxl_flit::{CxlFlitCodec, MemOp};
 
     fn config(variant: ProtocolVariant) -> LinkConfig {
         LinkConfig::cxl3_x16(variant)
@@ -666,5 +582,55 @@ mod tests {
         assert!(out.accepted);
         assert!(out.delivered.is_empty());
         assert_eq!(rx.expected_seq(), 0);
+    }
+
+    #[test]
+    fn rxl_rejects_a_duplicate_of_an_accepted_flit() {
+        let variant = ProtocolVariant::Rxl;
+        let mut tx = LinkTx::new(config(variant));
+        let mut rx = LinkRx::new(config(variant));
+        let (w0, _) = protocol_wire(&mut tx, 0);
+        let (w1, _) = protocol_wire(&mut tx, 1);
+        assert!(rx.receive(&w0).accepted);
+        assert!(rx.receive(&w1).accepted);
+
+        // A replayed copy of flit 1 is bound to sequence 1, not the expected
+        // 2: the ISN ECRC rejects it like a drop, and nothing is forwarded.
+        let out = rx.receive(&w1);
+        assert!(out.rejected && out.delivered.is_empty());
+        assert_eq!(out.send_nack, Some(1));
+        assert_eq!(rx.expected_seq(), 2);
+        assert_eq!(rx.stats().ecrc_rejections, 1);
+    }
+
+    #[test]
+    fn cxl_corrupted_flit_is_rejected_and_nacked_once() {
+        let variant = ProtocolVariant::CxlPiggyback;
+        let mut tx = LinkTx::new(config(variant));
+        let mut rx = LinkRx::new(config(variant));
+        let (w0, _) = protocol_wire(&mut tx, 0);
+        assert!(rx.receive(&w0).accepted);
+
+        // Corruption the FEC cannot repair (same-way equal flips).
+        let (w1, _) = protocol_wire(&mut tx, 1);
+        let mut corrupted = *w1;
+        corrupted[1] ^= 0x40;
+        corrupted[4] ^= 0x40;
+        let out = rx.receive(&corrupted);
+        assert!(out.rejected && !out.accepted);
+        assert_eq!(out.send_nack, Some(0), "the last verified FSN");
+        assert!(rx.awaiting_replay());
+        // The next flit is discarded while the replay is on its way.
+        let (w2, _) = protocol_wire(&mut tx, 2);
+        let out = rx.receive(&w2);
+        assert!(out.rejected && out.send_nack.is_none());
+        let stats = rx.stats();
+        assert_eq!(
+            (stats.flits_rejected, stats.nacks_sent),
+            (1, 1),
+            "the discarded flit is not counted as a CXL rejection"
+        );
+        assert_eq!(stats.flits_discarded_in_replay, 1);
+        assert_eq!(stats.explicit_sequence_mismatches, 0);
     }
 }

@@ -9,14 +9,12 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use rxl_flit::{
-    CxlFlitCodec, Flit256, FlitHeader, Message, RxlFlitCodec, WireFlit, MESSAGES_PER_FLIT,
-};
+use rxl_flit::{Flit256, FlitHeader, Message, WireFlit, MESSAGES_PER_FLIT};
 
 use crate::retry::ReplayBuffer;
 use crate::seq::{seq_add, seq_next};
 use crate::stats::LinkStats;
-use crate::variant::{LinkConfig, ProtocolVariant};
+use crate::variant::{LinkCodec, LinkConfig, ProtocolVariant};
 
 /// A shared handle to one *logical* flit — the unit of ownership from first
 /// emission to delivery.
@@ -133,15 +131,10 @@ impl TxEmission {
     }
 }
 
-enum Codec {
-    Cxl(CxlFlitCodec),
-    Rxl(RxlFlitCodec),
-}
-
 /// The transmit state machine for one link direction.
 pub struct LinkTx {
     config: LinkConfig,
-    codec: Codec,
+    codec: LinkCodec,
     next_seq: u16,
     replay: ReplayBuffer,
     pending_msgs: VecDeque<Message>,
@@ -156,12 +149,8 @@ pub struct LinkTx {
 impl LinkTx {
     /// Creates a transmitter with the given configuration.
     pub fn new(config: LinkConfig) -> Self {
-        let codec = match config.variant {
-            ProtocolVariant::Rxl => Codec::Rxl(RxlFlitCodec::new()),
-            _ => Codec::Cxl(CxlFlitCodec::new()),
-        };
         LinkTx {
-            codec,
+            codec: LinkCodec::for_variant(config.variant),
             next_seq: 0,
             replay: ReplayBuffer::new(config.replay_capacity),
             pending_msgs: VecDeque::new(),
@@ -269,13 +258,6 @@ impl LinkTx {
         }
     }
 
-    fn encode(&self, flit: &Flit256, seq: u16) -> WireFlit {
-        match &self.codec {
-            Codec::Cxl(c) => c.encode(flit),
-            Codec::Rxl(c) => c.encode(flit, seq),
-        }
-    }
-
     /// Materialises the wire bytes of an emission — bit-identical to what
     /// [`Self::emit`] describes. Emission is lazy so callers on all-clean
     /// paths (the fabric engine's known-clean fast path) never pay the
@@ -283,7 +265,8 @@ impl LinkTx {
     pub fn encode_emission(&self, emission: &TxEmission) -> Option<WireFlit> {
         emission
             .flit()
-            .map(|flit| self.encode(flit, emission.bound_seq().expect("non-idle emission")))
+            .zip(emission.bound_seq())
+            .map(|(flit, seq)| self.codec.encode(flit, seq))
     }
 
     /// Produces the emission for the current transmit slot.
@@ -404,7 +387,7 @@ impl LinkTx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rxl_flit::MemOp;
+    use rxl_flit::{CxlFlitCodec, MemOp, RxlFlitCodec};
 
     fn msgs(n: usize) -> Vec<Message> {
         (0..n)

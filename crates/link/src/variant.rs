@@ -1,4 +1,7 @@
-//! Protocol variants and link configuration.
+//! Protocol variants, the flit codec each one puts on the wire, and link
+//! configuration.
+
+use rxl_flit::{CxlFlitCodec, Flit256, RxlFlitCodec, WireFlit};
 
 /// The three protocol variants the paper evaluates (Section 7.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -37,6 +40,43 @@ impl ProtocolVariant {
             ProtocolVariant::CxlPiggyback => "CXL (piggybacked ACK)",
             ProtocolVariant::CxlStandaloneAck => "CXL (standalone ACK)",
             ProtocolVariant::Rxl => "RXL",
+        }
+    }
+}
+
+/// The flit codec a [`ProtocolVariant`] uses: the ISN ECRC codec for RXL,
+/// the link-CRC codec for both CXL variants. This is the one place that
+/// choice is made — [`crate::LinkTx`] and [`crate::LinkRx`] each hold one,
+/// and so does any caller that materialises a wire image for them (the
+/// fabric engine's lazy encoder), which is why such an image is
+/// bit-identical to the transmitter's.
+#[derive(Clone, Debug)]
+pub enum LinkCodec {
+    /// Baseline CXL: a link CRC over `header ‖ payload`, no sequence
+    /// component.
+    Cxl(CxlFlitCodec),
+    /// RXL: a transport ECRC with the Implicit Sequence Number folded in.
+    Rxl(RxlFlitCodec),
+}
+
+impl LinkCodec {
+    /// The codec `variant` puts on the wire.
+    pub fn for_variant(variant: ProtocolVariant) -> Self {
+        match variant {
+            ProtocolVariant::Rxl => LinkCodec::Rxl(RxlFlitCodec::new()),
+            ProtocolVariant::CxlPiggyback | ProtocolVariant::CxlStandaloneAck => {
+                LinkCodec::Cxl(CxlFlitCodec::new())
+            }
+        }
+    }
+
+    /// Encodes `flit` bound to link-layer sequence number `seq` (ignored by
+    /// the CXL codec, whose CRC has no sequence component).
+    #[inline]
+    pub fn encode(&self, flit: &Flit256, seq: u16) -> WireFlit {
+        match self {
+            LinkCodec::Cxl(c) => c.encode(flit),
+            LinkCodec::Rxl(c) => c.encode(flit, seq),
         }
     }
 }

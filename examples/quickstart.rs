@@ -1,79 +1,95 @@
-//! Quickstart: sending flits over an RXL session and watching the Implicit
-//! Sequence Number catch a silent drop.
+//! Quickstart: two RXL link endpoints, one silent drop, and the Implicit
+//! Sequence Number catching it on the very next flit — then the go-back-N
+//! replay that repairs it.
 //!
 //! Run with:
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use rxl::core::{ReceiveError, RxlStack};
-use rxl::flit::{Flit256, FlitHeader, MemOp, Message};
+use rxl::flit::{MemOp, Message};
+use rxl::link::{LinkConfig, LinkEndpoint, ProtocolVariant, TxEmission};
 
 fn main() {
-    // One endpoint sends, the other receives. In a real system each side
-    // would own one stack per direction; a single direction is enough to see
-    // the mechanism.
-    let mut sender = RxlStack::new();
-    let mut receiver = RxlStack::new();
+    // Both ends of one full-duplex RXL link. The host sends, the device
+    // receives and answers with link-layer feedback on its own transmitter.
+    let config = LinkConfig::cxl3_x16(ProtocolVariant::Rxl);
+    let mut host = LinkEndpoint::new(config);
+    let mut device = LinkEndpoint::new(config);
+    let now = 0.0;
 
-    // Build three flits, each carrying one coherent read request. Note that
-    // none of the headers carries a sequence number: the FSN field is free to
-    // carry acknowledgements (here, an ACK for an imaginary upstream flit).
-    let flits: Vec<Flit256> = (0..3u16)
+    // Three flits, each carrying one coherent read request. None of the
+    // headers carries a sequence number: the FSN field is free to carry a
+    // piggybacked acknowledgement (here, for imaginary upstream traffic). The
+    // transmitter binds each flit to its sequence number by folding it into
+    // the 64-bit CRC (ISN).
+    let wires: Vec<_> = (0..3u16)
         .map(|i| {
-            let mut flit = Flit256::new(FlitHeader::ack(100 + i));
-            flit.pack_messages(&[Message::request(
+            host.enqueue_messages([Message::request(
                 MemOp::RdCurr,
                 0x4000 + 64 * i as u64,
                 0,
                 i,
-            )])
-            .expect("one message always fits");
-            flit
+            )]);
+            host.tx_mut().queue_ack(100 + i);
+            let emission = host.emit(now);
+            host.encode_emission(&emission).expect("a protocol flit")
         })
         .collect();
-
-    // Encode all three. Each call binds the flit to the sender's current
-    // sequence number by folding it into the 64-bit CRC (ISN).
-    let wires: Vec<_> = flits.iter().map(|f| sender.send(f)).collect();
     println!(
-        "sender encoded {} flits (next sequence = {})",
+        "host encoded {} flits (next sequence = {})",
         wires.len(),
-        sender.next_seq()
+        host.tx().next_seq()
     );
 
-    // Deliver flit 0 normally.
-    let f0 = receiver.receive(&wires[0]).expect("flit 0 arrives intact");
-    println!(
-        "received flit 0 carrying {:?}",
-        f0.unpack_messages().unwrap()[0]
-    );
+    // Flit 0 arrives intact.
+    let mut delivered = Vec::new();
+    let out = device.receive(&wires[0], now);
+    println!("device received flit 0 carrying {:?}", out.delivered[0]);
+    delivered.extend_from_slice(&out.delivered);
 
-    // Flit 1 is silently dropped by a switch. When flit 2 arrives, the
-    // receiver recomputes the CRC with its *expected* sequence number (1) and
-    // the check fails — corruption and drops are indistinguishable and both
+    // Flit 1 is silently dropped by a switch. When flit 2 arrives, the device
+    // recomputes the CRC with its *expected* sequence number (1) and the
+    // check fails — corruption and drops are indistinguishable and both
     // trigger a retry, which is exactly the paper's design point.
-    match receiver.receive(&wires[2]) {
-        Err(ReceiveError::SequenceOrDataMismatch) => {
-            println!("flit 2 rejected: the ISN ECRC exposed the dropped flit immediately")
-        }
-        other => panic!("unexpected outcome: {other:?}"),
-    }
+    let out = device.receive(&wires[2], now);
+    assert!(out.rejected, "the ISN ECRC must expose the drop");
+    let last_good = out.send_nack.expect("the first rejection NACKs");
+    println!("flit 2 rejected: the ISN ECRC exposed the dropped flit; device NACKs after sequence {last_good}");
 
-    // The link layer would now go back and replay from flit 1; the receiver
-    // accepts the replayed flits in order.
-    for (idx, wire) in wires.iter().enumerate().skip(1) {
-        let flit = receiver.receive(wire).expect("replayed flit accepted");
+    // The device's transmitter carries the NACK back to the host, whose
+    // transmitter goes back to the flit after the last good one.
+    let nack = device.emit(now);
+    let nack_wire = device.encode_emission(&nack).expect("a NACK flit");
+    let feedback = host.receive(&nack_wire, now);
+    let nacked = feedback
+        .peer_nack
+        .expect("the host's receiver takes the NACK");
+    println!("host received the NACK (last good = {nacked}) and goes back");
+
+    // The replay: the same flits, re-sent from the replay buffer, accepted in
+    // order.
+    loop {
+        let emission = host.emit(now);
+        let TxEmission::Protocol { seq, .. } = &emission else {
+            break;
+        };
+        let wire = host.encode_emission(&emission).expect("a protocol flit");
+        let out = device.receive(&wire, now);
         println!(
-            "replayed flit {idx} delivered in order: {:?}",
-            flit.unpack_messages().unwrap()[0]
+            "replayed flit {seq} delivered in order: {:?}",
+            out.delivered[0]
         );
+        delivered.extend_from_slice(&out.delivered);
     }
+    let tags: Vec<u16> = delivered.iter().map(Message::tag).collect();
+    assert_eq!(tags, [0, 1, 2], "every request exactly once, in order");
 
+    let stats = device.rx().stats();
     println!(
-        "receiver accepted {} flits, rejected {}, expected sequence is now {}",
-        receiver.accepted(),
-        receiver.rejected(),
-        receiver.expected_seq()
+        "device accepted {} flits, rejected {}, expected sequence is now {}",
+        stats.flits_accepted,
+        stats.flits_rejected,
+        device.rx().expected_seq()
     );
 }

@@ -30,7 +30,7 @@
 //!   incident traces (JSONL / Chrome tracing), and chaos-scenario incident
 //!   replays.
 //! * [`analysis`] — closed-form reliability / bandwidth / hardware models.
-//! * [`core`] — the high-level protocol-stack API (CXL vs RXL).
+//! * [`core`] — the per-device FIT analysis projected onto whole fabrics.
 
 pub use rxl_analysis as analysis;
 pub use rxl_chaos as chaos;
@@ -51,9 +51,7 @@ pub use rxl_transport as transport;
 pub mod prelude {
     pub use rxl_analysis::reliability::ReliabilityModel;
     pub use rxl_chaos::{ChaosMonteCarlo, GilbertElliott, Scenario};
-    pub use rxl_core::{
-        CxlStack, FabricSimOptions, FabricSpec, ProtocolKind, RxlStack, StackConfig,
-    };
+    pub use rxl_core::{FabricSimOptions, FabricSpec, ProtocolKind};
     pub use rxl_crc::{Crc64, IsnCrc64};
     pub use rxl_fabric::{
         FabricConfig, FabricMonteCarlo, FabricTopology, FabricWorkload, FitCrosscheck,
