@@ -11,6 +11,14 @@ use rxl_core::FabricSimOptions;
 fn main() {
     let cli = rxl_bench::cli::Cli::parse(&["--json", "--out"], 0);
 
+    // Which codec kernels this CPU runs: provenance for the host, not part of
+    // any table (every number below is bit-identical on either kernel).
+    println!(
+        "rxl run_all: crc kernel {}, fec kernel {}",
+        rxl_crc::kernel(),
+        rxl_fec::kernel()
+    );
+
     println!("{}", rxl_bench::reliability_table());
     println!("{}", rxl_bench::fig8_table(4));
     println!("{}", rxl_bench::bandwidth_table());

@@ -108,11 +108,13 @@ pub fn engine_for(spec: CrcSpec) -> TableCrc {
 /// Convenience wrapper: a CRC-64 flit CRC.
 ///
 /// Checksums route through the compile-time slice-by-8 engine
-/// ([`crate::slice::SliceBy8Crc64`]) when one is cached for the spec (the
-/// flit CRC always is — construction is then just a reference copy), and
-/// fall back to a boxed byte-at-a-time [`TableCrc`] otherwise. Both produce
-/// identical checksums. For incremental (multi-`update`) use, reach for
-/// [`TableCrc`] or the catalogue statics directly.
+/// ([`crate::slice::SliceBy8Crc64`], with its carry-less-multiply fold) when
+/// one is cached for the spec (the flit CRC always is — construction is then
+/// just a reference copy), and fall back to a boxed byte-at-a-time
+/// [`TableCrc`] otherwise. Both produce identical checksums. The two keep
+/// their registers in different bit orders, but a register never crosses
+/// engines, so the distinction is invisible; [`crate::IsnCrc64`] drives the
+/// register directly.
 #[derive(Clone, Debug)]
 pub struct Crc64 {
     engine: Crc64Engine,
@@ -142,13 +144,34 @@ impl Crc64 {
         Crc64 { engine }
     }
 
+    #[inline]
+    pub(crate) fn init_register(&self) -> u64 {
+        match &self.engine {
+            Crc64Engine::Fast(e) => e.init_register(),
+            Crc64Engine::Table(e) => e.init_register(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn update(&self, reg: u64, data: &[u8]) -> u64 {
+        match &self.engine {
+            Crc64Engine::Fast(e) => e.update(reg, data),
+            Crc64Engine::Table(e) => e.update(reg, data),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn finalize(&self, reg: u64) -> u64 {
+        match &self.engine {
+            Crc64Engine::Fast(e) => e.finalize(reg),
+            Crc64Engine::Table(e) => e.finalize(reg),
+        }
+    }
+
     /// Computes the checksum of `data`.
     #[inline]
     pub fn checksum(&self, data: &[u8]) -> u64 {
-        match &self.engine {
-            Crc64Engine::Fast(fast) => fast.checksum(data),
-            Crc64Engine::Table(table) => table.checksum(data),
-        }
+        self.finalize(self.update(self.init_register(), data))
     }
 }
 

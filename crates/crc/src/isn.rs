@@ -24,53 +24,8 @@
 //! pattern confined to at most 10 bits — far inside the 64-bit burst length
 //! that the flit CRC detects with certainty.
 
-use crate::slice::SliceBy8Crc64;
+use crate::catalog::Crc64;
 use crate::spec::CrcSpec;
-use crate::table::TableCrc;
-
-/// The CRC engine behind an [`IsnCrc64`]: the slice-by-8 fast path when the
-/// spec has a precomputed sliced engine (the flit CRC always does), the
-/// byte-at-a-time table engine otherwise. The two keep their registers in
-/// different bit orders, but a register never crosses engines, so the
-/// distinction is invisible — checksums are identical either way.
-#[derive(Clone, Debug)]
-enum Engine {
-    Fast(&'static SliceBy8Crc64),
-    Table(Box<TableCrc>),
-}
-
-impl Engine {
-    fn for_spec(spec: CrcSpec) -> Self {
-        match crate::slice::cached_slice64(&spec) {
-            Some(fast) => Engine::Fast(fast),
-            None => Engine::Table(Box::new(crate::catalog::engine_for(spec))),
-        }
-    }
-
-    #[inline]
-    fn init_register(&self) -> u64 {
-        match self {
-            Engine::Fast(e) => e.init_register(),
-            Engine::Table(e) => e.init_register(),
-        }
-    }
-
-    #[inline]
-    fn update(&self, reg: u64, data: &[u8]) -> u64 {
-        match self {
-            Engine::Fast(e) => e.update(reg, data),
-            Engine::Table(e) => e.update(reg, data),
-        }
-    }
-
-    #[inline]
-    fn finalize(&self, reg: u64) -> u64 {
-        match self {
-            Engine::Fast(e) => e.finalize(reg),
-            Engine::Table(e) => e.finalize(reg),
-        }
-    }
-}
 
 /// How the sequence number is folded into the CRC input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -90,7 +45,7 @@ pub const DEFAULT_SEQ_BITS: u32 = 10;
 /// An ISN-capable 64-bit CRC codec for flits.
 #[derive(Clone, Debug)]
 pub struct IsnCrc64 {
-    crc: Engine,
+    crc: Crc64,
     mode: IsnMode,
     seq_bits: u32,
 }
@@ -110,7 +65,7 @@ impl IsnCrc64 {
         );
         assert_eq!(spec.width, 64, "ISN flit CRC must be 64 bits wide");
         IsnCrc64 {
-            crc: Engine::for_spec(spec),
+            crc: Crc64::with_spec(spec),
             mode,
             seq_bits,
         }

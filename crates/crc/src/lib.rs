@@ -35,6 +35,8 @@
 //! assert!(isn.verify(&header, &payload, 43, crc_n1));
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod analysis;
 pub mod catalog;
 pub mod engine;
@@ -46,6 +48,6 @@ pub mod table;
 pub use catalog::{Crc64, FLIT_CRC64};
 pub use engine::BitwiseCrc;
 pub use isn::{IsnCrc64, IsnMode};
-pub use slice::{SliceBy8Crc64, FLIT_CRC64_SLICE};
+pub use slice::{kernel, SliceBy8Crc64, FLIT_CRC64_SLICE};
 pub use spec::CrcSpec;
 pub use table::TableCrc;

@@ -1,4 +1,5 @@
-//! Slice-by-8 CRC engine for 64-bit reflected algorithms.
+//! Slice-by-8 CRC engine for 64-bit reflected algorithms, with a
+//! carry-less-multiply fold for long inputs.
 //!
 //! The byte-at-a-time table engine ([`crate::table`]) performs one table
 //! lookup (plus a shift and XOR) per input byte — 250 dependent lookups per
@@ -16,6 +17,40 @@
 //!
 //! All tables are built by a `const fn`, so the [`FLIT_CRC64_SLICE`] engine
 //! is materialised at compile time and costs nothing to reference at runtime.
+//!
+//! # The carry-less-multiply fold
+//!
+//! On a CPU with PCLMULQDQ, [`SliceBy8Crc64::update`] folds inputs of 32
+//! bytes or more sixteen bytes per step (after Gopal et al., *Fast CRC
+//! Computation for Generic Polynomials Using PCLMULQDQ*, Intel 2009). The
+//! register after a message `M` is `M·x⁶⁴ mod P`, so any shorter message
+//! congruent to `M` modulo `P` leaves the same register. Write the leading
+//! sixteen bytes as `A = H·x⁶⁴ + L` followed by `8m` more bits; then
+//!
+//! ```text
+//! A·x^(8m) = (H·x¹⁹² + L·x¹²⁸)·x^(8m−128)
+//!          ≡ (H·(x¹⁹² mod P) + L·(x¹²⁸ mod P))·x^(8m−128)   (mod P)
+//! ```
+//!
+//! and the bracket, a polynomial of degree below 128, replaces `A` and is
+//! XORed into the next sixteen bytes. In reflected form the little-endian
+//! low lane of the 16-byte state is `H` and the high lane is `L`, and a
+//! carry-less multiply of two reflected 64-bit operands returns the reflected
+//! 128-bit product times `x`. The constants are therefore
+//! `K₁₉₁ = reflect₆₄(x¹⁹¹ mod P)` and `K₁₂₇ = reflect₆₄(x¹²⁷ mod P)`:
+//!
+//! ```text
+//! s ← clmul(s.lo, K₁₉₁) ⊕ clmul(s.hi, K₁₂₇) ⊕ next16
+//! ```
+//!
+//! Both are computed in [`SliceBy8Crc64::new`] from the spec's polynomial,
+//! so the fold serves any fully reflected 64-bit spec. The register enters
+//! by XOR into the first eight bytes (exactly as a slice-by-8 step takes
+//! it); the sixteen state bytes left at the end are reduced by the tables
+//! from register 0, and the sub-16-byte tail follows them. Without
+//! PCLMULQDQ, and for shorter inputs, `update` is the table kernel alone.
+
+mod clmul;
 
 use crate::catalog::CRC64_XZ;
 use crate::engine::BitwiseCrc;
@@ -29,6 +64,8 @@ pub struct SliceBy8Crc64 {
     /// `k` zero bytes; a whole aligned 8-byte chunk is folded with one lookup
     /// in each table.
     tables: [[u64; 256]; 8],
+    /// `[K₁₉₁, K₁₂₇]`, the carry-less-multiply fold constants (module docs).
+    fold_keys: [u64; 2],
 }
 
 impl std::fmt::Debug for SliceBy8Crc64 {
@@ -41,6 +78,28 @@ impl std::fmt::Debug for SliceBy8Crc64 {
 
 /// The compile-time slice-by-8 engine for the 256-byte flit CRC.
 pub static FLIT_CRC64_SLICE: SliceBy8Crc64 = SliceBy8Crc64::new(CRC64_XZ);
+
+/// The CRC-64 kernel [`SliceBy8Crc64::update`] runs on this CPU:
+/// `"pclmulqdq"` (the fold, for inputs of 32 bytes or more) or
+/// `"slice-by-8"` (the tables alone).
+pub fn kernel() -> &'static str {
+    if clmul::available() {
+        "pclmulqdq"
+    } else {
+        "slice-by-8"
+    }
+}
+
+/// `xⁿ mod (x⁶⁴ + poly)`, in normal (non-reflected) form.
+const fn x_pow_mod(n: u32, poly: u64) -> u64 {
+    let mut r = 1u64;
+    let mut i = 0;
+    while i < n {
+        r = (r << 1) ^ if r >> 63 != 0 { poly } else { 0 };
+        i += 1;
+    }
+    r
+}
 
 /// The precomputed slice-by-8 engine for `spec`, if one exists.
 pub fn cached_slice64(spec: &CrcSpec) -> Option<&'static SliceBy8Crc64> {
@@ -90,7 +149,15 @@ impl SliceBy8Crc64 {
             }
             k += 1;
         }
-        SliceBy8Crc64 { spec, tables }
+        let fold_keys = [
+            x_pow_mod(191, spec.poly).reverse_bits(),
+            x_pow_mod(127, spec.poly).reverse_bits(),
+        ];
+        SliceBy8Crc64 {
+            spec,
+            tables,
+            fold_keys,
+        }
     }
 
     /// The algorithm parameters.
@@ -107,9 +174,22 @@ impl SliceBy8Crc64 {
     }
 
     /// Feeds `data` through the register (reflected form) and returns the
-    /// updated register.
+    /// updated register. Inputs of 32 bytes or more take the
+    /// carry-less-multiply fold when the CPU has it (module docs); the result
+    /// is the table kernel's either way, for any split of the input.
     #[inline]
-    pub fn update(&self, mut reg: u64, data: &[u8]) -> u64 {
+    pub fn update(&self, reg: u64, data: &[u8]) -> u64 {
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 16);
+        match clmul::fold(reg, blocks, self.fold_keys) {
+            Some(state) => self.update_tables(self.update_tables(0, &state), tail),
+            None => self.update_tables(reg, data),
+        }
+    }
+
+    /// The slice-by-8 table kernel: the fallback of [`Self::update`] and the
+    /// oracle its tests compare against.
+    #[inline]
+    pub(crate) fn update_tables(&self, mut reg: u64, data: &[u8]) -> u64 {
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {
             let v = reg ^ u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
@@ -193,6 +273,102 @@ mod tests {
         assert!(cached_slice64(&catalog::FLIT_CRC64).is_some());
         assert!(cached_slice64(&catalog::CRC64_ECMA_182).is_none());
         assert!(cached_slice64(&catalog::CRC32_ISO_HDLC).is_none());
+    }
+
+    /// CRC-64/GO-ISO: a second fully reflected 64-bit spec, with a
+    /// polynomial unrelated to the flit CRC's, so fold constants hard-coded
+    /// for CRC-64/XZ would show here.
+    const CRC64_GO_ISO: CrcSpec =
+        CrcSpec::new("CRC-64/GO-ISO", 64, 0x1B, u64::MAX, true, true, u64::MAX);
+
+    /// Deterministic pseudo-random bytes (SplitMix64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn update_matches_the_table_kernel_and_bitwise_at_every_length() {
+        for spec in [catalog::CRC64_XZ, CRC64_GO_ISO] {
+            let engine = SliceBy8Crc64::new(spec);
+            let bitwise = BitwiseCrc::new(spec);
+            let data = noise(600, spec.poly);
+            for len in 0..=600 {
+                let data = &data[..len];
+                let init = engine.init_register();
+                let reg = engine.update(init, data);
+                assert_eq!(
+                    reg,
+                    engine.update_tables(init, data),
+                    "{} len {len}",
+                    spec.name
+                );
+                assert_eq!(
+                    engine.finalize(reg),
+                    bitwise.checksum(data),
+                    "{} len {len}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn update_matches_the_table_kernel_at_every_split_of_a_flit() {
+        for spec in [catalog::CRC64_XZ, CRC64_GO_ISO] {
+            let engine = SliceBy8Crc64::new(spec);
+            let flit = noise(242, 242);
+            let whole = BitwiseCrc::new(spec).checksum(&flit);
+            for split in 0..=flit.len() {
+                let (head, tail) = flit.split_at(split);
+                let reg = engine.update(engine.init_register(), head);
+                assert_eq!(reg, engine.update_tables(engine.init_register(), head));
+                let reg = engine.update(reg, tail);
+                assert_eq!(engine.finalize(reg), whole, "{} split {split}", spec.name);
+            }
+        }
+    }
+
+    #[test]
+    fn update_matches_the_table_kernel_from_random_registers() {
+        for spec in [catalog::CRC64_XZ, CRC64_GO_ISO] {
+            let engine = SliceBy8Crc64::new(spec);
+            for seed in 0..200u64 {
+                let reg = u64::from_le_bytes(noise(8, !seed).try_into().unwrap());
+                let data = noise(seed as usize * 3, seed);
+                assert_eq!(
+                    engine.update(reg, &data),
+                    engine.update_tables(reg, &data),
+                    "{} reg {reg:#x} len {}",
+                    spec.name,
+                    data.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn second_spec_check_value() {
+        let engine = SliceBy8Crc64::new(CRC64_GO_ISO);
+        assert_eq!(engine.checksum(CHECK_INPUT), 0xB909_56C7_75A4_1001);
+        assert_eq!(
+            engine.checksum(CHECK_INPUT),
+            engine.reference().checksum(CHECK_INPUT)
+        );
+    }
+
+    #[test]
+    fn kernel_names_the_path_update_takes() {
+        assert_eq!(clmul::available(), kernel() == "pclmulqdq");
+        assert!(["pclmulqdq", "slice-by-8"].contains(&kernel()));
     }
 
     #[test]

@@ -42,11 +42,43 @@
 //! ```text
 //! p1 = (D0 + α²·D1)·(1 + α)⁻¹        p0 = D0 + p1
 //! ```
+//!
+//! # The GFNI kernel for the CXL flit
+//!
+//! For three ways and at most 256 symbols — the CXL flit, the one geometry
+//! any codec or switch builds — a CPU with AVX-512BW and GFNI runs a second
+//! kernel for the same pair ([`kernel`] names the one in use). GFNI
+//! multiplies in GF(2⁸) modulo `x⁸ + x⁴ + x³ + x + 1` (0x11B); this code's
+//! field is modulo `x⁸ + x⁴ + x³ + x² + 1` (0x11D). Let `β` be a root of the
+//! latter polynomial in the 0x11B field. Then
+//!
+//! ```text
+//! φ(Σ aᵢ·αⁱ) = Σ aᵢ·βⁱ
+//! ```
+//!
+//! is a field isomorphism (`α` and `β` have the same minimal polynomial),
+//! and it is GF(2)-linear, so one `vgf2p8affineqb` with an 8×8 bit matrix
+//! whose column `j` is `βʲ` maps 64 symbols at once. With wire position
+//! `i`, way `w = i mod 3` and `n_w` symbols in way `w`,
+//!
+//! ```text
+//! S1_w = Σ cᵢ·α^(n_w − 1 − ⌊i/3⌋) = α^(n_w − 1) · φ⁻¹( Σ φ(cᵢ)·φ(α^−⌊i/3⌋) )
+//! ```
+//!
+//! summing over `i ≡ w (mod 3)`. `vgf2p8mulb` multiplies every mapped
+//! symbol by its position's constant `φ(α^−⌊i/3⌋)`, three byte masks
+//! (`i mod 3`) split the products into the ways' sums, a horizontal XOR
+//! reduces each, and a 256-byte `φ⁻¹` table and the scale `α^(n_w − 1)`
+//! finish `S1`. `S0` is the masked XOR of the raw symbols (`φ` is linear, so
+//! it needs no mapping). A masked load reads the 250-byte encode input
+//! without a padded copy. The result is the table kernel's, byte for byte;
+//! that kernel stays the fallback and the oracle of the differential tests.
 
 use rxl_gf256::{ConstMul, Gf256, ALPHA_POW_MUL, ALPHA_POW_STEPS};
 
 use crate::decoder::RsDecodeOutcome;
 
+mod gfni;
 #[cfg(test)]
 mod reference;
 
@@ -159,6 +191,17 @@ fn syndromes<const WAYS: usize>(symbols: &[u8]) -> Syndromes {
     (s0, s1)
 }
 
+/// The syndrome kernel [`InterleavedFec`] runs on this CPU for the CXL flit
+/// geometry (three ways, at most 256 symbols): `"avx512bw+gfni"` or
+/// `"table"` (the sliced product tables every other geometry uses).
+pub fn kernel() -> &'static str {
+    if gfni::available() {
+        "avx512bw+gfni"
+    } else {
+        "table"
+    }
+}
+
 /// An N-way interleaved single-symbol-correct FEC block codec.
 ///
 /// Every way is protected by the two-parity shortened RS(255, 253) mother
@@ -239,7 +282,7 @@ impl InterleavedFec {
         match self.ways {
             1 => syndromes::<1>(symbols),
             2 => syndromes::<2>(symbols),
-            3 => syndromes::<3>(symbols),
+            3 => gfni::syndromes3(symbols).unwrap_or_else(|| syndromes::<3>(symbols)),
             4 => syndromes::<4>(symbols),
             5 => syndromes::<5>(symbols),
             6 => syndromes::<6>(symbols),
@@ -409,20 +452,26 @@ mod tests {
         let fec = InterleavedFec::cxl_flit();
         let data = random_data(250, 2);
         let clean = fec.encode(&data);
+        let mut rng = StdRng::seed_from_u64(0xB0257);
         for start in 0..=253 {
-            let mut block = clean.clone();
-            block[start] ^= 0xFF;
-            block[start + 1] ^= 0x3C;
-            block[start + 2] ^= 0x81;
-            let res = fec.decode(&mut block);
-            assert!(res.outcome.is_corrected(), "burst at {start} not corrected");
-            assert_eq!(res.outcome.corrected_symbols(), 3);
-            assert_eq!(
-                &block[..250],
-                &data[..],
-                "burst at {start} produced wrong data"
-            );
-            assert_eq!(block, clean, "burst at {start} left parity corrupted");
+            // One fixed burst, then random magnitudes.
+            let mut burst = [0xFF, 0x3C, 0x81];
+            for _ in 0..16 {
+                let mut block = clean.clone();
+                for (byte, flip) in block[start..start + 3].iter_mut().zip(burst) {
+                    *byte ^= flip;
+                }
+                let res = fec.decode(&mut block);
+                assert!(res.outcome.is_corrected(), "burst at {start} not corrected");
+                assert_eq!(res.outcome.corrected_symbols(), 3);
+                assert_eq!(
+                    &block[..250],
+                    &data[..],
+                    "burst at {start} produced wrong data"
+                );
+                assert_eq!(block, clean, "burst at {start} left parity corrupted");
+                burst = burst.map(|_| rng.random_range(1..=255u8));
+            }
         }
     }
 
@@ -730,6 +779,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gfni_kernel_matches_the_table_kernel_at_every_length() {
+        let mut rng = StdRng::seed_from_u64(0x6F4E);
+        for len in 3..=256 {
+            let (a, b) = (rng.random(), rng.random());
+            for block in [vec![0xFF; len], random_data(len, a), random_data(len, b)] {
+                let got = gfni::syndromes3(&block);
+                assert_eq!(got.is_some(), gfni::available(), "len {len}");
+                if let Some(got) = got {
+                    assert_eq!(got, syndromes::<3>(&block), "len {len}");
+                }
+            }
+        }
+        assert_eq!(gfni::syndromes3(&[0u8; 257]), None);
+        assert_eq!(gfni::syndromes3(&[1u8; 2]), None);
+    }
+
+    #[test]
+    fn kernel_names_the_path_the_cxl_flit_takes() {
+        assert_eq!(gfni::available(), kernel() == "avx512bw+gfni");
+        assert!(["avx512bw+gfni", "table"].contains(&kernel()));
     }
 
     mod properties {

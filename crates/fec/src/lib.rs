@@ -42,6 +42,8 @@
 //! assert_eq!(&encoded[..250], &block[..]);
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod decoder;
 pub mod interleaved;
 pub mod rs;
@@ -50,7 +52,9 @@ pub mod ssc;
 pub mod stats;
 
 pub use decoder::{RsDecodeOutcome, RsDecoder};
-pub use interleaved::{FlitFecResult, InterleavedFec, CXL_FLIT_DATA_LEN, CXL_FLIT_TOTAL_LEN};
+pub use interleaved::{
+    kernel, FlitFecResult, InterleavedFec, CXL_FLIT_DATA_LEN, CXL_FLIT_TOTAL_LEN,
+};
 pub use rs::RsCode;
 pub use shortened::ShortenedRs;
 pub use ssc::SingleSymbolCorrector;
