@@ -47,8 +47,8 @@ use rxl_transport::{DeliveryAuditor, DeliveryVerdict, FailureCounts, SentStream}
 use crate::injector::Injector;
 use crate::node::{EndpointNode, PortPeer, PortSet, SwitchNode, NO_PIN};
 use crate::probe::{
-    ChannelErrorEvent, DeliverEvent, EnginePhase, InjectEvent, LinkHop, LinkTraversalEvent,
-    NullProbe, Probe,
+    message_key, ChannelErrorEvent, DeliverEvent, EnginePhase, InjectEvent, LinkHop,
+    LinkTraversalEvent, NullProbe, Probe,
 };
 use crate::routing::{RoutingTable, NO_ROUTE};
 use crate::topology::{FabricTopology, LinkId};
@@ -60,8 +60,6 @@ pub struct FabricConfig {
     pub variant: ProtocolVariant,
     /// Per-link channel error model (applied on every link traversal).
     pub channel: ChannelErrorModel,
-    /// Switch-internal corruption model.
-    pub switch_internal: InternalErrorModel,
     /// ACK coalescing level (one ACK per this many accepted flits).
     pub ack_coalescing: u32,
     /// Depth of every switch-port output queue, in flits (the credit count
@@ -121,7 +119,6 @@ impl FabricConfig {
         FabricConfig {
             variant,
             channel: ChannelErrorModel::cxl3(),
-            switch_internal: InternalErrorModel::none(),
             ack_coalescing: 10,
             queue_capacity: 64,
             max_slots: 400_000,
@@ -182,7 +179,7 @@ impl FabricConfig {
         SwitchConfig {
             ports,
             queue_capacity: self.queue_capacity,
-            internal_error: self.switch_internal,
+            internal_error: InternalErrorModel::none(),
             crc_mode: match self.variant {
                 ProtocolVariant::Rxl => LinkCrcMode::Passthrough,
                 _ => LinkCrcMode::Regenerate,
@@ -333,30 +330,6 @@ impl InjectionPacing {
         aligned(&self.downstream, &workload.downstream);
         aligned(&self.upstream, &workload.upstream);
     }
-}
-
-/// Identity of a message in probe events — the same `(cqid, tag, kind,
-/// chunk)` quadruple the delivery auditor keys on, packed and
-/// splitmix64-finalized into one u64. The finalizer is bijective,
-/// so distinct quadruples keep distinct keys, but the key uses **all 64
-/// bits** and it is unique only *within a destination endpoint* (sessions
-/// reuse cqid/tag spaces). Consumers correlating inject/deliver events
-/// across the fabric must key on the `(dst, key)` *pair* — no bit-packing
-/// of `dst` into the key can stay collision-free.
-#[inline]
-pub fn message_key(msg: &Message) -> u64 {
-    let (kind, chunk) = match msg {
-        Message::Request { .. } => (0u64, 0u64),
-        Message::Response { .. } => (1, 0),
-        Message::DataHeader { .. } => (2, 0),
-        Message::Data { chunk_idx, .. } => (3, *chunk_idx as u64),
-    };
-    // splitmix64-finalized (bijective): the raw packing has all its entropy
-    // in high bit fields, which FxHash-backed maps index terribly (see
-    // `rxl_transport::mix64`).
-    rxl_transport::mix64(
-        ((msg.cqid() as u64) << 32) | ((msg.tag() as u64) << 16) | (kind << 8) | chunk,
-    )
 }
 
 /// Opens the inject → deliver span of every message in `msgs` (one
@@ -730,12 +703,6 @@ pub struct FabricSim<'a, P: Probe = NullProbe> {
     /// consume zero RNG draws. Reset whenever that link's channel is
     /// replaced.
     link_cursors: Vec<EventCursor>,
-    /// `true` when the switch forwarding pipeline is provably the identity
-    /// on clean flits (`switch_internal` disabled): lets a zero-flip
-    /// traversal take [`rxl_switch::Switch::forward_clean`] instead of the
-    /// full decode/CRC/re-encode pipeline. Hoisted from `config` for the hot
-    /// path.
-    clean_switch: bool,
     /// The engine-held flit encoder used to materialise deferred
     /// ([`FlitPayload::Clean`]) wire images on demand: the
     /// [`LinkCodec`] of [`FabricConfig::variant`], the same one every
@@ -860,7 +827,6 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 no_transit: vec![false; topology.switches.len()],
             },
             link_cursors: vec![EventCursor::new(); topology.link_count()],
-            clean_switch: config.switch_internal.per_flit_probability <= 0.0,
             codec: LinkCodec::for_variant(config.variant),
             last_motion_slot: 0,
             pending_paced: 0,
@@ -1089,14 +1055,14 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             });
         }
         let flips = self.corrupt_on_link(link, &mut rf.payload, now);
-        // Known-clean bypass: zero channel flips and a disabled internal
-        // model mean the full pipeline is the identity and draw-free on this
-        // flit (the previous hop emitted a valid codeword with a matching
-        // CRC), so only the statistics need touching. This is where the
-        // skip-ahead path earns its quiet-link speedup: no FEC decode, no
-        // CRC verify, no re-encode — and, for a still-deferred
+        // Known-clean bypass: zero channel flips mean the full pipeline is
+        // the identity and draw-free on this flit (the previous hop emitted a
+        // valid codeword with a matching CRC, and fabric switches have no
+        // internal error model), so only the statistics need touching. This
+        // is where the skip-ahead path earns its quiet-link speedup: no FEC
+        // decode, no CRC verify, no re-encode — and, for a still-deferred
         // [`FlitPayload::Clean`] flit, no wire bytes at all.
-        let verdict = if flips == 0 && self.clean_switch {
+        let verdict = if flips == 0 {
             self.switches[sw].switch.forward_clean();
             ProcessVerdict::Forwarded {
                 corrected_symbols: 0,
@@ -1282,6 +1248,7 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 self.probe.on_deliver(DeliverEvent {
                     slot: self.slots,
                     session: node.session,
+                    src: node.peer,
                     dst,
                     downstream: node.is_device,
                     key: message_key(msg),
@@ -2313,8 +2280,12 @@ mod tests {
     impl<P: Probe> FabricSim<'_, P> {
         /// The conservation invariants that hold between slots: every
         /// switch's own ([`SwitchNode::check_invariants`]), the active-switch
-        /// set naming exactly the switches with an active port, and every
-        /// endpoint's `in_flight` counting exactly the flits queued for it.
+        /// set naming exactly the switches with an active port, every
+        /// endpoint's `in_flight` counting exactly the flits queued for it,
+        /// and, on RXL, every transmitter's replay window covering its
+        /// peer's expected sequence number: the oldest unacknowledged flit,
+        /// `next_seq − in_flight`, is at or before it, and nothing past
+        /// `next_seq` is expected.
         fn check_invariants(&self) {
             let mut bound_for = vec![0u32; self.endpoints.len()];
             let mut busy = Vec::new();
@@ -2327,14 +2298,53 @@ mod tests {
             assert_eq!(self.active_switches.members(), busy, "active switches");
             let in_flight: Vec<u32> = self.endpoints.iter().map(|e| e.in_flight).collect();
             assert_eq!(in_flight, bound_for, "in-flight counts");
+            if self.config.variant != ProtocolVariant::Rxl {
+                return;
+            }
+            for (ep, node) in self.endpoints.iter().enumerate() {
+                if node.session == usize::MAX {
+                    continue;
+                }
+                let tx = node.link.tx();
+                let oldest = rxl_link::seq_add(tx.next_seq(), -(tx.in_flight() as i32));
+                let expected = self.endpoints[node.peer].link.rx().expected_seq();
+                assert!(
+                    rxl_link::seq_distance(oldest, expected) as usize <= tx.in_flight(),
+                    "slot {}: endpoint {ep}'s replay window [{oldest}, +{}) does not cover \
+                     endpoint {}'s expected sequence {expected}",
+                    self.slots,
+                    tx.in_flight(),
+                    node.peer
+                );
+            }
+        }
+
+        /// Every endpoint's receiver's expected sequence number.
+        fn expected_seqs(&self) -> Vec<u16> {
+            self.endpoints
+                .iter()
+                .map(|e| e.link.rx().expected_seq())
+                .collect()
         }
 
         /// Steps to the end of the trial one slot at a time, checking the
-        /// invariants after every slot and calling `at_slot` between slots.
+        /// invariants after every slot — and that no receiver's expected
+        /// sequence number moved backwards — and calling `at_slot` between
+        /// slots.
         fn run_checked(&mut self, mut at_slot: impl FnMut(&mut Self)) -> StepOutcome {
+            let mut expected = self.expected_seqs();
             loop {
                 let outcome = self.step(1);
                 self.check_invariants();
+                let now = self.expected_seqs();
+                for (ep, (&before, &after)) in expected.iter().zip(&now).enumerate() {
+                    assert!(
+                        rxl_link::seq::seq_ge(after, before),
+                        "slot {}: endpoint {ep}'s expected sequence moved back {before} → {after}",
+                        self.slots
+                    );
+                }
+                expected = now;
                 if outcome != StepOutcome::Budget {
                     return outcome;
                 }

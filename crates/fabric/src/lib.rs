@@ -42,13 +42,13 @@ pub mod topology;
 
 pub use crosscheck::FitCrosscheck;
 pub use engine::{
-    message_key, FabricConfig, FabricCounters, FabricReport, FabricSim, FabricWorkload,
-    InjectionPacing, StepOutcome,
+    FabricConfig, FabricCounters, FabricReport, FabricSim, FabricWorkload, InjectionPacing,
+    StepOutcome,
 };
 pub use montecarlo::{FabricMonteCarlo, FabricMonteCarloReport};
 pub use probe::{
-    ChannelErrorEvent, CountingProbe, DeliverEvent, EnginePhase, InjectEvent, LinkHop,
-    LinkTraversalEvent, NullProbe, Probe,
+    message_key, ChannelErrorEvent, CountingProbe, DeliverEvent, EnginePhase, InjectEvent, LinkHop,
+    LinkTraversalEvent, NullProbe, Probe, SpanJoin,
 };
 pub use routing::{RoutingTable, NO_ROUTE};
 pub use topology::{

@@ -36,7 +36,15 @@
 //! per-slot hot loop, so an enabled probe's cost is whatever its handlers
 //! do. [`CountingProbe`] (a few integer increments per event) is the
 //! reference for "cheap but enabled".
+//!
+//! # Spans
+//!
+//! A message's [`InjectEvent`] opens its span and its first [`DeliverEvent`]
+//! closes it. Every consumer that pairs the two — latency, SLO windows,
+//! request completion, incident traces — does so through one [`SpanJoin`],
+//! indexed by the events' `(dst, tag)` and verified by [`message_key`].
 
+use rxl_flit::Message;
 use rxl_transport::DeliveryVerdict;
 
 /// One message entering the fabric: the span-opening event of a message's
@@ -54,12 +62,12 @@ pub struct InjectEvent {
     pub dst: usize,
     /// `true` for host → device traffic.
     pub downstream: bool,
-    /// Message identity within its destination (see [`crate::message_key`]);
-    /// `(dst, key)` is unique among live messages.
+    /// Message identity within its destination (see [`message_key`]): what
+    /// a [`SpanJoin`] checks before it pairs this event with a delivery.
     pub key: u64,
-    /// The message's tag. Workload generators tag message `i` of a stream
-    /// `i as u16`, so within one destination the tag is the message's dense
-    /// stream ordinal — a probe can index by it and keep `key` to verify.
+    /// The message's position in its destination's stream: generators tag
+    /// message `i` of a stream `i as u16`, and each destination receives one
+    /// stream, so `(dst, tag)` is the dense index of a [`SpanJoin`].
     pub tag: u16,
 }
 
@@ -71,6 +79,8 @@ pub struct DeliverEvent {
     pub slot: u64,
     /// Session the message belongs to.
     pub session: usize,
+    /// Transmitting endpoint index (the destination's session peer).
+    pub src: usize,
     /// Destination endpoint index.
     pub dst: usize,
     /// `true` for host → device traffic.
@@ -81,6 +91,116 @@ pub struct DeliverEvent {
     pub tag: u16,
     /// The ground-truth auditor's verdict for this delivery.
     pub verdict: DeliveryVerdict,
+}
+
+/// Identity of a message in probe events: the `(cqid, tag, kind, chunk)`
+/// quadruple the delivery auditor keys on, packed into one u64 and
+/// splitmix64-finalized (bijective, so distinct quadruples keep distinct
+/// keys). It is unique only *within a destination endpoint* — sessions reuse
+/// cqid/tag spaces — and serves as the verifier of a [`SpanJoin`] slot,
+/// never as an index on its own.
+#[inline]
+pub fn message_key(msg: &Message) -> u64 {
+    let (kind, chunk) = match msg {
+        Message::Request { .. } => (0u64, 0u64),
+        Message::Response { .. } => (1, 0),
+        Message::DataHeader { .. } => (2, 0),
+        Message::Data { chunk_idx, .. } => (3, *chunk_idx as u64),
+    };
+    rxl_transport::mix64(
+        ((msg.cqid() as u64) << 32) | ((msg.tag() as u64) << 16) | (kind << 8) | chunk,
+    )
+}
+
+/// The inject → deliver span join: pairs each message's [`InjectEvent`]
+/// with its first [`DeliverEvent`], carrying a payload `T` (an inject slot,
+/// an owning request) from one to the other.
+///
+/// Within one destination a message's position in its stream *is* its
+/// identity, so the join is one `Vec` lane per destination endpoint:
+///
+/// * **tag = index** — the dense per-stream ordinal; no hashing.
+/// * **key = verifier** — an event matches only a slot opened for its key,
+///   so foreign traffic and out-of-range `(dst, tag)` pairs match nothing.
+/// * **first delivery wins** — [`Self::close`] retires the slot, so a
+///   duplicate delivery matches nothing.
+///
+/// The index is exact for every workload the engine runs: each destination
+/// receives one stream (the engine rejects an endpoint claimed by two
+/// sessions), generators tag message `i` as `i as u16`, and the delivery
+/// auditor refuses streams longer than 65 536 messages. There a `SpanJoin`
+/// answers what a map keyed on `(dst, key)` would (a differential property
+/// test pins it). Cost: one indexed load per event and [`Self::SLOT_BYTES`]
+/// per slot up to the destination's highest tag.
+#[derive(Clone, Debug)]
+pub struct SpanJoin<T> {
+    lanes: Vec<Vec<SpanSlot<T>>>,
+    live: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct SpanSlot<T> {
+    key: u64,
+    payload: Option<T>,
+}
+
+impl<T> Default for SpanJoin<T> {
+    fn default() -> Self {
+        SpanJoin {
+            lanes: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T: Copy> SpanJoin<T> {
+    /// Bytes one slot occupies: the key plus `Option<T>`.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<SpanSlot<T>>();
+
+    /// Opens the span of message `key` at `(dst, tag)` with `payload`,
+    /// growing the table to reach it. Returns the payload of the open span
+    /// the slot held before, whatever its key.
+    pub fn open(&mut self, dst: usize, tag: u16, key: u64, payload: T) -> Option<T> {
+        if self.lanes.len() <= dst {
+            self.lanes.resize_with(dst + 1, Vec::new);
+        }
+        let lane = &mut self.lanes[dst];
+        let vacant = SpanSlot { key, payload: None };
+        if lane.len() <= tag as usize {
+            lane.resize(tag as usize + 1, vacant);
+        }
+        let slot = &mut lane[tag as usize];
+        slot.key = key;
+        let displaced = slot.payload.replace(payload);
+        self.live += usize::from(displaced.is_none());
+        displaced
+    }
+
+    /// The slot at `(dst, tag)`, if it was last opened for `key`.
+    fn slot(&mut self, dst: usize, tag: u16, key: u64) -> Option<&mut SpanSlot<T>> {
+        let slot = self.lanes.get_mut(dst)?.get_mut(tag as usize)?;
+        (slot.key == key).then_some(slot)
+    }
+
+    /// The payload of the open span at `(dst, tag)`, if it was opened for
+    /// `key`.
+    pub fn get_mut(&mut self, dst: usize, tag: u16, key: u64) -> Option<&mut T> {
+        self.slot(dst, tag, key)?.payload.as_mut()
+    }
+
+    /// Closes the open span at `(dst, tag)` if it was opened for `key`, and
+    /// returns its payload. The slot is retired: closing it again matches
+    /// nothing.
+    pub fn close(&mut self, dst: usize, tag: u16, key: u64) -> Option<T> {
+        let payload = self.slot(dst, tag, key)?.payload.take()?;
+        self.live -= 1;
+        Some(payload)
+    }
+
+    /// Spans opened and not yet closed.
+    pub fn live(&self) -> usize {
+        self.live
+    }
 }
 
 /// A flit corrupted on a link and caught (or not) by a switch pipeline.
@@ -459,5 +579,87 @@ impl Probe for CountingProbe {
     }
     fn on_epoch(&mut self, _slot: u64, _epoch: usize) {
         self.epochs += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The key the engine would give message `tag` of `dst`'s stream.
+    fn key_of(dst: usize, tag: u16) -> u64 {
+        rxl_transport::mix64(((dst as u64) << 16) | tag as u64)
+    }
+
+    #[test]
+    fn same_key_different_destination_stays_distinct() {
+        let mut join = SpanJoin::default();
+        join.open(3, 0, 7, 1u64);
+        join.open(4, 0, 7, 2u64);
+        assert_eq!(join.close(4, 0, 7), Some(2));
+        assert_eq!(join.live(), 1);
+        assert_eq!(join.close(3, 0, 7), Some(1));
+    }
+
+    /// The hashed join `SpanJoin` replaced, as the reference: `(dst, key)` →
+    /// payload, removed on the first delivery.
+    type Reference = HashMap<(usize, u64), u32>;
+
+    /// Destinations and tags the property opens spans at.
+    const DSTS: usize = 4;
+    const TAGS: u16 = 48;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A `SpanJoin` answers every operation exactly as the hashed
+        /// reference does: opens (re-opens included), first and duplicate
+        /// deliveries, a foreign key at a live tag, a tag past the lane and
+        /// a destination past the table.
+        #[test]
+        fn span_join_matches_the_hashed_reference(
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..DSTS, 0u16..TAGS, any::<u32>()),
+                0..200,
+            ),
+        ) {
+            let mut join = SpanJoin::default();
+            let mut reference = Reference::new();
+            let mut opened: Vec<(usize, u16)> = Vec::new();
+            for (kind, dst, tag, payload) in ops {
+                // An already opened span, when there is one.
+                let (od, ot) = opened
+                    .get(payload as usize % opened.len().max(1))
+                    .copied()
+                    .unwrap_or((dst, tag));
+                let (d, t, key, open) = match kind {
+                    0 | 1 => (dst, tag, key_of(dst, tag), true),
+                    // A first or a duplicate delivery.
+                    2 | 3 => (od, ot, key_of(od, ot), false),
+                    // Foreign traffic at a live tag.
+                    4 => (od, ot, key_of(od, ot) ^ 1, false),
+                    // A tag past every lane.
+                    5 => (dst, TAGS + tag, key_of(dst, TAGS + tag), false),
+                    // A destination past the table.
+                    _ => (DSTS + dst, tag, key_of(DSTS + dst, tag), false),
+                };
+                if open {
+                    opened.push((d, t));
+                    prop_assert_eq!(
+                        join.open(d, t, key, payload),
+                        reference.insert((d, key), payload)
+                    );
+                } else {
+                    prop_assert_eq!(
+                        join.get_mut(d, t, key).copied(),
+                        reference.get(&(d, key)).copied()
+                    );
+                    prop_assert_eq!(join.close(d, t, key), reference.remove(&(d, key)));
+                }
+                prop_assert_eq!(join.live(), reference.len());
+            }
+        }
     }
 }

@@ -15,10 +15,10 @@
 //!   schedule is per-session rather than per-request), and
 //! * a [`RequestMap`] recording, for each request, exactly which message
 //!   spans belong to it — each as `(dst, tag)`, the message's dense
-//!   position in its destination's stream, plus the `(dst, key)` identity
-//!   (see [`rxl_fabric::message_key`]) that verifies it — the join table
-//!   the request probe in `rxl-telemetry` uses to fold engine delivery
-//!   events back into request completions.
+//!   position in its destination's stream, plus the key (see
+//!   [`rxl_fabric::message_key`]) that verifies it — the entries the request
+//!   probe in `rxl-telemetry` pre-fills its [`rxl_fabric::SpanJoin`] with to
+//!   fold engine delivery events back into request completions.
 //!
 //! Generation follows the workspace's RNG discipline: all randomness comes
 //! from the caller's `rng` during [`RequestGenerator::build`] (one shared
@@ -96,8 +96,8 @@ impl FanoutShape {
 /// audit index (`DeliveryAuditor::for_stream`) refuses the duplicate
 /// identity. The same
 /// bound is what makes a shard's tag a *dense* per-destination ordinal — the
-/// invariant the request probe's tag-indexed join in `rxl-telemetry`
-/// (`RequestProbe::new`, which asserts `(dst, tag)` uniqueness) is built on.
+/// invariant every [`rxl_fabric::SpanJoin`] is built on (`RequestProbe::new`
+/// in `rxl-telemetry` asserts `(dst, tag)` uniqueness).
 pub const MAX_STREAM_MESSAGES: usize = 1 << 16;
 
 /// One shard of a request: the message span it rides on.
@@ -108,8 +108,8 @@ pub struct ShardRef {
     /// Destination endpoint (the session's device; shards are
     /// downstream-only).
     pub dst: usize,
-    /// Engine message key — `(dst, key)` is the workspace's message-span
-    /// identity.
+    /// Engine message key (see [`rxl_fabric::message_key`]): verifies a
+    /// join match at `(dst, tag)`.
     pub key: u64,
     /// The message's tag: its ordinal in the session's stream, hence dense
     /// and unique within `dst` (see [`MAX_STREAM_MESSAGES`]).
@@ -127,17 +127,9 @@ pub struct ShardRef {
 /// completion slot is the max of its shard delivery slots (see
 /// [`request_completion_slot`]).
 ///
-/// # What a consumer may join on
-///
-/// Each [`ShardRef`] names its message twice. `tag` is the message's
-/// ordinal in its session's stream: dense from 0 and unique within `dst`
-/// (one session per device, at most [`MAX_STREAM_MESSAGES`] per stream), so
-/// `(dst, tag)` indexes an array with no hashing. `key` is the engine's
-/// span identity for the same message and serves as the verifier that an
-/// event at `(dst, tag)` really is this shard. `RequestProbe` in
-/// `rxl-telemetry` joins exactly this way — one indexed load per event, the
-/// first delivery of a shard wins — and has no hashed fallback, because the
-/// index does not depend on the order events arrive in.
+/// Each [`ShardRef`] names its message as an [`rxl_fabric::SpanJoin`] does:
+/// `(dst, tag)` indexes it, `key` verifies it. `RequestProbe` in
+/// `rxl-telemetry` pre-fills its join from the map.
 #[derive(Clone, Debug)]
 pub struct RequestMap {
     /// Shards per request.

@@ -10,8 +10,7 @@
 
 use std::fmt;
 
-use rxl_fabric::{DeliverEvent, InjectEvent, Probe};
-use rxl_transport::FastMap;
+use rxl_fabric::{DeliverEvent, InjectEvent, Probe, SpanJoin};
 
 /// An HDR-style log-bucketed histogram of `u64` values.
 ///
@@ -228,15 +227,14 @@ impl fmt::Display for LatencyStats {
 
 /// Times every message of a trial from injection to first delivery.
 ///
-/// `on_inject` opens a span under the `(dst, key)` pair — the workspace's
-/// message-span identity (see [`rxl_fabric::message_key`]) — and the first
-/// `on_deliver` of that pair closes it straight into [`Self::hist`]. For
-/// paced injection the span opens at the message's arrival slot; greedy
-/// injection opens everything at slot 0, so latency includes head-of-line
-/// waiting in the endpoint's message queue.
+/// `on_inject` opens the message's span in a [`SpanJoin`] carrying the
+/// inject slot, and the first `on_deliver` of the message closes it
+/// straight into [`Self::hist`]. For paced injection the span opens at the
+/// message's arrival slot; greedy injection opens everything at slot 0, so
+/// latency includes head-of-line waiting in the endpoint's message queue.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyProbe {
-    open: FastMap<(usize, u64), u64>,
+    spans: SpanJoin<u64>,
     /// Injection→delivery latencies of both directions, in slots.
     pub hist: LatencyHistogram,
     /// Deliveries that found no open span: duplicate deliveries of an
@@ -246,11 +244,11 @@ pub struct LatencyProbe {
 
 impl Probe for LatencyProbe {
     fn on_inject(&mut self, ev: InjectEvent) {
-        self.open.insert((ev.dst, ev.key), ev.slot);
+        self.spans.open(ev.dst, ev.tag, ev.key, ev.slot);
     }
 
     fn on_deliver(&mut self, ev: DeliverEvent) {
-        match self.open.remove(&(ev.dst, ev.key)) {
+        match self.spans.close(ev.dst, ev.tag, ev.key) {
             Some(injected_at) => self.hist.record(ev.slot - injected_at),
             None => self.untracked += 1,
         }

@@ -33,8 +33,6 @@ pub struct SimConfig {
     pub topology: Topology,
     /// Per-link channel error model.
     pub channel: ChannelErrorModel,
-    /// Switch-internal corruption model.
-    pub switch_internal: InternalErrorModel,
     /// ACK coalescing level (one ACK per this many accepted flits).
     pub ack_coalescing: u32,
     /// Hard limit on simulated transmit slots.
@@ -51,7 +49,6 @@ impl SimConfig {
             variant,
             topology: Topology::from_levels(levels),
             channel: ChannelErrorModel::cxl3(),
-            switch_internal: InternalErrorModel::none(),
             ack_coalescing: 10,
             max_slots: 2_000_000,
             seed: 0,
@@ -82,7 +79,7 @@ impl SimConfig {
         SwitchConfig {
             ports: 2,
             queue_capacity: 64,
-            internal_error: self.switch_internal,
+            internal_error: InternalErrorModel::none(),
             crc_mode: match self.variant {
                 ProtocolVariant::Rxl => LinkCrcMode::Passthrough,
                 _ => LinkCrcMode::Regenerate,

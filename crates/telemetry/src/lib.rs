@@ -27,6 +27,8 @@
 //!   time to recovery).
 //! * [`trace`] — [`TraceRecorder`]: bounded ring buffers of per-message
 //!   spans and instant events, exportable as JSONL or Chrome tracing JSON.
+//!   The recorder joins nothing: its owning probe hands it the spans its
+//!   [`rxl_fabric::SpanJoin`] closes.
 //! * [`probe`] — [`SloProbe`]: the [`rxl_fabric::Probe`] implementation
 //!   feeding all of the above from engine events.
 //! * [`metrics`] — [`MetricsProbe`] / [`MetricsRegistry`] /

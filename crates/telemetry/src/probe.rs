@@ -4,11 +4,9 @@
 //! [`WindowedTelemetry`] (and, optionally, a [`TraceRecorder`]): injection
 //! counts into the injection window, latency + outcome on delivery, counter
 //! events into the window they fire in. Latency is computed here — the
-//! probe pairs each [`InjectEvent`] with its delivery through an in-flight
-//! map keyed by the `(dst, key)` pair, the workspace's message-span
-//! identity. (The pair is the key — [`rxl_fabric::message_key`] uses the
-//! full 64 bits, so no bit-packing of `dst` into the key can stay
-//! collision-free.)
+//! probe pairs each [`InjectEvent`] with its first delivery through a
+//! [`SpanJoin`] carrying the inject slot, and hands each span it closes to
+//! the trace recorder, so a traced probe joins every message once.
 //!
 //! Per the seam's contract the probe never touches the RNG and the engine
 //! never reads probe state, so attaching an `SloProbe` leaves every trial
@@ -18,9 +16,8 @@
 //! trial probes in trial order reports the same windows for any worker
 //! thread count.
 
-use rxl_fabric::{ChannelErrorEvent, DeliverEvent, InjectEvent, Probe};
+use rxl_fabric::{ChannelErrorEvent, DeliverEvent, InjectEvent, Probe, SpanJoin};
 use rxl_transport::DeliveryVerdict;
-use rxl_transport::FastMap;
 
 use crate::trace::{InstantKind, TraceRecorder};
 use crate::window::WindowedTelemetry;
@@ -30,7 +27,7 @@ use crate::window::WindowedTelemetry;
 #[derive(Clone, Debug)]
 pub struct SloProbe {
     windows: WindowedTelemetry,
-    inflight: FastMap<(u64, u64), u64>,
+    spans: SpanJoin<u64>,
     trace: Option<TraceRecorder>,
 }
 
@@ -39,7 +36,7 @@ impl SloProbe {
     pub fn new(window_slots: u64) -> Self {
         SloProbe {
             windows: WindowedTelemetry::new(window_slots),
-            inflight: FastMap::default(),
+            spans: SpanJoin::default(),
             trace: None,
         }
     }
@@ -51,10 +48,6 @@ impl SloProbe {
             trace: Some(TraceRecorder::new(trace_capacity)),
             ..SloProbe::new(window_slots)
         }
-    }
-
-    fn span_id(dst: usize, key: u64) -> (u64, u64) {
-        (dst as u64, key)
     }
 
     /// The accumulated windowed telemetry.
@@ -70,7 +63,7 @@ impl SloProbe {
     /// Messages injected but never delivered (in flight at run end, or
     /// lost).
     pub fn unresolved(&self) -> usize {
-        self.inflight.len()
+        self.spans.live()
     }
 
     /// Merges another trial's telemetry in (exact; panics on differing
@@ -84,9 +77,9 @@ impl SloProbe {
 impl Probe for SloProbe {
     fn on_inject(&mut self, ev: InjectEvent) {
         self.windows.record_inject(ev.slot);
-        self.inflight.insert(Self::span_id(ev.dst, ev.key), ev.slot);
+        self.spans.open(ev.dst, ev.tag, ev.key, ev.slot);
         if let Some(trace) = &mut self.trace {
-            trace.open_span(ev);
+            trace.open_span();
         }
     }
 
@@ -94,13 +87,14 @@ impl Probe for SloProbe {
         // Duplicate deliveries find no open span: the first delivery
         // consumed it, which is exactly the single-span-per-message
         // semantics we want.
-        if let Some(inject_slot) = self.inflight.remove(&Self::span_id(ev.dst, ev.key)) {
-            self.windows.record_latency(ev.slot, ev.slot - inject_slot);
-            self.windows
-                .record_outcome(inject_slot, ev.verdict == DeliveryVerdict::InOrder);
-        }
+        let Some(inject_slot) = self.spans.close(ev.dst, ev.tag, ev.key) else {
+            return;
+        };
+        self.windows.record_latency(ev.slot, ev.slot - inject_slot);
+        self.windows
+            .record_outcome(inject_slot, ev.verdict == DeliveryVerdict::InOrder);
         if let Some(trace) = &mut self.trace {
-            trace.close_span(ev.slot, ev.dst, ev.key, ev.verdict);
+            trace.close_span(inject_slot, ev);
         }
     }
 
@@ -187,7 +181,7 @@ mod tests {
             dst,
             downstream: true,
             key,
-            tag: 0,
+            tag: key as u16,
         }
     }
 
@@ -195,10 +189,11 @@ mod tests {
         DeliverEvent {
             slot,
             session: 0,
+            src: 1,
             dst,
             downstream: true,
             key,
-            tag: 0,
+            tag: key as u16,
             verdict,
         }
     }

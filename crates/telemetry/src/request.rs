@@ -7,8 +7,9 @@
 //! observation side:
 //!
 //! * [`RequestProbe`] — a [`rxl_fabric::Probe`] that joins engine delivery
-//!   events back to requests through the trial's [`RequestMap`], records a
-//!   request completion at the **max** of its shard deliveries, attributes
+//!   events back to requests through a [`SpanJoin`] pre-filled from the
+//!   trial's [`RequestMap`], records a request completion at the **max**
+//!   of its shard deliveries, attributes
 //!   each completion's critical path to the straggling shard's session, and
 //!   folds request-level latency/availability into a
 //!   [`WindowedTelemetry`] (plus, optionally, per-shard spans and
@@ -30,6 +31,7 @@
 //! `tests/telemetry_neutrality.rs`).
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,6 +39,7 @@ use rayon::prelude::*;
 
 use rxl_fabric::{
     DeliverEvent, FabricConfig, FabricSim, FabricTopology, InjectEvent, Probe, RoutingTable,
+    SpanJoin,
 };
 use rxl_flit::MESSAGES_PER_FLIT;
 use rxl_load::{
@@ -66,22 +69,26 @@ struct RequestState {
     clean: bool,
 }
 
-/// One slot of the dense join, at `join[dst][tag]`.
+/// A shard's payload in the request join.
 #[derive(Clone, Copy, Debug)]
-struct JoinSlot {
-    /// Key of the shard message the slot was built for — the verifier.
-    key: u64,
-    /// Owning request; [`NO_REQUEST`] while vacant and once delivered.
-    request: u32,
+struct Shard {
+    /// Owning request's index plus one: non-zero, so `Option<Shard>` needs
+    /// no tag and a join slot stays 16 bytes.
+    request: NonZeroU32,
+    /// Slots from the request's arrival to the shard's release, written on
+    /// injection by a traced probe. Never negative: the arrival is the
+    /// earliest of the request's shard release slots.
+    released_after: u32,
 }
 
-/// [`JoinSlot::request`] of a slot no event may match.
-const NO_REQUEST: u32 = u32::MAX;
+impl Shard {
+    fn index(self) -> usize {
+        self.request.get() as usize - 1
+    }
+}
 
-const VACANT: JoinSlot = JoinSlot {
-    key: 0,
-    request: NO_REQUEST,
-};
+// ≈ 768 000 shard slots live at once in one `serving_subknee` trial.
+const _: () = assert!(SpanJoin::<Shard>::SLOT_BYTES <= 16);
 
 /// A [`Probe`] folding engine events into request-level telemetry.
 ///
@@ -96,25 +103,14 @@ const VACANT: JoinSlot = JoinSlot {
 ///
 /// # The join
 ///
-/// Within one destination a message's position in its stream *is* its
-/// identity: generators tag message `i` of a stream `i as u16` and no stream
-/// exceeds [`MAX_STREAM_MESSAGES`], so `(dst, tag)` is a dense, collision-free
-/// index. The join is therefore one `Vec` per destination endpoint indexed
-/// by tag, each slot holding `(key, request)`:
-///
-/// * **tag = dense per-stream ordinal** — the index; no hashing.
-/// * **key = verifier** — an event matches only if its key equals the
-///   slot's, so foreign traffic (other directions, messages outside the
-///   map) and out-of-range `(dst, tag)` pairs fall through untouched.
-/// * **first delivery wins** — a delivery retires its slot, so duplicate
-///   deliveries, and injections after the delivery, find nothing.
-///
-/// Cost: one indexed load per event and 16 B per shard message, held for
-/// the life of the trial only ([`Self::finish`] releases it). There is no
-/// hashed fallback: every protocol and every delivery order takes the same
-/// path, because the index never depends on arrival order — only on the
-/// tag uniqueness [`Self::new`] asserts and `RequestSweep::new` /
-/// `RequestGenerator::build` guarantee up front.
+/// [`Self::new`] opens every shard of the map in a [`SpanJoin`] up front,
+/// each slot carrying its request (see the join's rustdoc for the index and
+/// its rules). An injection looks its shard up without retiring it, so
+/// injections after the delivery find nothing; the first delivery retires
+/// it. A live slot therefore means an undelivered shard, not an open span:
+/// a traced probe counts open spans in its recorder. The table costs 16 B
+/// per shard message for the life of the trial only ([`Self::finish`]
+/// releases it).
 ///
 /// [`RequestProbe::merge`] is exact (windowed-telemetry merge plus counter
 /// addition), so merging per-trial probes in trial order is
@@ -124,7 +120,7 @@ const VACANT: JoinSlot = JoinSlot {
 pub struct RequestProbe {
     fanout: usize,
     shape: String,
-    join: Vec<Vec<JoinSlot>>,
+    join: SpanJoin<Shard>,
     states: Vec<RequestState>,
     windows: WindowedTelemetry,
     straggler_counts: Vec<u64>,
@@ -143,27 +139,23 @@ impl RequestProbe {
     /// one precondition, which holds for every stream of at most
     /// [`MAX_STREAM_MESSAGES`] messages.
     pub fn new(map: &RequestMap, sessions: usize, window_slots: u64) -> Self {
-        assert!(
-            map.len() < NO_REQUEST as usize,
-            "a request map is indexed by u32"
-        );
         // Tags ascend densely within a destination, so each lane grows by
         // one slot per shard as the map is walked.
-        let mut join: Vec<Vec<JoinSlot>> = Vec::new();
+        let mut join = SpanJoin::default();
         let mut states = Vec::with_capacity(map.len());
         for r in 0..map.len() {
+            let request = u32::try_from(r + 1)
+                .ok()
+                .and_then(NonZeroU32::new)
+                .expect("a request map is indexed by u32");
             for shard in map.shards(r) {
-                let tag = shard.tag as usize;
-                if join.len() <= shard.dst {
-                    join.resize_with(shard.dst + 1, Vec::new);
-                }
-                let lane = &mut join[shard.dst];
-                if lane.len() <= tag {
-                    lane.resize(tag + 1, VACANT);
-                }
-                let slot = &mut lane[tag];
+                let payload = Shard {
+                    request,
+                    released_after: 0,
+                };
+                let displaced = join.open(shard.dst, shard.tag, shard.key, payload);
                 assert!(
-                    slot.request == NO_REQUEST,
+                    displaced.is_none(),
                     "session {} reuses tag {} at destination {}: the dense join needs (dst, tag) \
                      unique, i.e. at most {MAX_STREAM_MESSAGES} messages per stream \
                      (rxl_load::MAX_STREAM_MESSAGES)",
@@ -171,10 +163,6 @@ impl RequestProbe {
                     shard.tag,
                     shard.dst
                 );
-                *slot = JoinSlot {
-                    key: shard.key,
-                    request: r as u32,
-                };
             }
             states.push(RequestState {
                 arrival: map.arrival_slot(r),
@@ -220,18 +208,10 @@ impl RequestProbe {
     /// counters and the trace. A finished probe ignores further events.
     pub fn finish(self) -> Self {
         RequestProbe {
-            join: Vec::new(),
+            join: SpanJoin::default(),
             states: Vec::new(),
             ..self
         }
-    }
-
-    /// The live join slot at `(dst, tag)`, if it was built for `key`.
-    fn slot(&mut self, dst: usize, tag: u16, key: u64) -> Option<&mut JoinSlot> {
-        self.join
-            .get_mut(dst)?
-            .get_mut(tag as usize)
-            .filter(|slot| slot.request != NO_REQUEST && slot.key == key)
     }
 
     /// Shards per request.
@@ -404,11 +384,15 @@ impl RequestProbe {
 
 impl Probe for RequestProbe {
     fn on_inject(&mut self, ev: InjectEvent) {
-        let Some(slot) = self.slot(ev.dst, ev.tag, ev.key) else {
+        let Some(shard) = self.join.get_mut(ev.dst, ev.tag, ev.key) else {
             return;
         };
-        let idx = slot.request;
-        let state = &mut self.states[idx as usize];
+        let state = &mut self.states[shard.index()];
+        if let Some(trace) = &mut self.trace {
+            shard.released_after = u32::try_from(ev.slot - state.arrival)
+                .expect("a shard is released within 2^32 slots of its request's arrival");
+            trace.open_span();
+        }
         state.injected += 1;
         if state.injected == 1 {
             self.windows.record_inject(state.arrival);
@@ -416,44 +400,41 @@ impl Probe for RequestProbe {
             self.inflight += 1;
             self.peak_inflight = self.peak_inflight.max(self.inflight);
         }
-        if let Some(trace) = &mut self.trace {
-            trace.open_span(ev);
-        }
     }
 
     fn on_deliver(&mut self, ev: DeliverEvent) {
         // Retire the slot on first delivery: a duplicate finds nothing,
         // matching the single-span-per-shard semantics.
-        if let Some(slot) = self.slot(ev.dst, ev.tag, ev.key) {
-            let idx = std::mem::replace(&mut slot.request, NO_REQUEST);
-            let state = &mut self.states[idx as usize];
-            if ev.verdict != DeliveryVerdict::InOrder {
-                state.clean = false;
-            }
-            if ev.slot >= state.last_deliver {
-                state.last_deliver = ev.slot;
-                state.straggler_session = ev.session as u32;
-            }
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                let latency = state.last_deliver.saturating_sub(state.arrival);
-                self.windows.record_latency(state.last_deliver, latency);
-                self.windows.record_outcome(state.arrival, state.clean);
-                self.straggler_counts[state.straggler_session as usize] += 1;
-                self.completed += 1;
-                self.inflight -= 1;
-                if let Some(trace) = &mut self.trace {
-                    trace.instant(
-                        state.last_deliver,
-                        InstantKind::RequestComplete,
-                        idx as u64,
-                        latency,
-                    );
-                }
+        let Some(shard) = self.join.close(ev.dst, ev.tag, ev.key) else {
+            return;
+        };
+        let state = &mut self.states[shard.index()];
+        if ev.verdict != DeliveryVerdict::InOrder {
+            state.clean = false;
+        }
+        if ev.slot >= state.last_deliver {
+            state.last_deliver = ev.slot;
+            state.straggler_session = ev.session as u32;
+        }
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            let latency = state.last_deliver.saturating_sub(state.arrival);
+            self.windows.record_latency(state.last_deliver, latency);
+            self.windows.record_outcome(state.arrival, state.clean);
+            self.straggler_counts[state.straggler_session as usize] += 1;
+            self.completed += 1;
+            self.inflight -= 1;
+            if let Some(trace) = &mut self.trace {
+                trace.instant(
+                    state.last_deliver,
+                    InstantKind::RequestComplete,
+                    shard.index() as u64,
+                    latency,
+                );
             }
         }
         if let Some(trace) = &mut self.trace {
-            trace.close_span(ev.slot, ev.dst, ev.key, ev.verdict);
+            trace.close_span(state.arrival + shard.released_after as u64, ev);
         }
     }
 }
@@ -970,7 +951,7 @@ mod tests {
     use super::*;
     use rxl_link::{ChannelErrorModel, ProtocolVariant};
     use rxl_load::ShardRef;
-    use rxl_transport::FastMap;
+    use std::collections::HashMap;
 
     /// Two requests of two shards, each shard alone on its destination
     /// (so every tag is 0).
@@ -1006,6 +987,7 @@ mod tests {
         DeliverEvent {
             slot,
             session,
+            src: 0,
             dst,
             downstream: true,
             key,
@@ -1189,7 +1171,12 @@ mod tests {
         };
         let (finished, registry, slots, _) = sweep.run_trial(&routing, &generator, 0.2, 0);
         assert!(finished.completed() > 0);
-        assert_eq!(finished.join.capacity(), 0, "join table released");
+        let released = format!("{:?}", SpanJoin::<Shard>::default());
+        assert_eq!(
+            format!("{:?}", finished.join),
+            released,
+            "join table released"
+        );
         assert_eq!(finished.states.capacity(), 0, "request state released");
 
         // The same trial with the join state kept alive to the end.
@@ -1207,7 +1194,7 @@ mod tests {
         sim.begin_paced(&workload, &pacing);
         let _ = sim.run_to_horizon(map.last_arrival() + 300);
         let (_, kept) = sim.finish_with_probe();
-        assert!(!kept.join.is_empty() && kept.states.len() == map.len());
+        assert!(format!("{:?}", kept.join) != released && kept.states.len() == map.len());
 
         let bottleneck = BottleneckReport::analyze(sweep.topology(), &registry, slots);
         let steady = finished.windows().steady_state(1, u64::MAX);
@@ -1234,7 +1221,7 @@ mod tests {
     /// The hashed join the dense one replaced, kept as the differential
     /// reference: `(dst, key) → request` in a map, removed on delivery.
     struct ReferenceJoin {
-        lookup: FastMap<(u64, u64), u32>,
+        lookup: HashMap<(u64, u64), u32>,
         states: Vec<RequestState>,
         windows: WindowedTelemetry,
         straggler_counts: Vec<u64>,
@@ -1246,7 +1233,7 @@ mod tests {
 
     impl ReferenceJoin {
         fn new(map: &RequestMap, sessions: usize, window_slots: u64) -> Self {
-            let mut lookup = FastMap::default();
+            let mut lookup = HashMap::new();
             let mut states = Vec::new();
             for r in 0..map.len() {
                 for shard in map.shards(r) {
@@ -1390,6 +1377,7 @@ mod tests {
                 let deliver = |dst: usize, key: u64, tag: u16| DeliverEvent {
                     slot,
                     session: sh.session,
+                    src: 0,
                     dst,
                     downstream: true,
                     key,

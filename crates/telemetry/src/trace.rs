@@ -1,13 +1,15 @@
 //! Structured incident traces: bounded ring buffers of per-message spans
 //! and point events, exportable as JSONL or Chrome tracing JSON.
 //!
-//! A [`TraceRecorder`] pairs each probe inject event with its delivery to
-//! form a [`MessageSpan`] (inject slot → deliver slot, endpoints, verdict)
-//! and records everything without a natural duration — retransmissions,
-//! NACKs, blackholes, switch fails/drains, epoch boundaries — as
-//! [`InstantEvent`]s. Both buffers are bounded rings: when full, the
-//! *oldest* entry is evicted and a dropped counter bumps, so a recorder
-//! attached to a long run keeps the most recent history at fixed memory.
+//! A [`TraceRecorder`] records the [`MessageSpan`]s (inject slot → deliver
+//! slot, endpoints, verdict) its owning probe's span join closes, and
+//! everything without a natural duration — retransmissions, NACKs,
+//! blackholes, switch fails/drains, epoch boundaries — as
+//! [`InstantEvent`]s. The recorder joins nothing itself: the probe that owns
+//! it pairs each message once, in its [`rxl_fabric::SpanJoin`]. Both buffers
+//! are bounded rings: when full, the *oldest* entry is evicted and a dropped
+//! counter bumps, so a recorder attached to a long run keeps the most recent
+//! history at fixed memory.
 //!
 //! Retransmissions are endpoint-level instants, not sub-events of a span:
 //! the transport's go-back-N replay resends *everything* past the
@@ -27,8 +29,8 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use rxl_fabric::InjectEvent;
-use rxl_transport::{DeliveryVerdict, FastMap};
+use rxl_fabric::DeliverEvent;
+use rxl_transport::DeliveryVerdict;
 
 /// One message's life: injection to delivery, with the auditor's verdict.
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +112,7 @@ pub struct InstantEvent {
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
     capacity: usize,
-    open: FastMap<(u64, u64), InjectEvent>,
+    open_spans: usize,
     spans: VecDeque<MessageSpan>,
     instants: VecDeque<InstantEvent>,
     dropped_spans: u64,
@@ -124,7 +126,7 @@ impl TraceRecorder {
         assert!(capacity > 0, "a trace ring needs a positive capacity");
         TraceRecorder {
             capacity,
-            open: FastMap::default(),
+            open_spans: 0,
             spans: VecDeque::new(),
             instants: VecDeque::new(),
             dropped_spans: 0,
@@ -132,40 +134,29 @@ impl TraceRecorder {
         }
     }
 
-    fn span_id(dst: usize, key: u64) -> (u64, u64) {
-        (dst as u64, key)
+    /// Counts a span the owning probe opened (a message injected); the meta
+    /// line's `open_spans` is what was opened and not yet closed.
+    pub fn open_span(&mut self) {
+        self.open_spans += 1;
     }
 
-    /// Opens a span for an injected message.
-    pub fn open_span(&mut self, ev: InjectEvent) {
-        self.open.insert(Self::span_id(ev.dst, ev.key), ev);
-    }
-
-    /// Closes the span matching a delivery, if its injection is on record
-    /// (duplicate deliveries and pre-attach injections close nothing).
-    pub fn close_span(
-        &mut self,
-        deliver_slot: u64,
-        dst: usize,
-        key: u64,
-        verdict: DeliveryVerdict,
-    ) {
-        let Some(inj) = self.open.remove(&Self::span_id(dst, key)) else {
-            return;
-        };
+    /// Records the span the owning probe closed on `ev`, the first delivery
+    /// of a message injected at `inject_slot`, and counts it closed.
+    pub fn close_span(&mut self, inject_slot: u64, ev: DeliverEvent) {
+        self.open_spans -= 1;
         if self.spans.len() == self.capacity {
             self.spans.pop_front();
             self.dropped_spans += 1;
         }
         self.spans.push_back(MessageSpan {
-            inject_slot: inj.slot,
-            deliver_slot,
-            session: inj.session,
-            src: inj.src,
-            dst,
-            downstream: inj.downstream,
-            key,
-            verdict,
+            inject_slot,
+            deliver_slot: ev.slot,
+            session: ev.session,
+            src: ev.src,
+            dst: ev.dst,
+            downstream: ev.downstream,
+            key: ev.key,
+            verdict: ev.verdict,
         });
     }
 
@@ -186,11 +177,6 @@ impl TraceRecorder {
     /// Instant events, oldest first.
     pub fn instants(&self) -> impl Iterator<Item = &InstantEvent> {
         self.instants.iter()
-    }
-
-    /// Injected messages not yet delivered (in flight or lost).
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
     }
 
     /// Spans evicted from the ring.
@@ -258,7 +244,7 @@ impl TraceRecorder {
              \"dropped_spans\":{},\"dropped_instants\":{}}}",
             self.spans.len(),
             self.instants.len(),
-            self.open.len(),
+            self.open_spans,
             self.dropped_spans,
             self.dropped_instants,
         );
@@ -321,49 +307,44 @@ impl TraceRecorder {
 mod tests {
     use super::*;
 
-    fn inject(slot: u64, dst: usize, key: u64) -> InjectEvent {
-        InjectEvent {
+    /// The clean first delivery of message `key` at `dst`.
+    fn deliver(slot: u64, dst: usize, key: u64) -> DeliverEvent {
+        DeliverEvent {
             slot,
             session: 1,
             src: 0,
             dst,
             downstream: true,
             key,
-            tag: 0,
+            tag: key as u16,
+            verdict: DeliveryVerdict::InOrder,
         }
     }
 
-    #[test]
-    fn spans_pair_injection_with_delivery() {
-        let mut t = TraceRecorder::new(8);
-        t.open_span(inject(10, 3, 42));
-        assert_eq!(t.open_spans(), 1);
-        t.close_span(35, 3, 42, DeliveryVerdict::InOrder);
-        assert_eq!(t.open_spans(), 0);
-        let span = t.spans().next().expect("one span");
-        assert_eq!(span.inject_slot, 10);
-        assert_eq!(span.deliver_slot, 35);
-        // A duplicate delivery of the same key closes nothing.
-        t.close_span(40, 3, 42, DeliveryVerdict::Unexpected);
-        assert_eq!(t.spans().count(), 1);
+    /// Opens and closes one span, as the owning probe does.
+    fn record(t: &mut TraceRecorder, inject_slot: u64, ev: DeliverEvent) {
+        t.open_span();
+        t.close_span(inject_slot, ev);
     }
 
     #[test]
-    fn same_key_different_destination_stays_distinct() {
+    fn open_spans_count_what_the_probe_opened_and_not_yet_closed() {
         let mut t = TraceRecorder::new(8);
-        t.open_span(inject(1, 3, 7));
-        t.open_span(inject(2, 4, 7));
-        t.close_span(9, 4, 7, DeliveryVerdict::InOrder);
-        assert_eq!(t.open_spans(), 1);
-        assert_eq!(t.spans().next().unwrap().inject_slot, 2);
+        t.open_span();
+        t.open_span();
+        assert!(t.to_jsonl().contains("\"open_spans\":2"));
+        t.close_span(10, deliver(35, 3, 42));
+        assert!(t.to_jsonl().contains("\"open_spans\":1"));
+        let recorded = t.spans().next().expect("one span");
+        assert_eq!(recorded.inject_slot, 10);
+        assert_eq!(recorded.deliver_slot, 35);
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let mut t = TraceRecorder::new(2);
         for k in 0..4u64 {
-            t.open_span(inject(k, 0, k));
-            t.close_span(k + 5, 0, k, DeliveryVerdict::InOrder);
+            record(&mut t, k, deliver(k + 5, 0, k));
         }
         assert_eq!(t.spans().count(), 2);
         assert_eq!(t.dropped_spans(), 2);
@@ -379,8 +360,7 @@ mod tests {
     fn jsonl_is_one_valid_object_per_line_in_slot_order() {
         let mut t = TraceRecorder::new(8);
         t.instant(50, InstantKind::SwitchFail, 2, 17);
-        t.open_span(inject(10, 1, 0));
-        t.close_span(90, 1, 0, DeliveryVerdict::InOrder);
+        record(&mut t, 10, deliver(90, 1, 0));
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -398,8 +378,7 @@ mod tests {
     fn exports_surface_ring_truncation() {
         let mut t = TraceRecorder::new(2);
         for k in 0..5u64 {
-            t.open_span(inject(k, 0, k));
-            t.close_span(k + 3, 0, k, DeliveryVerdict::InOrder);
+            record(&mut t, k, deliver(k + 3, 0, k));
         }
         let meta = t.to_jsonl();
         let meta_line = meta.lines().last().expect("meta line closes the export");
@@ -416,8 +395,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_complete_and_instant_events() {
         let mut t = TraceRecorder::new(8);
-        t.open_span(inject(10, 1, 0));
-        t.close_span(90, 1, 0, DeliveryVerdict::InOrder);
+        record(&mut t, 10, deliver(90, 1, 0));
         t.instant(55, InstantKind::Epoch, 1, 0);
         let json = t.to_chrome_trace();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -15,65 +15,12 @@
 //! * **unexpected** — the message was never sent at all (also `Fail_data`),
 //! * **lost** — counted at the end for sent messages never delivered.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rxl_flit::Message;
 
 use crate::failure::FailureCounts;
 use crate::stream::{read_at, SentStream};
-
-/// A fast, deterministic hasher (the FxHash construction) for per-message
-/// maps on simulation hot paths, where the default SipHash cost is
-/// measurable at fabric scale. Hash quality only affects speed, never
-/// counts: nothing iterates these maps in hash order to produce results.
-/// The auditor in this module no longer hashes at all; the hasher is public
-/// so the hot paths that still do (the inject → deliver span joins of
-/// `rxl-load` and `rxl-telemetry`) share one deterministic construction
-/// instead of growing private copies.
-#[derive(Default)]
-pub struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` with the deterministic [`FxHasher`] — the workspace's shared
-/// fast-map type for per-message bookkeeping on simulation hot paths.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Classification of a single observed delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,10 +38,8 @@ pub enum DeliveryVerdict {
 }
 
 /// The splitmix64 finalizer: a cheap bijective mixer whose every output bit
-/// depends on every input bit. Public because every [`FastMap`] keyed by a
-/// *packed* integer needs it: [`FxHasher`] alone leaves the low output bits
-/// (hashbrown's bucket index) a function of only the low input bits, so keys
-/// whose entropy sits in high bit fields cluster catastrophically.
+/// depends on every input bit. Public because `rxl_fabric::message_key`
+/// finalizes its packed message identity with it.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -11,7 +11,12 @@
 //! * [`stream`] — that ground truth as a value: a [`SentStream`] is built
 //!   once per workload and shared by every trial's injector and auditor,
 //! * [`failure`] — the failure counters shared by the simulator and the
-//!   experiment harnesses.
+//!   experiment harnesses,
+//! * [`mix64`] — the bijective finalizer behind the fabric's message keys.
+//!
+//! Nothing here hashes per message: the auditor indexes stream positions,
+//! and the probes' inject → deliver joins index `(dst, tag)` through
+//! `rxl_fabric::SpanJoin`.
 
 pub mod audit;
 #[cfg(test)]
@@ -19,6 +24,6 @@ mod audit_reference;
 pub mod failure;
 pub mod stream;
 
-pub use audit::{mix64, DeliveryAuditor, DeliveryVerdict, FastMap, FxHasher};
+pub use audit::{mix64, DeliveryAuditor, DeliveryVerdict};
 pub use failure::FailureCounts;
 pub use stream::SentStream;
