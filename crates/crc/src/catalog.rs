@@ -10,8 +10,8 @@
 //! verified empirically by `rxl-crc::analysis` and the `table_crc_detection`
 //! experiment harness.
 
+use crate::slice::{SliceBy8Crc64, FLIT_CRC64_SLICE};
 use crate::spec::CrcSpec;
-use crate::table::TableCrc;
 
 /// CRC-64/XZ (a.k.a. CRC-64/GO-ECMA): ECMA-182 polynomial, reflected,
 /// init/xorout all-ones. Check value for "123456789": `0x995DC9BBDF1939FA`.
@@ -62,110 +62,38 @@ pub const CRC16_ARC: CrcSpec = CrcSpec::new("CRC-16/ARC", 16, 0x8005, 0, true, t
 /// CRC-8/SMBUS. Check value: `0xF4`.
 pub const CRC8_SMBUS: CrcSpec = CrcSpec::new("CRC-8/SMBus", 8, 0x07, 0, false, false, 0);
 
-// Precomputed table-driven engines for every catalogue algorithm. The lookup
-// tables are evaluated at compile time (`TableCrc::new` is `const`), so
-// borrowing one of these — or copying it into a wrapper — never rebuilds the
-// 256-entry table at runtime. The hot paths (flit codecs, switches, the
-// Monte-Carlo simulators) construct engines per endpoint per trial, which
-// made the old run-time table build a measurable cost.
-
-/// Compile-time CRC-64/XZ (= [`FLIT_CRC64`]) engine.
-pub static CRC64_XZ_ENGINE: TableCrc = TableCrc::new(CRC64_XZ);
-/// Compile-time CRC-64/ECMA-182 engine.
-pub static CRC64_ECMA_182_ENGINE: TableCrc = TableCrc::new(CRC64_ECMA_182);
-/// Compile-time CRC-32/ISO-HDLC engine.
-pub static CRC32_ISO_HDLC_ENGINE: TableCrc = TableCrc::new(CRC32_ISO_HDLC);
-/// Compile-time CRC-16/CCITT-FALSE engine.
-pub static CRC16_CCITT_FALSE_ENGINE: TableCrc = TableCrc::new(CRC16_CCITT_FALSE);
-/// Compile-time CRC-16/ARC engine.
-pub static CRC16_ARC_ENGINE: TableCrc = TableCrc::new(CRC16_ARC);
-/// Compile-time CRC-8/SMBus engine.
-pub static CRC8_SMBUS_ENGINE: TableCrc = TableCrc::new(CRC8_SMBUS);
-
-/// The precomputed engine for `spec`, if it is a catalogue algorithm.
-pub fn cached_engine(spec: &CrcSpec) -> Option<&'static TableCrc> {
-    // FLIT_CRC64 is an alias of CRC64_XZ, so it hits the first arm.
-    match *spec {
-        s if s == CRC64_XZ => Some(&CRC64_XZ_ENGINE),
-        s if s == CRC64_ECMA_182 => Some(&CRC64_ECMA_182_ENGINE),
-        s if s == CRC32_ISO_HDLC => Some(&CRC32_ISO_HDLC_ENGINE),
-        s if s == CRC16_CCITT_FALSE => Some(&CRC16_CCITT_FALSE_ENGINE),
-        s if s == CRC16_ARC => Some(&CRC16_ARC_ENGINE),
-        s if s == CRC8_SMBUS => Some(&CRC8_SMBUS_ENGINE),
-        _ => None,
-    }
-}
-
-/// A table-driven engine for `spec`: a copy of the precomputed table for
-/// catalogue algorithms, a fresh table build otherwise.
-pub fn engine_for(spec: CrcSpec) -> TableCrc {
-    match cached_engine(&spec) {
-        Some(engine) => engine.clone(),
-        None => TableCrc::new(spec),
-    }
-}
-
-/// Convenience wrapper: a CRC-64 flit CRC.
+/// Convenience wrapper: the CRC-64 flit CRC.
 ///
 /// Checksums route through the compile-time slice-by-8 engine
-/// ([`crate::slice::SliceBy8Crc64`], with its carry-less-multiply fold) when
-/// one is cached for the spec (the flit CRC always is — construction is then
-/// just a reference copy), and fall back to a boxed byte-at-a-time
-/// [`TableCrc`] otherwise. Both produce identical checksums. The two keep
-/// their registers in different bit orders, but a register never crosses
-/// engines, so the distinction is invisible; [`crate::IsnCrc64`] drives the
+/// ([`crate::slice::FLIT_CRC64_SLICE`], with its carry-less-multiply fold),
+/// so construction is a reference copy; [`crate::IsnCrc64`] drives its
 /// register directly.
 #[derive(Clone, Debug)]
 pub struct Crc64 {
-    engine: Crc64Engine,
-}
-
-#[derive(Clone, Debug)]
-enum Crc64Engine {
-    Fast(&'static crate::slice::SliceBy8Crc64),
-    Table(Box<TableCrc>),
+    engine: &'static SliceBy8Crc64,
 }
 
 impl Crc64 {
-    /// Creates the default flit CRC-64 engine.
+    /// Creates the flit CRC-64 engine.
     pub fn flit() -> Self {
         Crc64 {
-            engine: Crc64Engine::Fast(&crate::slice::FLIT_CRC64_SLICE),
+            engine: &FLIT_CRC64_SLICE,
         }
-    }
-
-    /// Creates a CRC-64 engine for an arbitrary 64-bit spec.
-    pub fn with_spec(spec: CrcSpec) -> Self {
-        assert_eq!(spec.width, 64, "Crc64 requires a 64-bit spec");
-        let engine = match crate::slice::cached_slice64(&spec) {
-            Some(fast) => Crc64Engine::Fast(fast),
-            None => Crc64Engine::Table(Box::new(engine_for(spec))),
-        };
-        Crc64 { engine }
     }
 
     #[inline]
     pub(crate) fn init_register(&self) -> u64 {
-        match &self.engine {
-            Crc64Engine::Fast(e) => e.init_register(),
-            Crc64Engine::Table(e) => e.init_register(),
-        }
+        self.engine.init_register()
     }
 
     #[inline]
     pub(crate) fn update(&self, reg: u64, data: &[u8]) -> u64 {
-        match &self.engine {
-            Crc64Engine::Fast(e) => e.update(reg, data),
-            Crc64Engine::Table(e) => e.update(reg, data),
-        }
+        self.engine.update(reg, data)
     }
 
     #[inline]
     pub(crate) fn finalize(&self, reg: u64) -> u64 {
-        match &self.engine {
-            Crc64Engine::Fast(e) => e.finalize(reg),
-            Crc64Engine::Table(e) => e.finalize(reg),
-        }
+        self.engine.finalize(reg)
     }
 
     /// Computes the checksum of `data`.
@@ -184,6 +112,7 @@ impl Default for Crc64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableCrc;
 
     #[test]
     fn crc64_wrapper_matches_raw_engine() {
@@ -198,12 +127,6 @@ mod tests {
     fn flit_crc_is_64_bits_wide() {
         assert_eq!(FLIT_CRC64.width, 64);
         assert_eq!(FLIT_CRC64.bytes(), 8);
-    }
-
-    #[test]
-    #[should_panic]
-    fn crc64_wrapper_rejects_narrow_spec() {
-        let _ = Crc64::with_spec(CRC32_ISO_HDLC);
     }
 
     #[test]

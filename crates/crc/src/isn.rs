@@ -9,128 +9,167 @@
 //! retry. Sequence integrity therefore rides on the existing data-integrity
 //! check at zero header cost.
 //!
-//! Two equivalent constructions are provided:
+//! # One CRC pass and one table lookup
 //!
-//! * [`IsnMode::XorIntoPayload`] — the hardware-oriented formulation of
-//!   Section 7.3: the 10-bit sequence number is XORed into the lowest 10 bits
-//!   of the payload before it enters the (unchanged) CRC datapath. This adds
-//!   only 10 XOR gates and one level of logic depth in hardware.
-//! * [`IsnMode::AppendToInput`] — the conceptual formulation of Fig. 6b: the
-//!   CRC is computed over `header ‖ payload ‖ SeqNum`.
+//! The hardware formulation of Section 7.3 XORs the 10-bit sequence number
+//! into the lowest 10 bits of the payload (payload bytes 0–1, little-endian)
+//! before the unchanged CRC datapath: 10 XOR gates and one level of logic
+//! depth. A CRC is affine over GF(2): for inputs of one length,
+//! `crc(m ⊕ e) = crc(m) ⊕ L(e)` with `L` linear and independent of `m`, the
+//! initial register and the final XOR. The fold is such an `e`, so
 //!
-//! Both guarantee that a sequence mismatch is *always* detected: by CRC
-//! linearity, the difference between the CRC computed with `SeqNum` and with
-//! `ESeqNum` depends only on the XOR of the two numbers, which is a non-zero
-//! pattern confined to at most 10 bits — far inside the 64-bit burst length
-//! that the flit CRC detects with certainty.
+//! ```text
+//! ISN(header, payload, s) = crc(header ‖ payload) ⊕ D[s]
+//! ```
+//!
+//! where `D[s] = L(s in payload bytes 0–1)` depends on nothing but `s` and
+//! the [`PAYLOAD_LEN`] − 2 bytes that follow the folded bits. `D` is one
+//! table of `2^`[`SEQ_BITS`] entries, built at compile time from its ten
+//! basis entries `D[1 << b]` (linearity: `D[s ⊕ t] = D[s] ⊕ D[t]`), and
+//! [`IsnCrc64::encode`] is one CRC pass plus one lookup.
+//!
+//! Two consequences the rest of the workspace builds on:
+//!
+//! * **`D[0] = 0`.** Folding sequence 0 is a no-op, which is what makes RXL
+//!   backward compatible (Section 7.3): the CXL link CRC *is* the ISN CRC at
+//!   sequence 0, so one flit codec serves both protocols.
+//! * **Every mismatch is detected.** The received CRC XOR the plain CRC of
+//!   the received block — its [`IsnCrc64::residue`] — is `D[SeqNum]` for an
+//!   intact flit, and checking it against `ESeqNum` compares
+//!   `D[SeqNum] ⊕ D[ESeqNum] = D[SeqNum ⊕ ESeqNum]` with zero. The difference
+//!   pattern is a non-zero burst of at most 10 bits, far inside the 64-bit
+//!   burst length the flit CRC detects with certainty, so every entry but
+//!   `D[0]` is non-zero (the tests check all 1 023, and that they are
+//!   distinct).
+//!
+//! Fig. 6b draws the same idea as a CRC over `header ‖ payload ‖ SeqNum`.
+//! That appended form is linear in the sequence number too, and detects
+//! every mismatch for the same reason, but it yields different checksums and
+//! no longer reduces to the plain CRC at sequence 0; the wire carries the
+//! folded form, and it is the only one implemented here.
 
-use crate::catalog::Crc64;
+use crate::catalog::{Crc64, FLIT_CRC64};
 use crate::spec::CrcSpec;
 
-/// How the sequence number is folded into the CRC input.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum IsnMode {
-    /// XOR the sequence number into the low bits of the payload before the
-    /// CRC (hardware formulation, Section 7.3 of the paper).
-    #[default]
-    XorIntoPayload,
-    /// Append the little-endian sequence-number bytes to the CRC input
-    /// (conceptual formulation, Fig. 6b of the paper).
-    AppendToInput,
+/// Width, in bits, of the sequence number folded into the flit CRC: the CXL
+/// flit sequence number (FSN) width. The flit header's FSN field and the
+/// link layer's sequence space are derived from it.
+pub const SEQ_BITS: u32 = 10;
+
+/// Entries of the ISN table, one per sequence number.
+const SEQ_SPACE: usize = 1 << SEQ_BITS;
+
+/// Bytes of flit header ahead of the payload.
+pub const HEADER_LEN: usize = 2;
+
+/// Bytes of flit payload the ISN table is defined for: the sequence bits
+/// are folded into its first two, and each entry depends on how many bytes
+/// follow them.
+pub const PAYLOAD_LEN: usize = 240;
+
+/// Bytes of the contiguous `header ‖ payload` block the CRC protects.
+pub const BLOCK_LEN: usize = HEADER_LEN + PAYLOAD_LEN;
+
+/// `D` for the flit CRC, evaluated at compile time.
+static FLIT_ISN_TABLE: [u64; SEQ_SPACE] = isn_table(&FLIT_CRC64);
+
+/// Builds `D` for a fully reflected 64-bit CRC: the ten basis entries are
+/// the register (zero initial value, no final XOR) after one sequence bit in
+/// the first two payload bytes and the rest of the payload as zeros; every
+/// other entry is the XOR of the basis entries of its set bits.
+const fn isn_table(spec: &CrcSpec) -> [u64; SEQ_SPACE] {
+    assert!(
+        spec.width == 64 && spec.reflect_in && spec.reflect_out,
+        "the ISN table is built for a fully reflected 64-bit CRC"
+    );
+    let poly = spec.poly.reverse_bits();
+    let mut basis = [0u64; SEQ_BITS as usize];
+    let mut bit = 0;
+    while bit < SEQ_BITS as usize {
+        let mut reg = 0u64;
+        let mut i = 0;
+        while i < PAYLOAD_LEN {
+            if i == bit / 8 {
+                reg ^= 1 << (bit % 8);
+            }
+            let mut k = 0;
+            while k < 8 {
+                reg = if reg & 1 != 0 {
+                    (reg >> 1) ^ poly
+                } else {
+                    reg >> 1
+                };
+                k += 1;
+            }
+            i += 1;
+        }
+        basis[bit] = reg;
+        bit += 1;
+    }
+    let mut table = [0u64; SEQ_SPACE];
+    let mut s = 1;
+    while s < SEQ_SPACE {
+        table[s] = table[s & (s - 1)] ^ basis[s.trailing_zeros() as usize];
+        s += 1;
+    }
+    table
 }
 
-/// Width, in bits, of the CXL flit sequence number (FSN) field.
-pub const DEFAULT_SEQ_BITS: u32 = 10;
-
-/// An ISN-capable 64-bit CRC codec for flits.
-#[derive(Clone, Debug)]
+/// The ISN CRC-64 for flits: the flit CRC and the table `D` (module docs).
+/// Both are compile-time statics, so constructing one costs two pointer
+/// copies.
+#[derive(Clone)]
 pub struct IsnCrc64 {
     crc: Crc64,
-    mode: IsnMode,
-    seq_bits: u32,
+    table: &'static [u64; SEQ_SPACE],
+}
+
+impl std::fmt::Debug for IsnCrc64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IsnCrc64")
+            .field("crc", &self.crc)
+            .finish_non_exhaustive()
+    }
 }
 
 impl IsnCrc64 {
-    /// Creates an ISN codec with the default mode ([`IsnMode::XorIntoPayload`])
-    /// and the CXL 10-bit sequence-number width.
+    /// The ISN codec over `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Unless `spec` is [`FLIT_CRC64`], the CRC the table is built for.
     pub fn new(spec: CrcSpec) -> Self {
-        Self::with_mode(spec, IsnMode::default(), DEFAULT_SEQ_BITS)
-    }
-
-    /// Creates an ISN codec with an explicit folding mode and sequence width.
-    pub fn with_mode(spec: CrcSpec, mode: IsnMode, seq_bits: u32) -> Self {
         assert!(
-            (1..=16).contains(&seq_bits),
-            "sequence number width must be 1..=16 bits"
+            spec == FLIT_CRC64,
+            "the ISN table is built for {}, not {}",
+            FLIT_CRC64.name,
+            spec.name
         );
-        assert_eq!(spec.width, 64, "ISN flit CRC must be 64 bits wide");
         IsnCrc64 {
-            crc: Crc64::with_spec(spec),
-            mode,
-            seq_bits,
+            crc: Crc64::flit(),
+            table: &FLIT_ISN_TABLE,
         }
     }
 
-    /// The folding mode in use.
-    pub fn mode(&self) -> IsnMode {
-        self.mode
-    }
-
-    /// The sequence-number width in bits.
-    pub fn seq_bits(&self) -> u32 {
-        self.seq_bits
-    }
-
-    /// Mask selecting the valid sequence-number bits.
+    /// `D[seq]`: what binding a flit to `seq` XORs onto its plain CRC. Only
+    /// the low [`SEQ_BITS`] bits of `seq` count, and `delta(0) == 0`.
     #[inline]
-    pub fn seq_mask(&self) -> u16 {
-        ((1u32 << self.seq_bits) - 1) as u16
+    pub fn delta(&self, seq: u16) -> u64 {
+        self.table[usize::from(seq) & (SEQ_SPACE - 1)]
     }
 
-    /// Wraps a sequence counter to the valid range.
+    /// The ISN CRC binding `header ‖ payload` to `seq`.
     #[inline]
-    pub fn wrap_seq(&self, seq: u64) -> u16 {
-        (seq & self.seq_mask() as u64) as u16
+    pub fn encode(&self, header: &[u8; HEADER_LEN], payload: &[u8; PAYLOAD_LEN], seq: u16) -> u64 {
+        let reg = self.crc.update(self.crc.init_register(), header);
+        self.crc.finalize(self.crc.update(reg, payload)) ^ self.delta(seq)
     }
 
-    /// Computes the baseline (non-ISN) CRC over `header ‖ payload`, exactly as
-    /// the unmodified CXL link layer does.
-    pub fn encode_explicit(&self, header: &[u8], payload: &[u8]) -> u64 {
-        let mut reg = self.crc.init_register();
-        reg = self.crc.update(reg, header);
-        reg = self.crc.update(reg, payload);
-        self.crc.finalize(reg)
-    }
-
-    /// Computes the ISN CRC binding `header ‖ payload` to `seq`.
-    pub fn encode(&self, header: &[u8], payload: &[u8], seq: u16) -> u64 {
-        let seq = seq & self.seq_mask();
-        match self.mode {
-            IsnMode::XorIntoPayload => {
-                assert!(
-                    payload.len() >= 2,
-                    "XorIntoPayload requires at least 2 payload bytes"
-                );
-                let mut reg = self.crc.init_register();
-                reg = self.crc.update(reg, header);
-                // Fold the sequence number into the first two payload bytes
-                // (the low `seq_bits` bits of the payload, little-endian).
-                let folded = [
-                    payload[0] ^ (seq & 0xFF) as u8,
-                    payload[1] ^ (seq >> 8) as u8,
-                ];
-                reg = self.crc.update(reg, &folded);
-                reg = self.crc.update(reg, &payload[2..]);
-                self.crc.finalize(reg)
-            }
-            IsnMode::AppendToInput => {
-                let mut reg = self.crc.init_register();
-                reg = self.crc.update(reg, header);
-                reg = self.crc.update(reg, payload);
-                reg = self.crc.update(reg, &seq.to_le_bytes());
-                self.crc.finalize(reg)
-            }
-        }
+    /// `received_crc` XOR the plain CRC of `block`: `delta(s)` for an intact
+    /// block bound to `s`, so zero for one bound to sequence 0.
+    #[inline]
+    pub fn residue(&self, block: &[u8; BLOCK_LEN], received_crc: u64) -> u64 {
+        received_crc ^ self.crc.checksum(block)
     }
 
     /// Verifies a received flit: recomputes the ISN CRC with the receiver's
@@ -141,43 +180,91 @@ impl IsnCrc64 {
     #[inline]
     pub fn verify(
         &self,
-        header: &[u8],
-        payload: &[u8],
+        header: &[u8; HEADER_LEN],
+        payload: &[u8; PAYLOAD_LEN],
         expected_seq: u16,
         received_crc: u64,
     ) -> bool {
         self.encode(header, payload, expected_seq) == received_crc
-    }
-
-    /// Verifies a baseline (non-ISN) flit CRC, as the unmodified CXL link
-    /// layer does: only data integrity is checked.
-    #[inline]
-    pub fn verify_explicit(&self, header: &[u8], payload: &[u8], received_crc: u64) -> bool {
-        self.encode_explicit(header, payload) == received_crc
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::FLIT_CRC64;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn payload(seed: u8) -> Vec<u8> {
-        (0..240u32)
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
-            .collect()
+    fn payload(seed: u8) -> [u8; PAYLOAD_LEN] {
+        std::array::from_fn(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+    }
+
+    /// Section 7.3's fold done literally: the sequence number XORed into
+    /// payload bytes 0–1 (little-endian), then the plain CRC.
+    fn direct_fold(header: &[u8; HEADER_LEN], payload: &[u8; PAYLOAD_LEN], seq: u16) -> u64 {
+        let seq = seq & (SEQ_SPACE as u16 - 1);
+        let mut block = [0u8; BLOCK_LEN];
+        block[..HEADER_LEN].copy_from_slice(header);
+        block[HEADER_LEN..].copy_from_slice(payload);
+        block[HEADER_LEN] ^= seq as u8;
+        block[HEADER_LEN + 1] ^= (seq >> 8) as u8;
+        Crc64::flit().checksum(&block)
+    }
+
+    #[test]
+    fn the_table_is_linear_distinct_and_zero_at_zero() {
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        assert_eq!(isn.delta(0), 0, "folding sequence 0 is a no-op");
+        let mut seen = std::collections::HashSet::new();
+        for s in 1..SEQ_SPACE as u16 {
+            let d = isn.delta(s);
+            assert_ne!(d, 0, "sequence {s} would be indistinguishable from 0");
+            assert!(seen.insert(d), "D[{s}] repeats an earlier entry");
+            let from_basis = (0..SEQ_BITS)
+                .filter(|b| s >> b & 1 == 1)
+                .fold(0, |acc, b| acc ^ isn.delta(1 << b));
+            assert_eq!(d, from_basis, "D[{s}] is not the XOR of its basis entries");
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_direct_fold_at_every_sequence() {
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        let mut rng = StdRng::seed_from_u64(0x15_4E);
+        for _ in 0..8 {
+            let header: [u8; HEADER_LEN] = rng.random();
+            let payload: [u8; PAYLOAD_LEN] = rng.random();
+            for seq in 0..SEQ_SPACE as u16 {
+                assert_eq!(
+                    isn.encode(&header, &payload, seq),
+                    direct_fold(&header, &payload, seq),
+                    "seq {seq}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_residue_of_an_intact_block_is_its_delta() {
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        let (header, pl) = ([0x5A, 0xC3], payload(2));
+        let mut block = [0u8; BLOCK_LEN];
+        block[..HEADER_LEN].copy_from_slice(&header);
+        block[HEADER_LEN..].copy_from_slice(&pl);
+        for seq in [0u16, 1, 300, 1023] {
+            let crc = isn.encode(&header, &pl, seq);
+            assert_eq!(isn.residue(&block, crc), isn.delta(seq));
+        }
     }
 
     #[test]
     fn matching_sequence_verifies() {
-        for mode in [IsnMode::XorIntoPayload, IsnMode::AppendToInput] {
-            let isn = IsnCrc64::with_mode(FLIT_CRC64, mode, 10);
-            let hdr = [0x12, 0x34];
-            let pl = payload(7);
-            for seq in [0u16, 1, 511, 1023] {
-                let crc = isn.encode(&hdr, &pl, seq);
-                assert!(isn.verify(&hdr, &pl, seq, crc), "mode {mode:?} seq {seq}");
-            }
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        let hdr = [0x12, 0x34];
+        let pl = payload(7);
+        for seq in [0u16, 1, 511, 1023] {
+            let crc = isn.encode(&hdr, &pl, seq);
+            assert!(isn.verify(&hdr, &pl, seq, crc), "seq {seq}");
         }
     }
 
@@ -185,16 +272,17 @@ mod tests {
     fn every_sequence_mismatch_is_detected() {
         // The paper's key claim: a SeqNum/ESeqNum mismatch *always* yields a
         // CRC mismatch because the difference pattern spans at most 10 bits.
-        for mode in [IsnMode::XorIntoPayload, IsnMode::AppendToInput] {
-            let isn = IsnCrc64::with_mode(FLIT_CRC64, mode, 10);
-            let hdr = [0u8; 2];
-            let pl = payload(3);
-            let tx_seq = 137u16;
-            let crc = isn.encode(&hdr, &pl, tx_seq);
-            for eseq in 0..1024u16 {
-                let ok = isn.verify(&hdr, &pl, eseq, crc);
-                assert_eq!(ok, eseq == tx_seq, "mode {mode:?} eseq {eseq}");
-            }
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        let hdr = [0u8; 2];
+        let pl = payload(3);
+        let tx_seq = 137u16;
+        let crc = isn.encode(&hdr, &pl, tx_seq);
+        for eseq in 0..1024u16 {
+            assert_eq!(
+                isn.verify(&hdr, &pl, eseq, crc),
+                eseq == tx_seq,
+                "eseq {eseq}"
+            );
         }
     }
 
@@ -204,7 +292,7 @@ mod tests {
         let hdr = [0xAA, 0x55];
         let pl = payload(11);
         let crc = isn.encode(&hdr, &pl, 42);
-        let mut corrupted = pl.clone();
+        let mut corrupted = pl;
         corrupted[100] ^= 0x01;
         assert!(!isn.verify(&hdr, &corrupted, 42, crc));
         // Corruption in the header is covered too.
@@ -219,41 +307,20 @@ mod tests {
         let pl = payload(9);
         // 1024 wraps to 0 for a 10-bit field.
         assert_eq!(isn.encode(&hdr, &pl, 1024), isn.encode(&hdr, &pl, 0));
-        assert_eq!(isn.wrap_seq(1023 + 1), 0);
-        assert_eq!(isn.wrap_seq(1025), 1);
-        assert_eq!(isn.seq_mask(), 0x3FF);
+        assert_eq!(isn.delta(1025), isn.delta(1));
     }
 
     #[test]
-    fn explicit_encoding_ignores_sequence() {
+    fn sequence_zero_is_the_plain_crc() {
+        // Folding zero is a no-op: the baseline link CRC over
+        // `header ‖ payload` is the ISN CRC at sequence 0, which is what
+        // makes the construction backward compatible.
         let isn = IsnCrc64::new(FLIT_CRC64);
         let hdr = [1u8, 2];
         let pl = payload(1);
-        let c = isn.encode_explicit(&hdr, &pl);
-        assert!(isn.verify_explicit(&hdr, &pl, c));
-        // Baseline CRC equals ISN CRC with sequence zero in XOR mode: folding
-        // zero is a no-op, which is what makes the construction backward
-        // compatible for the very first flit.
-        assert_eq!(c, isn.encode(&hdr, &pl, 0));
-    }
-
-    #[test]
-    fn modes_produce_different_checksums_but_same_guarantees() {
-        let xor = IsnCrc64::with_mode(FLIT_CRC64, IsnMode::XorIntoPayload, 10);
-        let app = IsnCrc64::with_mode(FLIT_CRC64, IsnMode::AppendToInput, 10);
-        let hdr = [0u8; 2];
-        let pl = payload(5);
-        let seq = 600;
-        assert_ne!(xor.encode(&hdr, &pl, seq), app.encode(&hdr, &pl, seq));
-        assert!(xor.verify(&hdr, &pl, seq, xor.encode(&hdr, &pl, seq)));
-        assert!(app.verify(&hdr, &pl, seq, app.encode(&hdr, &pl, seq)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn xor_mode_requires_two_payload_bytes() {
-        let isn = IsnCrc64::new(FLIT_CRC64);
-        let _ = isn.encode(&[0, 0], &[0xFF], 3);
+        let mut block = hdr.to_vec();
+        block.extend_from_slice(&pl);
+        assert_eq!(isn.encode(&hdr, &pl, 0), Crc64::flit().checksum(&block));
     }
 
     #[test]
@@ -269,44 +336,40 @@ mod tests {
         proptest! {
             #[test]
             fn round_trip_for_random_payloads(
-                data in proptest::collection::vec(any::<u8>(), 2..256),
-                hdr in proptest::collection::vec(any::<u8>(), 0..4),
+                data in any::<[u8; PAYLOAD_LEN]>(),
+                hdr in any::<[u8; 2]>(),
                 seq in 0u16..1024,
             ) {
-                for mode in [IsnMode::XorIntoPayload, IsnMode::AppendToInput] {
-                    let isn = IsnCrc64::with_mode(FLIT_CRC64, mode, 10);
-                    let crc = isn.encode(&hdr, &data, seq);
-                    prop_assert!(isn.verify(&hdr, &data, seq, crc));
-                }
+                let isn = IsnCrc64::new(FLIT_CRC64);
+                let crc = isn.encode(&hdr, &data, seq);
+                prop_assert!(isn.verify(&hdr, &data, seq, crc));
             }
 
             #[test]
             fn wrong_sequence_never_verifies(
-                data in proptest::collection::vec(any::<u8>(), 2..256),
+                data in any::<[u8; PAYLOAD_LEN]>(),
                 seq in 0u16..1024,
                 delta in 1u16..1024,
             ) {
                 let isn = IsnCrc64::new(FLIT_CRC64);
                 let hdr = [0u8; 2];
                 let crc = isn.encode(&hdr, &data, seq);
-                let wrong = (seq + delta) & isn.seq_mask();
-                prop_assume!(wrong != seq);
+                let wrong = (seq + delta) & (SEQ_SPACE as u16 - 1);
                 prop_assert!(!isn.verify(&hdr, &data, wrong, crc));
             }
 
             #[test]
             fn single_bit_payload_flip_never_verifies(
-                data in proptest::collection::vec(any::<u8>(), 2..256),
+                data in any::<[u8; PAYLOAD_LEN]>(),
                 seq in 0u16..1024,
-                flip_byte in 0usize..256,
+                flip_byte in 0usize..PAYLOAD_LEN,
                 flip_bit in 0u8..8,
             ) {
                 let isn = IsnCrc64::new(FLIT_CRC64);
                 let hdr = [0u8; 2];
                 let crc = isn.encode(&hdr, &data, seq);
-                let mut corrupted = data.clone();
-                let idx = flip_byte % corrupted.len();
-                corrupted[idx] ^= 1 << flip_bit;
+                let mut corrupted = data;
+                corrupted[flip_byte] ^= 1 << flip_bit;
                 prop_assert!(!isn.verify(&hdr, &corrupted, seq, crc));
             }
         }

@@ -101,15 +101,6 @@ const fn x_pow_mod(n: u32, poly: u64) -> u64 {
     r
 }
 
-/// The precomputed slice-by-8 engine for `spec`, if one exists.
-pub fn cached_slice64(spec: &CrcSpec) -> Option<&'static SliceBy8Crc64> {
-    if *spec == CRC64_XZ {
-        Some(&FLIT_CRC64_SLICE)
-    } else {
-        None
-    }
-}
-
 impl SliceBy8Crc64 {
     /// Builds the eight lookup tables for a fully reflected 64-bit spec.
     ///
@@ -265,14 +256,6 @@ mod tests {
             reg = FLIT_CRC64_SLICE.update(reg, &data[split..]);
             assert_eq!(FLIT_CRC64_SLICE.finalize(reg), one_shot, "split {split}");
         }
-    }
-
-    #[test]
-    fn cached_lookup_only_matches_the_flit_spec() {
-        assert!(cached_slice64(&catalog::CRC64_XZ).is_some());
-        assert!(cached_slice64(&catalog::FLIT_CRC64).is_some());
-        assert!(cached_slice64(&catalog::CRC64_ECMA_182).is_none());
-        assert!(cached_slice64(&catalog::CRC32_ISO_HDLC).is_none());
     }
 
     /// CRC-64/GO-ISO: a second fully reflected 64-bit spec, with a

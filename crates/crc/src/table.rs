@@ -26,11 +26,8 @@ impl std::fmt::Debug for TableCrc {
 impl TableCrc {
     /// Builds the lookup table for the given algorithm.
     ///
-    /// This is a `const fn`: the catalogue ([`crate::catalog`]) evaluates it
-    /// at compile time into `static` engines, so constructing an engine for
-    /// any standard algorithm costs nothing at runtime. Prefer
-    /// [`crate::catalog::engine_for`] (or the named statics) over calling
-    /// this directly with a catalogue spec.
+    /// This is a `const fn`, so an engine for a fixed algorithm can be
+    /// evaluated at compile time into a `static`.
     pub const fn new(spec: CrcSpec) -> Self {
         let mut table = [0u64; 256];
         let top = spec.top_bit();

@@ -1,24 +1,33 @@
-//! Wire codecs for 256-byte flits: the CXL baseline and the RXL (ISN)
-//! pipelines.
+//! The wire codec for 256-byte flits: one pipeline for RXL and the CXL
+//! baseline.
 //!
-//! Both pipelines share the same wire geometry (Fig. 3 / Section 6.2 of the
-//! paper): `2B header ‖ 240B payload ‖ 8B CRC`, protected by a 6-byte 3-way
-//! interleaved FEC for a total of 256 bytes. They differ in what the CRC
-//! means:
+//! Both protocols share the wire geometry of Fig. 3 / Section 6.2 of the
+//! paper: `2B header ‖ 240B payload ‖ 8B CRC`, protected by a 6-byte 3-way
+//! interleaved FEC for a total of 256 bytes. They differ only in the
+//! sequence number the CRC is bound to:
 //!
+//! * **RXL** ([`RxlFlitCodec`]) — the CRC is a transport-layer ECRC with the
+//!   Implicit Sequence Number folded in, so the header FSN field is free to
+//!   carry acknowledgements (or zeros) at all times, yet every flit remains
+//!   bound to its position in the stream.
 //! * **CXL baseline** ([`CxlFlitCodec`]) — the CRC is a link-layer check over
-//!   `header ‖ payload` only. Sequence tracking relies on the explicit FSN
+//!   `header ‖ payload` only; sequence tracking relies on the explicit FSN
 //!   header field, which is unavailable whenever the flit piggybacks an ACK.
-//! * **RXL** ([`RxlFlitCodec`]) — the CRC is a transport-layer ECRC computed
-//!   with the Implicit Sequence Number folded in. The header FSN field is
-//!   free to carry acknowledgements (or zeros) at all times, yet every flit
-//!   remains bound to its position in the stream.
+//!   Folding sequence 0 is a no-op (`rxl-crc`'s ISN docs), so this is the
+//!   RXL codec bound to sequence 0, and it puts the same bytes on the wire.
+//!
+//! Encode and decode each run the CRC once over `header ‖ payload` and XOR
+//! one table entry onto it; a decode reads the block in place, without
+//! re-serialising the header or copying the payload first. It reports the
+//! [`FlitDecode::residue`], the received CRC XOR the plain CRC of the
+//! received block, which is `delta(s)` for an intact flit bound to sequence
+//! `s` whatever sequence the decode expected.
 
 use rxl_crc::catalog::FLIT_CRC64;
-use rxl_crc::isn::IsnCrc64;
+use rxl_crc::isn::{IsnCrc64, BLOCK_LEN};
 use rxl_fec::{FlitFecResult, InterleavedFec};
 
-use crate::flit256::{Flit256, FLIT_CRC_LEN, FLIT_HEADER_LEN, FLIT_PAYLOAD_LEN, FLIT_TOTAL_LEN};
+use crate::flit256::{Flit256, FLIT_CRC_LEN, FLIT_HEADER_LEN, FLIT_TOTAL_LEN};
 use crate::header::FlitHeader;
 
 /// Total bytes of a wire flit.
@@ -27,125 +36,34 @@ pub const WIRE_FLIT_LEN: usize = FLIT_TOTAL_LEN;
 /// A fully encoded 256-byte flit as it travels over a link.
 pub type WireFlit = [u8; WIRE_FLIT_LEN];
 
-const CRC_OFFSET: usize = FLIT_HEADER_LEN + FLIT_PAYLOAD_LEN;
-const FEC_DATA_LEN: usize = CRC_OFFSET + FLIT_CRC_LEN; // 250
+const FEC_DATA_LEN: usize = BLOCK_LEN + FLIT_CRC_LEN; // 250
 
-fn split_protected(block: &[u8]) -> (FlitHeader, [u8; FLIT_PAYLOAD_LEN], u64) {
-    let header = FlitHeader::from_bytes([block[0], block[1]]);
-    let mut payload = [0u8; FLIT_PAYLOAD_LEN];
-    payload.copy_from_slice(&block[FLIT_HEADER_LEN..CRC_OFFSET]);
-    let mut crc_bytes = [0u8; 8];
-    crc_bytes.copy_from_slice(&block[CRC_OFFSET..FEC_DATA_LEN]);
-    (header, payload, u64::from_le_bytes(crc_bytes))
-}
-
-/// Result of decoding a wire flit with the CXL baseline pipeline.
+/// Result of decoding a wire flit.
 #[derive(Clone, Debug)]
-pub struct CxlDecode {
+pub struct FlitDecode {
     /// Outcome of the link-layer FEC stage.
     pub fec: FlitFecResult,
-    /// Whether the link-layer CRC over `header ‖ payload` matched.
+    /// Whether the CRC matched the sequence number the decode was bound to.
     pub crc_ok: bool,
     /// The recovered flit (present whenever the FEC accepted the block).
     pub flit: Option<Flit256>,
-    /// The received CRC value (after FEC), for diagnostics and re-checks.
-    pub crc: u64,
+    /// The received CRC XOR the plain CRC of the received `header ‖ payload`
+    /// block: `delta(s)` for an intact flit bound to sequence `s`, so zero
+    /// for a CXL flit or an RXL control flit. Zero when the FEC rejected the
+    /// block.
+    pub residue: u64,
 }
 
-impl CxlDecode {
-    /// `true` if the link layer would accept and forward this flit.
+impl FlitDecode {
+    /// `true` if the receiver would accept this flit: the FEC accepted it
+    /// *and* its CRC matched the sequence number the decode was bound to.
     pub fn accepted(&self) -> bool {
         self.fec.accepted() && self.crc_ok
     }
 }
 
-/// Result of decoding a wire flit with the RXL pipeline.
-#[derive(Clone, Debug)]
-pub struct RxlDecode {
-    /// Outcome of the link-layer FEC stage.
-    pub fec: FlitFecResult,
-    /// Whether the transport-layer ISN ECRC matched the expected sequence.
-    pub ecrc_ok: bool,
-    /// The recovered flit (present whenever the FEC accepted the block).
-    pub flit: Option<Flit256>,
-    /// The received ECRC value (after FEC), for diagnostics and re-checks.
-    pub crc: u64,
-}
-
-impl RxlDecode {
-    /// `true` if the endpoint would accept this flit: data intact *and* the
-    /// sequence matches the receiver's expectation.
-    pub fn accepted(&self) -> bool {
-        self.fec.accepted() && self.ecrc_ok
-    }
-}
-
-/// The CXL-baseline flit codec: link-layer CRC plus FEC.
-#[derive(Clone, Debug)]
-pub struct CxlFlitCodec {
-    crc: IsnCrc64,
-    fec: InterleavedFec,
-}
-
-impl Default for CxlFlitCodec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CxlFlitCodec {
-    /// Creates the codec with the standard flit CRC-64 and CXL FEC geometry.
-    pub fn new() -> Self {
-        CxlFlitCodec {
-            crc: IsnCrc64::new(FLIT_CRC64),
-            fec: InterleavedFec::cxl_flit(),
-        }
-    }
-
-    /// Encodes a flit into its 256-byte wire form. Allocation-free: the
-    /// protected block is assembled directly in the wire image and the FEC
-    /// parity is computed in place.
-    pub fn encode(&self, flit: &Flit256) -> WireFlit {
-        let header = flit.header.to_bytes();
-        let crc = self.crc.encode_explicit(&header, &flit.payload);
-        let mut wire = [0u8; WIRE_FLIT_LEN];
-        wire[..FLIT_HEADER_LEN].copy_from_slice(&header);
-        wire[FLIT_HEADER_LEN..CRC_OFFSET].copy_from_slice(&flit.payload);
-        wire[CRC_OFFSET..FEC_DATA_LEN].copy_from_slice(&crc.to_le_bytes());
-        self.fec.encode_into(&mut wire);
-        wire
-    }
-
-    /// Decodes a wire flit: FEC first, then the link-layer CRC.
-    pub fn decode(&self, wire: &WireFlit) -> CxlDecode {
-        let mut block = *wire;
-        let fec = self.fec.decode(&mut block);
-        if !fec.accepted() {
-            return CxlDecode {
-                fec,
-                crc_ok: false,
-                flit: None,
-                crc: 0,
-            };
-        }
-        let (header, payload, crc) = split_protected(&block);
-        let crc_ok = self.crc.verify_explicit(&header.to_bytes(), &payload, crc);
-        CxlDecode {
-            fec,
-            crc_ok,
-            flit: Some(Flit256::with_payload(header, payload)),
-            crc,
-        }
-    }
-
-    /// Re-verifies a decoded flit's link CRC against a received CRC value.
-    pub fn verify_flit(&self, flit: &Flit256, received_crc: u64) -> bool {
-        self.crc
-            .verify_explicit(&flit.header.to_bytes(), &flit.payload, received_crc)
-    }
-}
-
-/// The RXL flit codec: transport-layer ISN ECRC plus link-layer FEC.
+/// The flit codec: the ISN CRC bound to a sequence number, then the
+/// link-layer FEC.
 #[derive(Clone, Debug)]
 pub struct RxlFlitCodec {
     isn: IsnCrc64,
@@ -159,8 +77,7 @@ impl Default for RxlFlitCodec {
 }
 
 impl RxlFlitCodec {
-    /// Creates the codec with the default ISN folding mode and the 10-bit
-    /// sequence space.
+    /// Creates the codec with the flit CRC-64 and the CXL FEC geometry.
     pub fn new() -> Self {
         RxlFlitCodec {
             isn: IsnCrc64::new(FLIT_CRC64),
@@ -168,57 +85,81 @@ impl RxlFlitCodec {
         }
     }
 
-    /// Encodes a flit bound to transport sequence number `seq`.
-    /// Allocation-free: the protected block is assembled directly in the
-    /// wire image and the FEC parity is computed in place.
+    /// What binding a flit to `seq` XORs onto its plain CRC (zero at
+    /// sequence 0): the residue an intact flit bound to `seq` decodes to.
+    pub fn delta(&self, seq: u16) -> u64 {
+        self.isn.delta(seq)
+    }
+
+    /// Encodes a flit bound to sequence number `seq`. Allocation-free: the
+    /// protected block is assembled directly in the wire image and the FEC
+    /// parity is computed in place.
     pub fn encode(&self, flit: &Flit256, seq: u16) -> WireFlit {
         let header = flit.header.to_bytes();
         let crc = self.isn.encode(&header, &flit.payload, seq);
         let mut wire = [0u8; WIRE_FLIT_LEN];
         wire[..FLIT_HEADER_LEN].copy_from_slice(&header);
-        wire[FLIT_HEADER_LEN..CRC_OFFSET].copy_from_slice(&flit.payload);
-        wire[CRC_OFFSET..FEC_DATA_LEN].copy_from_slice(&crc.to_le_bytes());
+        wire[FLIT_HEADER_LEN..BLOCK_LEN].copy_from_slice(&flit.payload);
+        wire[BLOCK_LEN..FEC_DATA_LEN].copy_from_slice(&crc.to_le_bytes());
         self.fec.encode_into(&mut wire);
         wire
     }
 
-    /// Decodes a wire flit at the final destination: FEC first, then the ISN
-    /// ECRC checked against the receiver's expected sequence number.
-    pub fn decode(&self, wire: &WireFlit, expected_seq: u16) -> RxlDecode {
+    /// Decodes a wire flit: FEC first, then the CRC checked against
+    /// `expected_seq`.
+    pub fn decode(&self, wire: &WireFlit, expected_seq: u16) -> FlitDecode {
         let mut block = *wire;
         let fec = self.fec.decode(&mut block);
         if !fec.accepted() {
-            return RxlDecode {
+            return FlitDecode {
                 fec,
-                ecrc_ok: false,
+                crc_ok: false,
                 flit: None,
-                crc: 0,
+                residue: 0,
             };
         }
-        let (header, payload, crc) = split_protected(&block);
-        let ecrc_ok = self
-            .isn
-            .verify(&header.to_bytes(), &payload, expected_seq, crc);
-        RxlDecode {
+        let crc = u64::from_le_bytes(block[BLOCK_LEN..FEC_DATA_LEN].try_into().expect("8 bytes"));
+        let protected = block.first_chunk().expect("a wire flit holds the block");
+        let residue = self.isn.residue(protected, crc);
+        let header = FlitHeader::from_bytes([block[0], block[1]]);
+        let payload = block[FLIT_HEADER_LEN..BLOCK_LEN]
+            .try_into()
+            .expect("240 bytes");
+        FlitDecode {
             fec,
-            ecrc_ok,
+            crc_ok: residue == self.isn.delta(expected_seq),
             flit: Some(Flit256::with_payload(header, payload)),
-            crc,
+            residue,
         }
     }
+}
 
-    /// Re-verifies a decoded flit's ECRC against another candidate sequence
-    /// number (e.g. sequence 0 for link-control flits that live outside the
-    /// transport sequence space).
-    pub fn verify_flit(&self, flit: &Flit256, received_crc: u64, seq: u16) -> bool {
-        self.isn
-            .verify(&flit.header.to_bytes(), &flit.payload, seq, received_crc)
+/// The CXL-baseline flit codec: [`RxlFlitCodec`] bound to sequence 0, whose
+/// CRC is the plain link CRC over `header ‖ payload`.
+#[derive(Clone, Debug, Default)]
+pub struct CxlFlitCodec(RxlFlitCodec);
+
+impl CxlFlitCodec {
+    /// Creates the codec with the flit CRC-64 and the CXL FEC geometry.
+    pub fn new() -> Self {
+        CxlFlitCodec(RxlFlitCodec::new())
+    }
+
+    /// Encodes a flit into its 256-byte wire form.
+    pub fn encode(&self, flit: &Flit256) -> WireFlit {
+        self.0.encode(flit, 0)
+    }
+
+    /// Decodes a wire flit: FEC first, then the link-layer CRC.
+    pub fn decode(&self, wire: &WireFlit) -> FlitDecode {
+        self.0.decode(wire, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit256::FLIT_PAYLOAD_LEN;
     use crate::header::ReplayCmd;
     use crate::message::{MemOp, Message};
     use rand::rngs::StdRng;
@@ -342,7 +283,7 @@ mod tests {
             out.fec.accepted(),
             "FEC cannot see switch-internal corruption"
         );
-        assert!(!out.ecrc_ok, "the end-to-end CRC must catch it");
+        assert!(!out.crc_ok, "the end-to-end CRC must catch it");
         assert!(!out.accepted());
     }
 
@@ -364,6 +305,25 @@ mod tests {
         assert!(!out.accepted());
         // The flit is still surfaced for diagnostics even though it fails CRC.
         assert!(out.flit.is_some());
+    }
+
+    #[test]
+    fn header_bits_the_parser_ignores_are_still_checked() {
+        // `FlitHeader::from_bytes` reads type values 4–15 as `Protocol`, so a
+        // flip of the type field's top bit behind the FEC leaves the parsed
+        // header unchanged. The CRC covers the received bytes, not their
+        // re-serialisation, so it still fails.
+        let cxl = CxlFlitCodec::new();
+        let flit = sample_flit(11);
+        let fec = InterleavedFec::cxl_flit();
+        let mut block = cxl.encode(&flit).to_vec();
+        assert!(fec.decode(&mut block).accepted());
+        block[1] ^= 0x80;
+        let mut tampered = [0u8; WIRE_FLIT_LEN];
+        tampered.copy_from_slice(&fec.encode(&block[..FEC_DATA_LEN]));
+        let out = cxl.decode(&tampered);
+        assert_eq!(out.flit.unwrap().header, flit.header);
+        assert!(!out.crc_ok);
     }
 
     #[test]
@@ -394,6 +354,16 @@ mod tests {
                 let out = codec.decode(&wire, seq);
                 prop_assert!(out.accepted());
                 prop_assert_eq!(out.flit.unwrap(), flit);
+            }
+
+            #[test]
+            fn cxl_encode_is_rxl_encode_at_sequence_zero(
+                payload in any::<[u8; FLIT_PAYLOAD_LEN]>(),
+                header in any::<[u8; 2]>(),
+            ) {
+                let flit = Flit256::with_payload(FlitHeader::from_bytes(header), payload);
+                let cxl = CxlFlitCodec::new().encode(&flit);
+                prop_assert_eq!(&cxl[..], &RxlFlitCodec::new().encode(&flit, 0)[..]);
             }
 
             #[test]

@@ -7,8 +7,9 @@
 //! number — the very design decision whose reliability consequences the paper
 //! analyses (Section 4.1).
 
-/// Number of bits in the Flit Sequence Number field.
-pub const FSN_BITS: u32 = 10;
+/// Number of bits in the Flit Sequence Number field: the width of the
+/// sequence number the ISN CRC folds in.
+pub const FSN_BITS: u32 = rxl_crc::isn::SEQ_BITS;
 /// Mask selecting the valid FSN bits.
 pub const FSN_MASK: u16 = (1 << FSN_BITS) - 1;
 

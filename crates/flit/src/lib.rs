@@ -10,9 +10,10 @@
 //! * [`slots`] — packing/unpacking of messages into the 240-byte flit
 //!   payload,
 //! * [`flit256`] — the 256-byte full-speed flit,
-//! * [`codec`] — the two wire pipelines: the **CXL baseline** (link-layer
-//!   CRC over header‖payload, FEC, explicit FSN) and **RXL** (transport-layer
-//!   ISN CRC bound to the sequence number, FEC unchanged).
+//! * [`codec`] — the one wire pipeline (ISN CRC, then FEC): **RXL** binds
+//!   each flit to its sequence number, and the **CXL baseline** (link-layer
+//!   CRC over header‖payload, explicit FSN) is the same codec bound to
+//!   sequence 0.
 //!
 //! # Example
 //!
@@ -37,7 +38,7 @@ pub mod header;
 pub mod message;
 pub mod slots;
 
-pub use codec::{CxlDecode, CxlFlitCodec, RxlDecode, RxlFlitCodec, WireFlit, WIRE_FLIT_LEN};
+pub use codec::{CxlFlitCodec, FlitDecode, RxlFlitCodec, WireFlit, WIRE_FLIT_LEN};
 pub use flit256::{Flit256, FLIT_PAYLOAD_LEN};
 pub use header::{FlitHeader, FlitType, ReplayCmd, FSN_BITS, FSN_MASK};
 pub use message::{MemOp, Message, RspStatus};

@@ -19,14 +19,12 @@
 //! per-variant dispatch, and every rejection goes through one NACK-once
 //! transition.
 
-use rxl_flit::{
-    CxlDecode, Flit256, FlitHeader, FlitType, Message, ReplayCmd, WireFlit, MESSAGES_PER_FLIT,
-};
+use rxl_flit::{Flit256, FlitHeader, FlitType, Message, ReplayCmd, WireFlit, MESSAGES_PER_FLIT};
 
 use crate::ack::{AckPolicy, AckScheduler};
 use crate::seq::{seq_add, seq_next};
 use crate::stats::LinkStats;
-use crate::variant::{LinkCodec, LinkConfig};
+use crate::variant::{LinkCodec, LinkConfig, ProtocolVariant};
 
 /// The transaction messages one flit forwarded to the upper layer: at most
 /// [`MESSAGES_PER_FLIT`], held inline so a receive allocates nothing. Derefs
@@ -158,31 +156,30 @@ impl LinkRx {
         self.acks.flush()
     }
 
-    /// Processes one arriving wire flit: decode it, then dispatch on what the
-    /// integrity checks found.
+    /// Processes one arriving wire flit: decode it once, then dispatch on
+    /// what the integrity checks found.
     pub fn receive(&mut self, wire: &WireFlit) -> RxResult {
-        match &self.codec {
-            LinkCodec::Cxl(codec) => match codec.decode(wire) {
-                CxlDecode {
-                    flit: Some(flit),
-                    crc_ok: true,
-                    ..
-                } => self.dispatch_cxl(&flit),
-                _ => self.reject_unreadable(),
-            },
-            LinkCodec::Rxl(codec) => {
-                let decode = codec.decode(wire, self.expected_seq);
-                let Some(flit) = &decode.flit else {
-                    return self.reject_unreadable();
-                };
+        let decode = self.codec.decode(wire, self.expected_seq);
+        let Some(flit) = &decode.flit else {
+            return self.reject_unreadable();
+        };
+        match self.config.variant {
+            ProtocolVariant::Rxl => {
                 // Control flits live outside the transport sequence space
-                // and are bound to sequence 0 by the transmitter.
+                // and are bound to sequence 0, whose residue is zero.
                 let verified = if flit.header.flit_type == FlitType::Protocol {
-                    decode.ecrc_ok
+                    decode.crc_ok
                 } else {
-                    codec.verify_flit(flit, decode.crc, 0)
+                    decode.residue == 0
                 };
                 self.dispatch_rxl(flit, verified)
+            }
+            ProtocolVariant::CxlPiggyback | ProtocolVariant::CxlStandaloneAck => {
+                if decode.crc_ok {
+                    self.dispatch_cxl(flit)
+                } else {
+                    self.reject_unreadable()
+                }
             }
         }
     }
@@ -195,16 +192,19 @@ impl LinkRx {
     /// decode, what the integrity checks would have found for such a wire:
     ///
     /// * FEC always accepts a clean codeword with zero corrections;
-    /// * the CXL link CRC always verifies (it has no sequence component);
-    /// * the RXL ISN ECRC verifies **iff** `tx_seq` equals the receiver's
-    ///   expected sequence — the defining property of the ISN construction
-    ///   (a 10-bit sequence folded into a CRC-64 can never collide across
-    ///   distinct sequence numbers, see `rxl-crc`'s ISN docs) — and control
-    ///   flits verify against their fixed binding to sequence 0.
+    /// * a clean wire's CRC residue is zero under CXL, whose link CRC
+    ///   therefore always verifies, and zero for an RXL control flit, which
+    ///   is bound to sequence 0;
+    /// * an RXL protocol flit's residue is `D[tx_seq]`, which matches the
+    ///   expected sequence's `D[expected]` **iff** `tx_seq` equals it,
+    ///   because the ISN table's entries are distinct (`rxl-crc`'s ISN
+    ///   docs).
+    ///
+    /// `tests/trusted_receive.rs` decodes every wire image it compares and
+    /// checks its residue against `tx_seq` this way.
     pub fn receive_trusted(&mut self, flit: &Flit256, tx_seq: u16) -> RxResult {
-        match self.codec {
-            LinkCodec::Cxl(_) => self.dispatch_cxl(flit),
-            LinkCodec::Rxl(_) => {
+        match self.config.variant {
+            ProtocolVariant::Rxl => {
                 let verified = if flit.header.flit_type == FlitType::Protocol {
                     tx_seq == self.expected_seq
                 } else {
@@ -212,6 +212,9 @@ impl LinkRx {
                     true
                 };
                 self.dispatch_rxl(flit, verified)
+            }
+            ProtocolVariant::CxlPiggyback | ProtocolVariant::CxlStandaloneAck => {
+                self.dispatch_cxl(flit)
             }
         }
     }
@@ -363,7 +366,6 @@ fn consume_control(header: &FlitHeader, result: &mut RxResult) {
 mod tests {
     use super::*;
     use crate::tx::{LinkTx, TxEmission};
-    use crate::variant::ProtocolVariant;
     use rxl_flit::{CxlFlitCodec, MemOp};
 
     fn config(variant: ProtocolVariant) -> LinkConfig {

@@ -5,8 +5,9 @@
 //! distance between any two live sequence numbers is less than half the
 //! sequence space.
 
-/// Number of distinct sequence numbers (2^10).
-pub const SEQ_SPACE: u16 = 1 << 10;
+/// Number of distinct sequence numbers: one per entry of the ISN table
+/// (2^10, the FSN width `rxl_crc::isn::SEQ_BITS`).
+pub const SEQ_SPACE: u16 = 1 << rxl_flit::FSN_BITS;
 /// Mask selecting the valid sequence bits.
 pub const SEQ_MASK: u16 = SEQ_SPACE - 1;
 

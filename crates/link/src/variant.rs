@@ -1,7 +1,7 @@
 //! Protocol variants, the flit codec each one puts on the wire, and link
 //! configuration.
 
-use rxl_flit::{CxlFlitCodec, Flit256, RxlFlitCodec, WireFlit};
+use rxl_flit::{Flit256, FlitDecode, RxlFlitCodec, WireFlit};
 
 /// The three protocol variants the paper evaluates (Section 7.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -44,40 +44,52 @@ impl ProtocolVariant {
     }
 }
 
-/// The flit codec a [`ProtocolVariant`] uses: the ISN ECRC codec for RXL,
-/// the link-CRC codec for both CXL variants. This is the one place that
-/// choice is made — [`crate::LinkTx`] and [`crate::LinkRx`] each hold one,
-/// and so does any caller that materialises a wire image for them (the
+/// The flit codec a [`ProtocolVariant`] puts on the wire: the one
+/// [`RxlFlitCodec`] plus its binding rule. RXL binds each flit to its
+/// transmit sequence number (control flits to 0); both CXL variants bind
+/// every flit to 0, which makes the CRC the plain link CRC over
+/// `header ‖ payload` and keeps the CXL wire bytes. This is the one place
+/// that choice is made — [`crate::LinkTx`] and [`crate::LinkRx`] each hold
+/// one, and so does any caller that materialises a wire image for them (the
 /// fabric engine's lazy encoder), which is why such an image is
 /// bit-identical to the transmitter's.
 #[derive(Clone, Debug)]
-pub enum LinkCodec {
-    /// Baseline CXL: a link CRC over `header ‖ payload`, no sequence
-    /// component.
-    Cxl(CxlFlitCodec),
-    /// RXL: a transport ECRC with the Implicit Sequence Number folded in.
-    Rxl(RxlFlitCodec),
+pub struct LinkCodec {
+    codec: RxlFlitCodec,
+    binds_seq: bool,
 }
 
 impl LinkCodec {
     /// The codec `variant` puts on the wire.
     pub fn for_variant(variant: ProtocolVariant) -> Self {
-        match variant {
-            ProtocolVariant::Rxl => LinkCodec::Rxl(RxlFlitCodec::new()),
-            ProtocolVariant::CxlPiggyback | ProtocolVariant::CxlStandaloneAck => {
-                LinkCodec::Cxl(CxlFlitCodec::new())
-            }
+        LinkCodec {
+            codec: RxlFlitCodec::new(),
+            binds_seq: variant == ProtocolVariant::Rxl,
         }
     }
 
-    /// Encodes `flit` bound to link-layer sequence number `seq` (ignored by
-    /// the CXL codec, whose CRC has no sequence component).
+    /// The sequence number the CRC binds for link-layer sequence `seq`:
+    /// `seq` itself under RXL, 0 under CXL.
+    #[inline]
+    fn bound(&self, seq: u16) -> u16 {
+        if self.binds_seq {
+            seq
+        } else {
+            0
+        }
+    }
+
+    /// Encodes `flit` bound to link-layer sequence number `seq`.
     #[inline]
     pub fn encode(&self, flit: &Flit256, seq: u16) -> WireFlit {
-        match self {
-            LinkCodec::Cxl(c) => c.encode(flit),
-            LinkCodec::Rxl(c) => c.encode(flit, seq),
-        }
+        self.codec.encode(flit, self.bound(seq))
+    }
+
+    /// Decodes `wire`, checking its CRC against link-layer sequence number
+    /// `expected_seq`.
+    #[inline]
+    pub(crate) fn decode(&self, wire: &WireFlit, expected_seq: u16) -> FlitDecode {
+        self.codec.decode(wire, self.bound(expected_seq))
     }
 }
 

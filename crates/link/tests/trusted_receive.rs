@@ -6,6 +6,11 @@
 //! return the same `RxResult` and hold the same statistics, expected
 //! sequence and replay state.
 //!
+//! Every wire image is also decoded on its own, and its CRC residue must
+//! name the `tx_seq` the trusted receiver was handed: `D[tx_seq]` for an RXL
+//! protocol flit, zero for a CXL flit or a control flit. That is the
+//! property `LinkRx::receive_trusted` substitutes for the decode.
+//!
 //! Schedules are random per case and cover every protocol variant: drops of
 //! k flits, go-back-N rewinds and watchdog replays that redeliver
 //! duplicates, interleaved standalone ACK / NACK control flits, lost
@@ -16,7 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rxl_flit::{MemOp, Message, MESSAGES_PER_FLIT};
+use rxl_flit::{FlitType, MemOp, Message, RxlFlitCodec, WireFlit, MESSAGES_PER_FLIT};
 use rxl_link::{
     seq_add, LinkConfig, LinkRx, LinkTx, ProtocolVariant, RxResult, TxEmission, SEQ_MASK, SEQ_SPACE,
 };
@@ -36,6 +41,9 @@ const MAX_STEPS: usize = 40_000;
 /// One transmitter, the two receivers under comparison, and the
 /// reverse-direction feedback loop between them.
 struct Harness {
+    variant: ProtocolVariant,
+    /// Decodes each wire image for its residue.
+    codec: RxlFlitCodec,
     tx: LinkTx,
     decoded: LinkRx,
     trusted: LinkRx,
@@ -54,6 +62,8 @@ impl Harness {
     fn new(variant: ProtocolVariant) -> Self {
         let config = LinkConfig::cxl3_x16(variant);
         Harness {
+            variant,
+            codec: RxlFlitCodec::new(),
             tx: LinkTx::new(config),
             decoded: LinkRx::new(config),
             trusted: LinkRx::new(config),
@@ -97,6 +107,7 @@ impl Harness {
             .tx
             .encode_emission(&emission)
             .expect("non-idle emission");
+        self.check_residue(&wire, flit.header.flit_type, seq)?;
         let by_wire = self.decoded.receive(&wire);
         let by_handle = self.trusted.receive_trusted(flit, seq);
         self.check(&by_wire, &by_handle)?;
@@ -111,6 +122,32 @@ impl Harness {
         if let Some(last_good) = by_wire.send_nack {
             self.tx.handle_peer_nack(last_good, self.now);
         }
+        Ok(())
+    }
+
+    /// The wire says what `receive_trusted` is told: an intact wire's
+    /// residue is `D[tx_seq]` for an RXL protocol flit and zero otherwise.
+    fn check_residue(
+        &self,
+        wire: &WireFlit,
+        flit_type: FlitType,
+        tx_seq: u16,
+    ) -> Result<(), TestCaseError> {
+        let decode = self.codec.decode(wire, tx_seq);
+        prop_assert!(decode.fec.accepted() && decode.flit.is_some());
+        let expected = if self.variant == ProtocolVariant::Rxl && flit_type == FlitType::Protocol {
+            self.codec.delta(tx_seq)
+        } else {
+            0
+        };
+        prop_assert_eq!(
+            decode.residue,
+            expected,
+            "{:?} {:?} tx_seq {}",
+            self.variant,
+            flit_type,
+            tx_seq
+        );
         Ok(())
     }
 

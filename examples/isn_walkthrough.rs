@@ -78,13 +78,13 @@ fn main() {
     println!(
         "endpoint decode with expected seq 5: fec accepted = {}, ecrc ok = {}",
         decode_ok.fec.accepted(),
-        decode_ok.ecrc_ok
+        decode_ok.crc_ok
     );
     let decode_wrong_seq = codec.decode(&corrupted, 6);
     println!(
         "endpoint decode with expected seq 6: fec accepted = {}, ecrc ok = {}  <- drop detected",
         decode_wrong_seq.fec.accepted(),
-        decode_wrong_seq.ecrc_ok
+        decode_wrong_seq.crc_ok
     );
 
     // ------------------------------------------------------------------

@@ -46,8 +46,11 @@ fn rxl_wire_flit_shares_the_layout_but_binds_the_crc_to_the_sequence() {
     assert_eq!(&wire[2..242], &flit.payload[..]);
     let stored_crc = u64::from_le_bytes(wire[242..250].try_into().unwrap());
     let isn = IsnCrc64::new(FLIT_CRC64);
-    assert_eq!(stored_crc, isn.encode(&wire[..2], &flit.payload, 77));
-    assert_ne!(stored_crc, isn.encode_explicit(&wire[..2], &flit.payload));
+    assert_eq!(
+        stored_crc,
+        isn.encode(&flit.header.to_bytes(), &flit.payload, 77)
+    );
+    assert_ne!(stored_crc, Crc64::flit().checksum(&wire[..242]));
 }
 
 #[test]
