@@ -41,6 +41,15 @@
 //!   burst length the flit CRC detects with certainty, so every entry but
 //!   `D[0]` is non-zero (the tests check all 1 023, and that they are
 //!   distinct).
+//! * **The residue names the sender's sequence.** Because the entries are
+//!   distinct, an intact flit's residue `D[SeqNum]` identifies `SeqNum`
+//!   itself, not just "equal or not": [`IsnCrc64::seq_of`] inverts `D` with
+//!   a second compile-time table. The low [`SEQ_BITS`] bits of the 1 024
+//!   entries are already distinct, so that table is indexed by them and the
+//!   full 64-bit entry confirms the match. A receiver can thereby tell a
+//!   duplicate (behind its expectation) from a drop (ahead of it). A
+//!   corrupted flit's residue is an arbitrary 64-bit value and names some
+//!   sequence only by a `2^-64`-per-entry accident.
 //!
 //! Fig. 6b draws the same idea as a CRC over `header ‖ payload ‖ SeqNum`.
 //! That appended form is linear in the sequence number too, and detects
@@ -72,6 +81,9 @@ pub const BLOCK_LEN: usize = HEADER_LEN + PAYLOAD_LEN;
 
 /// `D` for the flit CRC, evaluated at compile time.
 static FLIT_ISN_TABLE: [u64; SEQ_SPACE] = isn_table(&FLIT_CRC64);
+
+/// The inverse of `D`, indexed by an entry's low [`SEQ_BITS`] bits.
+static FLIT_ISN_INDEX: [u16; SEQ_SPACE] = isn_index(&FLIT_ISN_TABLE);
 
 /// Builds `D` for a fully reflected 64-bit CRC: the ten basis entries are
 /// the register (zero initial value, no final XOR) after one sequence bit in
@@ -115,13 +127,33 @@ const fn isn_table(spec: &CrcSpec) -> [u64; SEQ_SPACE] {
     table
 }
 
-/// The ISN CRC-64 for flits: the flit CRC and the table `D` (module docs).
-/// Both are compile-time statics, so constructing one costs two pointer
-/// copies.
+/// Maps the low [`SEQ_BITS`] bits of each `D[s]` back to `s`. The assertion
+/// makes the build fail unless those bits are distinct across all entries,
+/// i.e. unless the 10-bit index is a bijection onto the sequence space.
+const fn isn_index(table: &[u64; SEQ_SPACE]) -> [u16; SEQ_SPACE] {
+    const EMPTY: u16 = u16::MAX;
+    let mut index = [EMPTY; SEQ_SPACE];
+    let mut s = 0;
+    while s < SEQ_SPACE {
+        let slot = table[s] as usize & (SEQ_SPACE - 1);
+        assert!(
+            index[slot] == EMPTY,
+            "two ISN entries share their low sequence-width bits"
+        );
+        index[slot] = s as u16;
+        s += 1;
+    }
+    index
+}
+
+/// The ISN CRC-64 for flits: the flit CRC, the table `D` and its inverse
+/// (module docs). All three are compile-time statics, so constructing one
+/// costs three pointer copies.
 #[derive(Clone)]
 pub struct IsnCrc64 {
     crc: Crc64,
     table: &'static [u64; SEQ_SPACE],
+    index: &'static [u16; SEQ_SPACE],
 }
 
 impl std::fmt::Debug for IsnCrc64 {
@@ -148,6 +180,7 @@ impl IsnCrc64 {
         IsnCrc64 {
             crc: Crc64::flit(),
             table: &FLIT_ISN_TABLE,
+            index: &FLIT_ISN_INDEX,
         }
     }
 
@@ -156,6 +189,16 @@ impl IsnCrc64 {
     #[inline]
     pub fn delta(&self, seq: u16) -> u64 {
         self.table[usize::from(seq) & (SEQ_SPACE - 1)]
+    }
+
+    /// The sequence number `residue` names: `Some(s)` iff `residue == D[s]`,
+    /// so `seq_of(delta(s)) == Some(s)` and `seq_of(0) == Some(0)`. Any other
+    /// residue — a corrupted block's — names nothing. One indexed load and
+    /// one compare; no scan.
+    #[inline]
+    pub fn seq_of(&self, residue: u64) -> Option<u16> {
+        let seq = self.index[residue as usize & (SEQ_SPACE - 1)];
+        (self.table[usize::from(seq)] == residue).then_some(seq)
     }
 
     /// The ISN CRC binding `header ‖ payload` to `seq`.
@@ -224,6 +267,25 @@ mod tests {
                 .filter(|b| s >> b & 1 == 1)
                 .fold(0, |acc, b| acc ^ isn.delta(1 << b));
             assert_eq!(d, from_basis, "D[{s}] is not the XOR of its basis entries");
+        }
+    }
+
+    #[test]
+    fn seq_of_inverts_the_table_at_every_sequence() {
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        for s in 0..SEQ_SPACE as u16 {
+            assert_eq!(isn.seq_of(isn.delta(s)), Some(s), "D[{s}]");
+        }
+    }
+
+    #[test]
+    fn a_residue_one_bit_off_any_entry_names_no_sequence() {
+        let isn = IsnCrc64::new(FLIT_CRC64);
+        for s in 0..SEQ_SPACE as u16 {
+            for k in 0..64 {
+                let residue = isn.delta(s) ^ 1 << k;
+                assert_eq!(isn.seq_of(residue), None, "D[{s}] ^ bit {k}");
+            }
         }
     }
 

@@ -53,7 +53,10 @@ fn trial(
 /// `(messages, greedy RXL, greedy CXL, 0.3-load RXL)` digests, recorded at
 /// the parent commit. (Up to two flits per stream the three agree: nothing
 /// is corrupted, and the delayed-ACK flush, not the second flit, ends the
-/// trial.)
+/// trial.) The paced 15 000-message RXL digest was re-pinned once, from
+/// `0x8184ec53bfbdbc14`, when the RXL receiver began discarding a duplicate
+/// that is behind its expectation with a re-ACK instead of a NACK; the
+/// other columns did not move.
 const PINNED: [(usize, u64, u64, u64); 6] = [
     (
         0,
@@ -89,7 +92,7 @@ const PINNED: [(usize, u64, u64, u64); 6] = [
         15_000,
         0xec9e7c3b005418de,
         0xa33b002640576368,
-        0x8184ec53bfbdbc14,
+        0xa8811690d6bcc1fe,
     ),
 ];
 

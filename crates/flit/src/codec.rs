@@ -21,7 +21,8 @@
 //! re-serialising the header or copying the payload first. It reports the
 //! [`FlitDecode::residue`], the received CRC XOR the plain CRC of the
 //! received block, which is `delta(s)` for an intact flit bound to sequence
-//! `s` whatever sequence the decode expected.
+//! `s` whatever sequence the decode expected, so [`RxlFlitCodec::seq_of`]
+//! reads `s` back from it.
 
 use rxl_crc::catalog::FLIT_CRC64;
 use rxl_crc::isn::{IsnCrc64, BLOCK_LEN};
@@ -89,6 +90,14 @@ impl RxlFlitCodec {
     /// sequence 0): the residue an intact flit bound to `seq` decodes to.
     pub fn delta(&self, seq: u16) -> u64 {
         self.isn.delta(seq)
+    }
+
+    /// The sequence number a decoded flit's [`FlitDecode::residue`] names:
+    /// the one an intact flit was bound to, `None` for a residue no
+    /// sequence produces (a corrupted flit's, up to a `2^-64`-per-entry
+    /// accident). Inverts [`Self::delta`].
+    pub fn seq_of(&self, residue: u64) -> Option<u16> {
+        self.isn.seq_of(residue)
     }
 
     /// Encodes a flit bound to sequence number `seq`. Allocation-free: the

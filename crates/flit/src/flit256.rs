@@ -69,15 +69,6 @@ impl Flit256 {
     pub fn unpack_messages(&self) -> Result<Vec<Message>, SlotError> {
         unpack_messages(&self.payload)
     }
-
-    /// Concatenated header + payload bytes (the CRC input). Returned as a
-    /// fixed array — no heap allocation on the encode path.
-    pub fn header_and_payload(&self) -> [u8; FLIT_HEADER_LEN + FLIT_PAYLOAD_LEN] {
-        let mut out = [0u8; FLIT_HEADER_LEN + FLIT_PAYLOAD_LEN];
-        out[..FLIT_HEADER_LEN].copy_from_slice(&self.header.to_bytes());
-        out[FLIT_HEADER_LEN..].copy_from_slice(&self.payload);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -115,18 +106,6 @@ mod tests {
         ];
         f.pack_messages(&msgs).unwrap();
         assert_eq!(f.unpack_messages().unwrap(), msgs);
-    }
-
-    #[test]
-    fn header_and_payload_layout() {
-        let mut f = Flit256::new(FlitHeader::with_seq(0x155));
-        f.payload[0] = 0xAA;
-        f.payload[239] = 0xBB;
-        let hp = f.header_and_payload();
-        assert_eq!(hp.len(), 242);
-        assert_eq!(&hp[..2], &f.header.to_bytes());
-        assert_eq!(hp[2], 0xAA);
-        assert_eq!(hp[241], 0xBB);
     }
 
     #[test]

@@ -220,6 +220,39 @@ mod tests {
     }
 
     #[test]
+    fn a_lost_final_ack_is_recovered_by_re_acking_the_replayed_duplicates() {
+        let cfg = LinkConfig::cxl3_x16(ProtocolVariant::Rxl);
+        let mut x = LinkEndpoint::new(cfg);
+        let mut y = LinkEndpoint::new(cfg);
+        for tag in 0..3 {
+            x.enqueue_messages([Message::response_ok(0, tag)]);
+            let emission = x.emit(0.0);
+            let wire = x.encode_emission(&emission).expect("a protocol flit");
+            assert_eq!(y.receive(&wire, 0.0).delivered.len(), 1);
+        }
+        // Below the coalescing level, so Y acknowledges only when its link
+        // goes idle: the flushed ACK of flit 2, which is lost.
+        assert!(matches!(
+            y.emit(0.0),
+            TxEmission::StandaloneAck { ack: 2, .. }
+        ));
+        assert_eq!(x.tx().in_flight(), 3);
+
+        // X's watchdog replays the three flits. Y, which already holds them,
+        // must discard the duplicates without a NACK and acknowledge again,
+        // or X never learns they arrived.
+        let (_, at_y) = run_duplex(&mut x, &mut y, 20_000);
+        assert!(at_y.is_empty(), "no message is delivered twice");
+        assert!(
+            x.is_quiescent(),
+            "X still holds {} flits",
+            x.tx().in_flight()
+        );
+        assert_eq!(y.stats().flits_accepted, 3);
+        assert_eq!(y.rx().stats().nacks_sent, 0);
+    }
+
+    #[test]
     fn one_detected_drop_counts_one_nack_per_half_and_two_on_the_endpoint() {
         let cfg = LinkConfig::cxl3_x16(ProtocolVariant::Rxl);
         let mut a = LinkEndpoint::new(cfg);

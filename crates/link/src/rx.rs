@@ -13,16 +13,34 @@
 //!   number through the ISN ECRC, so a drop is caught on the very next flit
 //!   and nothing out of order is ever forwarded.
 //!
-//! Each variant makes that decision in one place. [`LinkRx::receive`]
+//! The ISN ECRC says more than "expected or not": an intact flit's CRC
+//! residue is the table entry of the sequence number the sender bound it to,
+//! and the table is invertible (`rxl-crc`'s ISN docs). So the RXL receiver
+//! reads that sequence number and acts on where it falls:
+//!
+//! * **equal** to the expectation — accept and forward;
+//! * **behind** it (1 to 511 back) — a duplicate of a flit already
+//!   accepted, put back on the wire by a go-back-N rewind or a watchdog
+//!   replay: discard it without a NACK, and answer with a cumulative ACK of
+//!   the last accepted flit so a sender whose ACK was lost stops replaying;
+//! * **ahead** of it, or naming no sequence at all (corrupted) — reject and
+//!   NACK, as for a drop.
+//!
+//! Only an exact match delivers, so a corrupted flit misread as a duplicate
+//! (its residue would have to hit one of the ≤ 511 "behind" entries,
+//! ≈ 511 / 2⁶⁴ per corrupted flit) delays a retry until the next flit, and
+//! never causes a wrong delivery.
+//!
+//! Each variant makes its decision in one place. [`LinkRx::receive`]
 //! decodes a wire flit and [`LinkRx::receive_trusted`] takes a flit known to
 //! be clean; both hand the outcome of the integrity checks to the same
-//! per-variant dispatch, and every rejection goes through one NACK-once
-//! transition.
+//! per-variant dispatch, and every rejection that asks for a retry goes
+//! through one NACK-once transition.
 
 use rxl_flit::{Flit256, FlitHeader, FlitType, Message, ReplayCmd, WireFlit, MESSAGES_PER_FLIT};
 
 use crate::ack::{AckPolicy, AckScheduler};
-use crate::seq::{seq_add, seq_next};
+use crate::seq::{seq_add, seq_distance, seq_next, SEQ_SPACE};
 use crate::stats::LinkStats;
 use crate::variant::{LinkCodec, LinkConfig, ProtocolVariant};
 
@@ -92,7 +110,8 @@ pub struct RxResult {
     /// The receiver wants to request a retry after this sequence number.
     pub send_nack: Option<u16>,
     /// `true` if the flit was rejected (FEC uncorrectable, CRC/ECRC mismatch,
-    /// or explicit sequence mismatch).
+    /// or explicit sequence mismatch) or, under RXL, discarded as a
+    /// duplicate of a flit already accepted.
     pub rejected: bool,
 }
 
@@ -165,14 +184,15 @@ impl LinkRx {
         };
         match self.config.variant {
             ProtocolVariant::Rxl => {
-                // Control flits live outside the transport sequence space
-                // and are bound to sequence 0, whose residue is zero.
-                let verified = if flit.header.flit_type == FlitType::Protocol {
-                    decode.crc_ok
+                // The sequence the residue names. A match with the
+                // expectation is already known; the inverse lookup runs
+                // only on a mismatch.
+                let bound = if decode.crc_ok {
+                    Some(self.expected_seq)
                 } else {
-                    decode.residue == 0
+                    self.codec.seq_of(decode.residue)
                 };
-                self.dispatch_rxl(flit, verified)
+                self.dispatch_rxl(flit, bound)
             }
             ProtocolVariant::CxlPiggyback | ProtocolVariant::CxlStandaloneAck => {
                 if decode.crc_ok {
@@ -193,26 +213,17 @@ impl LinkRx {
     ///
     /// * FEC always accepts a clean codeword with zero corrections;
     /// * a clean wire's CRC residue is zero under CXL, whose link CRC
-    ///   therefore always verifies, and zero for an RXL control flit, which
-    ///   is bound to sequence 0;
-    /// * an RXL protocol flit's residue is `D[tx_seq]`, which matches the
-    ///   expected sequence's `D[expected]` **iff** `tx_seq` equals it,
-    ///   because the ISN table's entries are distinct (`rxl-crc`'s ISN
-    ///   docs).
+    ///   therefore always verifies;
+    /// * an RXL flit's residue is `D[tx_seq]` (zero for a control flit,
+    ///   which is bound to sequence 0), and the ISN table's entries are
+    ///   distinct, so the sequence the decode path reads back from it is
+    ///   exactly `tx_seq` (`rxl-crc`'s ISN docs).
     ///
     /// `tests/trusted_receive.rs` decodes every wire image it compares and
     /// checks its residue against `tx_seq` this way.
     pub fn receive_trusted(&mut self, flit: &Flit256, tx_seq: u16) -> RxResult {
         match self.config.variant {
-            ProtocolVariant::Rxl => {
-                let verified = if flit.header.flit_type == FlitType::Protocol {
-                    tx_seq == self.expected_seq
-                } else {
-                    debug_assert_eq!(tx_seq, 0, "control flits are bound to sequence 0");
-                    true
-                };
-                self.dispatch_rxl(flit, verified)
-            }
+            ProtocolVariant::Rxl => self.dispatch_rxl(flit, Some(tx_seq)),
             ProtocolVariant::CxlPiggyback | ProtocolVariant::CxlStandaloneAck => {
                 self.dispatch_cxl(flit)
             }
@@ -265,13 +276,22 @@ impl LinkRx {
         result
     }
 
-    /// Everything the RXL receiver does once the FEC has accepted, given
-    /// whether the flit's ISN ECRC `verified` — against the expected
-    /// sequence for a protocol flit, against sequence 0 for a control flit.
-    fn dispatch_rxl(&mut self, flit: &Flit256, verified: bool) -> RxResult {
+    /// Everything the RXL receiver does once the FEC has accepted, given the
+    /// sequence number `bound` the flit's ISN ECRC names (`None` if it names
+    /// none: the flit is corrupted). A control flit must be bound to 0. A
+    /// protocol flit has three outcomes (module docs):
+    ///
+    /// * `bound` equals the expected sequence: accept and forward;
+    /// * `bound` is behind it by 1 to `SEQ_SPACE / 2 − 1`: a duplicate.
+    ///   Discard it without a NACK, ignore the ACK it carries, and ask the
+    ///   transmitter to re-acknowledge the last accepted flit
+    ///   (`send_ack = expected − 1`); counted in
+    ///   [`LinkStats::flits_discarded_in_replay`];
+    /// * otherwise (ahead, or no sequence): an ECRC rejection, NACKed once.
+    fn dispatch_rxl(&mut self, flit: &Flit256, bound: Option<u16>) -> RxResult {
         let mut result = RxResult::default();
         if flit.header.flit_type != FlitType::Protocol {
-            if verified {
+            if bound == Some(0) {
                 consume_control(&flit.header, &mut result);
             } else {
                 self.stats.flits_rejected += 1;
@@ -280,20 +300,33 @@ impl LinkRx {
             return result;
         }
 
-        if verified {
-            // Data intact *and* sequence as expected: forward.
-            self.awaiting_replay = false;
-            result.sequence_checked = true;
-            if flit.header.replay_cmd == ReplayCmd::Ack {
-                result.peer_ack = Some(flit.header.fsn);
+        match bound {
+            Some(seq) if seq == self.expected_seq => {
+                // Data intact *and* sequence as expected: forward.
+                self.awaiting_replay = false;
+                result.sequence_checked = true;
+                if flit.header.replay_cmd == ReplayCmd::Ack {
+                    result.peer_ack = Some(flit.header.fsn);
+                }
+                self.accept_and_forward(flit, &mut result);
             }
-            self.accept_and_forward(flit, &mut result);
-        } else {
-            // Either the payload is corrupted or (at least) one flit before
-            // this one was dropped. Both trigger the same response: retry.
-            self.stats.ecrc_rejections += 1;
-            self.stats.flits_rejected += 1;
-            self.nack_once(&mut result);
+            Some(seq) if seq_distance(seq, self.expected_seq) < SEQ_SPACE / 2 => {
+                // Intact, but already accepted: a replayed copy. A NACK
+                // would rewind the sender over flits still in flight, which
+                // arrive as duplicates in turn; the re-ACK instead releases
+                // what the sender may still hold because an ACK was lost.
+                result.rejected = true;
+                self.stats.flits_discarded_in_replay += 1;
+                result.send_ack = Some(seq_add(self.expected_seq, -1));
+            }
+            _ => {
+                // Either the payload is corrupted or (at least) one flit
+                // before this one was dropped. Both trigger the same
+                // response: retry.
+                self.stats.ecrc_rejections += 1;
+                self.stats.flits_rejected += 1;
+                self.nack_once(&mut result);
+            }
         }
         result
     }
@@ -596,13 +629,21 @@ mod tests {
         assert!(rx.receive(&w0).accepted);
         assert!(rx.receive(&w1).accepted);
 
-        // A replayed copy of flit 1 is bound to sequence 1, not the expected
-        // 2: the ISN ECRC rejects it like a drop, and nothing is forwarded.
+        // A replayed copy of flit 1 is bound to sequence 1, one behind the
+        // expected 2: the residue names it, so it is a duplicate, not a drop.
+        // Nothing is forwarded, nothing NACKed, and the last accepted flit
+        // is acknowledged again.
         let out = rx.receive(&w1);
-        assert!(out.rejected && out.delivered.is_empty());
-        assert_eq!(out.send_nack, Some(1));
+        assert!(out.rejected && !out.accepted && out.delivered.is_empty());
+        assert_eq!(out.send_nack, None);
+        assert_eq!(out.send_ack, Some(1));
+        assert_eq!(out.peer_ack, None, "an unverified flit's ACK is ignored");
         assert_eq!(rx.expected_seq(), 2);
-        assert_eq!(rx.stats().ecrc_rejections, 1);
+        assert!(!rx.awaiting_replay());
+        let stats = rx.stats();
+        assert_eq!(stats.ecrc_rejections, 0);
+        assert_eq!((stats.flits_rejected, stats.nacks_sent), (0, 0));
+        assert_eq!(stats.flits_discarded_in_replay, 1);
     }
 
     #[test]

@@ -15,8 +15,11 @@ pub struct LinkStats {
     pub flits_accepted: u64,
     /// Flits received but rejected (FEC uncorrectable or CRC mismatch).
     pub flits_rejected: u64,
-    /// Flits discarded while waiting for a go-back-N replay to reach the
-    /// expected sequence number.
+    /// Flits discarded without a NACK of their own: those arriving while a
+    /// requested go-back-N replay is on its way, and (RXL) intact
+    /// duplicates of flits already accepted, whose ISN residue names a
+    /// sequence number behind the expected one. A duplicate is answered
+    /// with a re-ACK of the last accepted flit instead of a NACK.
     pub flits_discarded_in_replay: u64,
     /// NACK counts of both halves: [`crate::LinkRx`] counts each NACK it
     /// decides to send and [`crate::LinkTx`] each NACK flit it emits. A

@@ -91,6 +91,18 @@ impl LinkCodec {
     pub(crate) fn decode(&self, wire: &WireFlit, expected_seq: u16) -> FlitDecode {
         self.codec.decode(wire, self.bound(expected_seq))
     }
+
+    /// The link-layer sequence number a decoded flit's CRC residue names
+    /// (see [`RxlFlitCodec::seq_of`]). `None` under CXL, which binds every
+    /// flit to 0 and so carries no sequence in its CRC.
+    #[inline]
+    pub(crate) fn seq_of(&self, residue: u64) -> Option<u16> {
+        if self.binds_seq {
+            self.codec.seq_of(residue)
+        } else {
+            None
+        }
+    }
 }
 
 /// Static configuration of one link direction.

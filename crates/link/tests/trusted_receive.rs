@@ -13,9 +13,10 @@
 //!
 //! Schedules are random per case and cover every protocol variant: drops of
 //! k flits, go-back-N rewinds and watchdog replays that redeliver
-//! duplicates, interleaved standalone ACK / NACK control flits, lost
-//! reverse-direction feedback, and streams spanning more than three laps of
-//! the 10-bit sequence space.
+//! duplicates (which RXL discards and re-ACKs, on both paths alike),
+//! interleaved standalone ACK / NACK control flits, lost reverse-direction
+//! feedback, and streams spanning more than three laps of the 10-bit
+//! sequence space.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,6 +52,9 @@ struct Harness {
     next_tag: u16,
     /// Receive results that rejected a flit, for the ledger check.
     rejections: u64,
+    /// Rejections that discarded a duplicate behind the expectation and
+    /// re-ACKed it instead of NACKing (RXL only).
+    duplicates: u64,
     /// Control flits (standalone ACK, NACK) both receivers consumed.
     controls: u64,
     /// The next delivery's feedback (its ACK / NACK) is lost on the way
@@ -70,6 +74,7 @@ impl Harness {
             now: 0.0,
             next_tag: 0,
             rejections: 0,
+            duplicates: 0,
             controls: 0,
             lose_feedback: false,
         }
@@ -161,9 +166,19 @@ impl Harness {
         );
 
         // On a clean link every rejection is a sequence rejection, and each
-        // one either sends the one NACK of its episode or is discarded while
-        // the replay is on its way.
+        // one either sends the one NACK of its episode, is discarded while
+        // the replay is on its way, or (RXL) is a duplicate behind the
+        // expectation, discarded and re-ACKed without a NACK.
         self.rejections += u64::from(by_wire.rejected);
+        if by_wire.rejected && by_wire.send_ack.is_some() {
+            prop_assert_eq!(self.variant, ProtocolVariant::Rxl);
+            prop_assert_eq!(by_wire.send_nack, None);
+            prop_assert_eq!(
+                by_wire.send_ack,
+                Some(seq_add(self.decoded.expected_seq(), -1))
+            );
+            self.duplicates += 1;
+        }
         let s = self.decoded.stats();
         prop_assert_eq!(
             s.flits_rejected,
@@ -231,6 +246,9 @@ proptest! {
             let s = h.decoded.stats();
             prop_assert!(s.nacks_sent > 0 && s.flits_discarded_in_replay > 0, "{:?}", s);
             prop_assert!(h.tx.stats().flits_retransmitted > 0 && h.controls > 0);
+            // RXL reads the sender's sequence from the residue and
+            // discarded at least one duplicate without a NACK.
+            prop_assert_eq!(h.duplicates > 0, variant == ProtocolVariant::Rxl, "{:?}", variant);
         }
     }
 }
