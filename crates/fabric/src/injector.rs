@@ -6,6 +6,8 @@ use rxl_flit::Message;
 use rxl_link::LinkEndpoint;
 use rxl_transport::SentStream;
 
+use crate::probe::{message_key, InjectEvent, Probe};
+
 /// One endpoint's injection state: a handle on the stream it sends (shared
 /// with the workload and the receiving auditor — see [`SentStream`]) and two
 /// cursors over it. Messages `[0, due)` have *arrived* (their inject events
@@ -73,5 +75,30 @@ impl Injector {
     /// `true` once the transmitter has been handed the whole stream.
     pub(crate) fn exhausted(&self) -> bool {
         self.fed == self.stream.len()
+    }
+}
+
+/// Opens the inject → deliver span of every message in `msgs` (one
+/// `src → dst` batch of `session`, released at `slot`) on the probe. Call
+/// sites keep the `if P::ENABLED` guard, like every other emission.
+pub(crate) fn inject_events<P: Probe>(
+    probe: &mut P,
+    slot: u64,
+    session: usize,
+    src: usize,
+    dst: usize,
+    downstream: bool,
+    msgs: &[Message],
+) {
+    for m in msgs {
+        probe.on_inject(InjectEvent {
+            slot,
+            session,
+            src,
+            dst,
+            downstream,
+            key: message_key(m),
+            tag: m.tag(),
+        });
     }
 }

@@ -12,7 +12,13 @@
 //!   generators with per-trunk dateline metadata for the escape VCs,
 //! * [`routing`] — deterministic shortest-path (ECMP-spread) tables plus
 //!   minimal-adaptive candidate sets,
-//! * [`engine`] — the slot-synchronous fabric engine,
+//! * [`engine`] — the slot-synchronous fabric engine ([`FabricSim`]): the
+//!   slot loop, the one hop path and the fault-injection calls,
+//! * `node` (crate-private) — the actors the slot loop drives: a switch
+//!   actor plans a flit's next hop and accepts it into a lane, an endpoint
+//!   actor emits and takes delivery, a wire runs every link traversal,
+//! * `trial` (crate-private, re-exported by [`engine`]) — a trial's
+//!   configuration, workload, pacing and report,
 //! * [`montecarlo`] — sharded, thread-count-independent trial aggregation,
 //! * [`crosscheck`] — empirical-vs-analytic FIT comparison at an
 //!   accelerated BER.
@@ -39,6 +45,7 @@ mod node;
 pub mod probe;
 pub mod routing;
 pub mod topology;
+mod trial;
 
 pub use crosscheck::FitCrosscheck;
 pub use engine::{

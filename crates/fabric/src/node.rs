@@ -1,17 +1,29 @@
-//! The two actors of a fabric trial: a [`SwitchNode`] owns one switch's
-//! pipeline, output lanes, credit ledgers and arbiters, an [`EndpointNode`]
-//! one endpoint's link state machine, injector and auditor. The engine's slot
-//! loop drives them; what must stay in step within a node is kept so here.
+//! The actors of a fabric trial: a [`SwitchActor`] plans a flit's next hop
+//! and accepts it into a lane, an [`EndpointActor`] emits its flit for the
+//! slot and takes delivery, and a [`Wire`] runs the traversal every hop opens
+//! with. The engine's slot loop decides who acts when (see `FabricSim`);
+//! every action reads and writes the trial-wide state through a [`SlotCtx`].
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
-use rxl_link::{LinkConfig, LinkEndpoint};
-use rxl_switch::{Switch, SwitchConfig, VcArbiter, VcCredits};
-use rxl_transport::DeliveryAuditor;
+use rand::rngs::StdRng;
 
-use crate::engine::RoutedFlit;
+use rxl_flit::{WireFlit, WIRE_FLIT_LEN};
+use rxl_link::{
+    Channel, ChannelErrorModel, EventCursor, FlitRef, LinkCodec, LinkConfig, LinkEndpoint,
+    TxEmission,
+};
+use rxl_switch::{ProcessVerdict, Switch, SwitchConfig, VcArbiter, VcCredits};
+use rxl_transport::{DeliveryAuditor, DeliveryVerdict};
+
 use crate::injector::Injector;
-use crate::topology::NodeRole;
+use crate::probe::{
+    message_key, ChannelErrorEvent, DeliverEvent, EnginePhase, LinkHop, LinkTraversalEvent, Probe,
+};
+use crate::routing::{RoutingTable, NO_ROUTE};
+use crate::topology::{EndpointNode, NodeRole};
+use crate::trial::FabricReport;
 
 /// A set of small indices — the ports of one switch that hold flits, or the
 /// switches of the fabric that have such a port — as bit words, so the
@@ -80,12 +92,220 @@ pub(crate) enum PortPeer {
     Unconnected,
 }
 
-/// Sentinel for a [`SwitchNode::pins`] entry no flit has set yet.
+/// Sentinel for a [`SwitchActor::pins`] entry no flit has set yet.
 pub(crate) const NO_PIN: u32 = u32::MAX;
+
+/// The payload of an in-fabric flit: either a handle to the *logical* flit
+/// plus its bound sequence number (no wire bytes materialised yet — the state
+/// every flit starts in and, on a quiet link, stays in for its whole
+/// journey), or the explicit 256-byte wire image (forced the moment a channel
+/// corrupts the flit or a switch pipeline needs real bytes).
+///
+/// Because a clean wire image is a pure function of `(flit, seq)`, deferring
+/// the encode is invisible to the simulation: a flit that reaches its
+/// destination still `Clean` is handed to
+/// [`rxl_link::LinkEndpoint::receive_trusted`], whose outcome is provably
+/// identical to encode-then-`receive` (see the equivalence argument on
+/// [`rxl_link::LinkRx::receive_trusted`]).
+///
+/// # Ownership
+///
+/// `Clean` holds the very [`FlitRef`] the transmitter emitted — the same
+/// allocation its replay buffer retains — from injection until delivery (or
+/// a drop), so a clean hop moves a pointer and a retransmission re-injects
+/// the same flit, not a copy. The shared flit is never written through this
+/// handle: [`Self::materialize`] encodes it into a private `Box<WireFlit>`,
+/// which is what corruption and FEC correction mutate, and releases the
+/// handle. `Wire` is boxed because it is the rare state (< 1 % of hops at
+/// realistic BER); inline it would make every queued flit 256 bytes.
+enum FlitPayload {
+    Clean { flit: FlitRef, seq: u16 },
+    Wire(Box<WireFlit>),
+}
+
+impl FlitPayload {
+    /// Forces the wire image into existence (encoding on first call) and
+    /// returns it for in-place mutation.
+    #[inline]
+    fn materialize(&mut self, codec: &LinkCodec) -> &mut WireFlit {
+        if let FlitPayload::Clean { flit, seq } = self {
+            *self = FlitPayload::Wire(Box::new(codec.encode(flit, *seq)));
+        }
+        match self {
+            FlitPayload::Wire(wire) => wire,
+            FlitPayload::Clean { .. } => unreachable!("materialize just set Wire"),
+        }
+    }
+}
+
+/// A flit in flight through the fabric, with its out-of-band routing
+/// metadata (the modelled PBR destination identifier).
+pub(crate) struct RoutedFlit {
+    payload: FlitPayload,
+    /// Destination endpoint index.
+    pub(crate) dst: usize,
+    /// Low 32 bits of the slot in which the flit entered its current lane
+    /// (written by [`SwitchActor::push`], compared by [`SwitchActor::head`]):
+    /// a head stamped with the running slot arrived during it and must wait
+    /// for the next one. The full slot does not fit the 32-byte budget
+    /// below; the truncation can only misread a head that has waited an
+    /// exact multiple of 2³² slots (8.6 simulated seconds, half a million
+    /// default stall-guard windows) as fresh, which holds it back one more
+    /// slot and neither loses nor reorders it.
+    pub(crate) staged_at: u32,
+    /// `true` for payload-bearing protocol flits (as opposed to standalone
+    /// ACK / NACK control flits) — the population the failure analysis
+    /// counts.
+    protocol: bool,
+    /// `true` if this is a retransmission from a replay buffer.
+    retransmission: bool,
+    /// Per-dimension dateline-crossing bits (bit `d` set once the flit has
+    /// crossed dimension `d`'s dateline trunk). Updated on arrival at the
+    /// far switch of a dateline trunk; the escape-VC class of every later
+    /// hop in that dimension is 1.
+    pub(crate) crossed: u8,
+}
+
+// A hop moves a `RoutedFlit` by value three times (lane pop, transmit, lane
+// push); it must stay a handle plus metadata, never a payload.
+const _: () = assert!(std::mem::size_of::<RoutedFlit>() <= 32);
+
+/// Outcome of planning a flit's next hop at a switch (see
+/// [`SwitchActor::plan`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum HopPlan {
+    /// Dead switch or no surviving route: the flit is swallowed by fault
+    /// injection.
+    Blackhole,
+    /// Buffer the flit in VC `vc` of output port `egress`.
+    Lane { egress: usize, vc: usize },
+    /// Every usable lane is out of credits; the flit holds its place.
+    Blocked,
+}
+
+/// When the trial last made progress, for the stall guard: the slot an
+/// endpoint last accepted a flit (or a paced message became due), and the
+/// slot a flit last moved anywhere (entered a lane, was consumed by a switch
+/// pipeline, delivered, or blackholed). The second tells a credit deadlock
+/// (flits wedged, zero motion) from the baseline-CXL replay livelock
+/// (constant motion, zero acceptance) when the guard trips.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StallGuard {
+    pub(crate) last_accept: u64,
+    pub(crate) last_motion: u64,
+}
+
+/// The trial-wide state every node action reads and writes. The engine
+/// keeps one for the whole trial and advances its clock each slot.
+pub(crate) struct SlotCtx<P> {
+    /// The running slot: the engine's only clock.
+    pub(crate) slot: u64,
+    /// Simulated time of `slot` in nanoseconds.
+    pub(crate) now: f64,
+    pub(crate) rng: StdRng,
+    /// Materialises deferred ([`FlitPayload::Clean`]) wire images: the
+    /// [`LinkCodec`] every endpoint's transmitter holds, so an image is
+    /// bit-identical to what the transmitter would have produced.
+    pub(crate) codec: LinkCodec,
+    /// `FabricConfig::channel`, run by every [`Wire`] without its own.
+    pub(crate) channel: ChannelErrorModel,
+    /// Write-only from the engine's point of view: events go in, nothing
+    /// comes back.
+    pub(crate) probe: P,
+    /// The report under construction: event tallies, `first_fail_order_slot`
+    /// and the outcome flags accumulate here as the trial runs.
+    pub(crate) report: FabricReport,
+    pub(crate) guard: StallGuard,
+}
+
+impl<P: Probe> SlotCtx<P> {
+    /// Self-profiler phase boundary: with a live clock (only ever `Some`
+    /// when `P::ENABLED && P::PROFILE`), reports the nanoseconds since the
+    /// previous boundary to the probe and restarts the clock. Wall-clock
+    /// readings flow *only* into the probe — never back into simulation
+    /// state — so profiled trials stay bit-identical to unprofiled ones.
+    #[inline]
+    pub(crate) fn phase_mark(&mut self, clock: &mut Option<Instant>, phase: EnginePhase) {
+        if let Some(t) = clock {
+            let mark = Instant::now();
+            self.probe
+                .on_phase(phase, mark.duration_since(*t).as_nanos() as u64);
+            *t = mark;
+        }
+    }
+}
+
+/// One physical link, indexed by [`crate::LinkId::index`] (endpoint
+/// attachment links first, then trunks): the skip-ahead cursor that counts
+/// the link's traversals and caches the traversal index of its channel's
+/// next error event, and the channel a fault-injection scenario installed on
+/// it, if any.
+#[derive(Default)]
+pub(crate) struct Wire {
+    cursor: EventCursor,
+    channel: Option<Box<dyn Channel>>,
+}
+
+impl Wire {
+    /// Installs `channel` on this link, or with `None` reverts it to the
+    /// static channel. The cached next-error event belonged to the replaced
+    /// channel, so the cursor resamples at the next traversal; reverting a
+    /// link that runs the static channel already keeps its cache, and so
+    /// does every untouched link (callers dedup unchanged specs, as the
+    /// chaos runner does).
+    pub(crate) fn set_channel(&mut self, channel: Option<Box<dyn Channel>>) {
+        if channel.is_some() || self.channel.is_some() {
+            self.cursor.reset();
+        }
+        self.channel = channel;
+    }
+
+    /// One traversal of `rf` over this wire (link `link`) in the running
+    /// slot, the opening every hop shares: stamps the motion, reports the
+    /// traversal, and runs the flit through the link's channel, returning
+    /// the number of bits flipped. A traversal short of the cached
+    /// next-error event consumes zero draws *and materialises no wire
+    /// bytes* — the common case on every realistic-BER link: the flit stays
+    /// [`FlitPayload::Clean`] and only the cursor's traversal counter moves.
+    /// Only the event itself encodes the wire image (if still deferred) and
+    /// corrupts it in place.
+    #[inline]
+    pub(crate) fn traverse<P: Probe>(
+        &mut self,
+        ctx: &mut SlotCtx<P>,
+        link: usize,
+        hop: LinkHop,
+        rf: &mut RoutedFlit,
+    ) -> usize {
+        ctx.guard.last_motion = ctx.slot;
+        if P::ENABLED {
+            ctx.probe.on_link_traversal(LinkTraversalEvent {
+                slot: ctx.slot,
+                link,
+                hop,
+                protocol: rf.protocol,
+                retransmission: rf.retransmission,
+            });
+        }
+        let channel: &mut dyn Channel = match &mut self.channel {
+            Some(ch) => ch.as_mut(),
+            None => &mut ctx.channel,
+        };
+        let bits = (WIRE_FLIT_LEN * 8) as u64;
+        if !self.cursor.step(channel, bits, ctx.now, &mut ctx.rng) {
+            return 0;
+        }
+        let wire = rf.payload.materialize(&ctx.codec);
+        self.cursor
+            .corrupt_event(channel, wire, ctx.now, &mut ctx.rng)
+    }
+}
 
 /// One switching device of a trial: the `rxl-switch` forwarding pipeline
 /// plus the bounded output lanes of its ports.
-pub(crate) struct SwitchNode {
+pub(crate) struct SwitchActor {
+    /// This switch's index in the topology, as the probe names it.
+    id: usize,
     pub(crate) switch: Switch,
     /// `lanes[port * vcc + vc]`: flits awaiting transmission on virtual
     /// channel `vc` of that port, oldest first. With `vc_count == 1` the
@@ -104,19 +324,26 @@ pub(crate) struct SwitchNode {
     /// `pins[dst]`: the egress port the last flit bound for `dst` took out
     /// of this switch ([`NO_PIN`] before any did). Recorded on every
     /// forwarded hop; a flit is free to *deviate* from the pin (and
-    /// re-choose by occupancy) only when [`EndpointNode::in_flight`] says
+    /// re-choose by occupancy) only when [`EndpointActor::in_flight`] says
     /// the destination's stream is otherwise idle. Empty unless
-    /// `config.adaptive`.
+    /// `config.adaptive`, which is how [`Self::plan`] tells an adaptive
+    /// switch.
     pub(crate) pins: Vec<u32>,
     vcc: usize,
+    /// The switch failed hard: its lanes were purged and every flit sent to
+    /// it is blackholed.
+    pub(crate) dead: bool,
+    /// Excluded from transit routing (drained or dead).
+    pub(crate) no_transit: bool,
 }
 
-impl SwitchNode {
-    /// A switch with `config.ports` unconnected ports of `vcc` empty lanes,
-    /// each `config.queue_capacity` flits deep.
-    pub(crate) fn new(config: SwitchConfig, vcc: usize, pins: Vec<u32>) -> Self {
+impl SwitchActor {
+    /// Switch `id` with `config.ports` unconnected ports of `vcc` empty
+    /// lanes, each `config.queue_capacity` flits deep.
+    pub(crate) fn new(id: usize, config: SwitchConfig, vcc: usize, pins: Vec<u32>) -> Self {
         let ports = config.ports;
-        SwitchNode {
+        SwitchActor {
+            id,
             lanes: (0..ports * vcc).map(|_| VecDeque::new()).collect(),
             credits: vec![VcCredits::new(vcc, config.queue_capacity); ports],
             arb: vec![VcArbiter::new(); ports],
@@ -125,6 +352,8 @@ impl SwitchNode {
             switch: Switch::new(config),
             pins,
             vcc,
+            dead: false,
+            no_transit: false,
         }
     }
 
@@ -139,10 +368,156 @@ impl SwitchNode {
         self.credits[port].has_credit(vc)
     }
 
-    /// The occupancy ledger of `port`'s lanes.
+    /// The escape VC a flit with dateline-crossing state `crossed` rides on
+    /// egress port `egress`: VC 1 once the flit has crossed the dateline of
+    /// the egress trunk's ring dimension, VC 0 before (and always for
+    /// endpoint-facing egresses, which are unconditional sinks). With fewer
+    /// than two VCs everything is clamped to VC 0 — the pre-VC single-queue
+    /// behaviour, deadlock included.
     #[inline]
-    pub(crate) fn credits(&self, port: usize) -> &VcCredits {
-        &self.credits[port]
+    pub(crate) fn escape_vc(&self, egress: usize, crossed: u8) -> usize {
+        match self.peers[egress] {
+            PortPeer::Trunk { dim, .. } if self.vcc >= 2 => ((crossed >> dim) & 1) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Where the next hop of a flit bound for `dst`, arriving at this switch
+    /// with dateline state `crossed`, will be buffered — or why it can't be.
+    ///
+    /// `others` is the number of *other* flits bound for `dst` currently in
+    /// the fabric. Adaptive spreading is flowlet-gated on it: while a
+    /// destination's stream has flits in flight, this switch's pinned egress
+    /// is the only adaptive candidate, so consecutive flits can never take
+    /// divergent equal-length paths and overtake each other (which the link
+    /// layer's go-back-N replay would punish as a drop). Only an idle stream
+    /// (`others == 0`) re-chooses its path by occupancy. The escape lane
+    /// stays available as the Duato valve either way, so deadlock freedom
+    /// never depends on the pins.
+    pub(crate) fn plan(
+        &self,
+        routes: &RoutingTable,
+        dst: usize,
+        crossed: u8,
+        others: u32,
+    ) -> HopPlan {
+        let escape = routes.egress(self.id, dst);
+        if self.dead || escape == NO_ROUTE {
+            return HopPlan::Blackhole;
+        }
+        // Minimal-adaptive first: the adaptive VC (2..vcc) of the
+        // least-occupied candidate port with a free credit, ties broken by
+        // (port, vc) — a pure function of queue state, no RNG draws.
+        if !self.pins.is_empty() {
+            let pinned = if others > 0 { self.pins[dst] } else { NO_PIN };
+            let mut best: Option<(usize, usize, usize)> = None;
+            for &port in routes.candidates(self.id, dst) {
+                if matches!(self.peers[port], PortPeer::Endpoint(_)) {
+                    // Final-hop delivery always rides VC 0 of the endpoint
+                    // lane (an unconditional sink — nothing to adapt).
+                    continue;
+                }
+                if pinned != NO_PIN && port as u32 != pinned {
+                    continue;
+                }
+                let occupancy = self.credits[port].total_occupancy();
+                for vc in 2..self.vcc {
+                    if self.has_credit(port, vc) {
+                        let key = (occupancy, port, vc);
+                        if best.is_none_or(|b| key < b) {
+                            best = Some(key);
+                        }
+                        break; // lower vc of the same port always wins
+                    }
+                }
+            }
+            if let Some((_, port, vc)) = best {
+                return HopPlan::Lane { egress: port, vc };
+            }
+        }
+        // Escape path: the deterministic route on the dateline-classed VC.
+        let vc = self.escape_vc(escape, crossed);
+        if self.has_credit(escape, vc) {
+            HopPlan::Lane { egress: escape, vc }
+        } else {
+            HopPlan::Blocked
+        }
+    }
+
+    /// Takes `rf`, which just crossed link `link` with `flips` bits flipped,
+    /// through this switch's forwarding pipeline into lane `(egress, vc)` —
+    /// the lane [`Self::plan`] chose, so it has a credit — unless the
+    /// pipeline silently drops it. `dst` is the flit's destination. Returns
+    /// `true` if the flit was queued.
+    pub(crate) fn accept<P: Probe>(
+        &mut self,
+        ctx: &mut SlotCtx<P>,
+        dst: &mut EndpointActor,
+        link: usize,
+        (egress, vc): (usize, usize),
+        mut rf: RoutedFlit,
+        flips: usize,
+    ) -> bool {
+        // Known-clean bypass: zero channel flips mean the full pipeline is
+        // the identity and draw-free on this flit (the previous hop emitted a
+        // valid codeword with a matching CRC, and fabric switches have no
+        // internal error model), so only the statistics need touching. This
+        // is where the skip-ahead path earns its quiet-link speedup: no FEC
+        // decode, no CRC verify, no re-encode — and, for a still-deferred
+        // [`FlitPayload::Clean`] flit, no wire bytes at all.
+        // `None` once the pipeline dropped the flit as uncorrectable.
+        let corrected = if flips == 0 {
+            self.switch.forward_clean();
+            Some(0)
+        } else {
+            let wire = rf.payload.materialize(&ctx.codec);
+            match self.switch.process_in_place(wire, &mut ctx.rng) {
+                ProcessVerdict::Forwarded {
+                    corrected_symbols, ..
+                } => Some(corrected_symbols),
+                ProcessVerdict::DroppedUncorrectable => None,
+            }
+        };
+        if P::ENABLED && corrected != Some(0) {
+            ctx.probe.on_channel_error(ChannelErrorEvent {
+                slot: ctx.slot,
+                switch: self.id,
+                link,
+                dropped: corrected.is_none(),
+                corrected_symbols: corrected.unwrap_or(0),
+            });
+        }
+        if corrected.is_none() {
+            // Silent drop; the endpoints' retry machinery (or lack of it,
+            // for baseline CXL's blind spot) is on its own.
+            if rf.protocol {
+                let report = &mut ctx.report;
+                report.protocol_flit_drops += 1;
+                if !rf.retransmission {
+                    report.payload_drops += 1;
+                    if !dst.gap_open && !dst.link.rx().awaiting_replay() {
+                        report.eligible_payload_drops += 1;
+                    }
+                }
+            }
+            return false;
+        }
+        dst.in_flight += 1;
+        if !self.pins.is_empty() {
+            // Record the path taken at *every* hop, not just the choosing
+            // one: a lead flit reaches downstream switches after its
+            // followers were injected, and those switches must replay its
+            // exact ports or the followers could overtake it on a divergent
+            // equal-length path.
+            self.pins[rf.dst] = egress as u32;
+        }
+        self.push(egress, vc, rf, ctx.slot);
+        if P::ENABLED {
+            let occupancy = self.credits[egress].occupancy(vc);
+            ctx.probe
+                .on_vc_occupancy(ctx.slot, self.id, egress, vc, occupancy);
+        }
+        true
     }
 
     /// Buffers `rf` in lane `(port, vc)`, stamped as having entered it in
@@ -193,12 +568,14 @@ impl SwitchNode {
 
 /// One endpoint of a trial: its `rxl-link` state machine and what the trial
 /// tracks about it.
-pub(crate) struct EndpointNode {
+pub(crate) struct EndpointActor {
     pub(crate) link: LinkEndpoint,
     /// Feeds the transmitter from the session's shared stream (empty until
     /// `begin`).
     pub(crate) injector: Injector,
-    /// One-flit stall register (credit backpressure).
+    /// One-flit stall register: the flit this endpoint emitted and has not
+    /// yet sent into its switch for lack of credit (backpressure). While it
+    /// is full the endpoint emits nothing.
     pub(crate) stalled: Option<RoutedFlit>,
     /// Ground-truth audit of what this endpoint receives: its session's
     /// downstream stream at a device, the upstream one at a host.
@@ -222,10 +599,10 @@ pub(crate) struct EndpointNode {
     pub(crate) is_device: bool,
 }
 
-impl EndpointNode {
+impl EndpointActor {
     /// The idle, session-less endpoint `ep` describes.
-    pub(crate) fn new(link: LinkConfig, ep: &crate::topology::EndpointNode) -> Self {
-        EndpointNode {
+    pub(crate) fn new(link: LinkConfig, ep: &EndpointNode) -> Self {
+        EndpointActor {
             link: LinkEndpoint::new(link),
             injector: Injector::default(),
             stalled: None,
@@ -238,11 +615,114 @@ impl EndpointNode {
             is_device: ep.role == NodeRole::Device,
         }
     }
+
+    /// Endpoint `e`'s emission for the slot: tops the transmitter up from
+    /// the injector, takes its emission and, if that carries a flit, wraps
+    /// it for the fabric, bound for the peer.
+    pub(crate) fn emit<P: Probe>(&mut self, e: usize, ctx: &mut SlotCtx<P>) -> Option<RoutedFlit> {
+        self.injector.feed(&mut self.link);
+        let emission = self.link.emit(ctx.now);
+        let (protocol, retransmission) = match &emission {
+            TxEmission::Protocol { retransmission, .. } => (true, *retransmission),
+            _ => (false, false),
+        };
+        if P::ENABLED {
+            if retransmission {
+                ctx.probe.on_retransmit(ctx.slot, e, self.session);
+            } else if matches!(&emission, TxEmission::Nack { .. }) {
+                ctx.probe.on_nack(ctx.slot, e, self.session);
+            }
+        }
+        // The wire image is *not* encoded here: the flit enters the fabric
+        // in deferred (`Clean`) form — the emission's own handle, bound to
+        // the sequence number its transmitter assigned — and only a
+        // corrupting traversal forces the encode.
+        let (flit, seq) = emission.into_flit()?;
+        Some(RoutedFlit {
+            payload: FlitPayload::Clean { flit, seq },
+            dst: self.peer,
+            staged_at: 0,
+            protocol,
+            retransmission,
+            crossed: 0,
+        })
+    }
+
+    /// Takes delivery of `rf` at this endpoint (`e`) after its last link
+    /// traversal: receives it, audits the delivered messages and classifies
+    /// undetected-drop events.
+    pub(crate) fn deliver<P: Probe>(&mut self, e: usize, ctx: &mut SlotCtx<P>, rf: RoutedFlit) {
+        // A flit still `Clean` after its last traversal never needed wire
+        // bytes at all: the receiver takes the trusted path (no FEC decode,
+        // no CRC verify) whose outcome is provably identical. Anything that
+        // was ever corrupted — even if a switch FEC-corrected it back —
+        // stays `Wire` and takes the full decode, byte-for-byte the
+        // eager-encode engine's behaviour.
+        let result = match &rf.payload {
+            FlitPayload::Clean { flit, seq } => self.link.receive_trusted(flit, *seq, ctx.now),
+            FlitPayload::Wire(wire) => self.link.receive(wire, ctx.now),
+        };
+        if result.accepted {
+            ctx.guard.last_accept = ctx.slot;
+        }
+
+        let mut out_of_order = false;
+        for msg in &result.delivered {
+            let verdict = self.audit.observe_delivery(msg);
+            out_of_order |= verdict == DeliveryVerdict::OutOfOrder;
+            if P::ENABLED {
+                ctx.probe.on_deliver(DeliverEvent {
+                    slot: ctx.slot,
+                    session: self.session,
+                    src: self.peer,
+                    dst: e,
+                    downstream: self.is_device,
+                    key: message_key(msg),
+                    tag: msg.tag(),
+                    verdict,
+                });
+            }
+        }
+
+        // One undetected-drop (`Fail_order`) event per drop episode — the
+        // channel of the paper's Eqn (7): a dropped flit whose successor
+        // carried a piggybacked AckNum, so the receiver forwarded mis-ordered
+        // data *without noticing the gap*. The counter requires all of:
+        //
+        // * the flit was forwarded without a sequence check (AckNum in the
+        //   FSN field),
+        // * its messages jumped over a still-missing predecessor (the
+        //   auditor saw an out-of-order delivery),
+        // * the receiver was *not* already in a go-back-N replay — data an
+        //   ACK-carrying flit leaks through during a detected drop's replay
+        //   window is mis-ordered too, but it is a latency-dependent
+        //   second-order channel outside the analytic model,
+        // * no gap episode is already open (each episode counts once, until
+        //   the auditor sees the gap filled by a replay).
+        //
+        // RXL never forwards unchecked, so it can never produce such events.
+        if result.delivered_header.is_some() {
+            if result.accepted && !result.sequence_checked && out_of_order {
+                if self.link.rx().awaiting_replay() {
+                    ctx.report.replay_leak_events += 1;
+                } else if !self.gap_open {
+                    ctx.report.undetected_drop_events += 1;
+                    ctx.report.first_fail_order_slot.get_or_insert(ctx.slot);
+                    if P::ENABLED {
+                        ctx.probe.on_fail_order(ctx.slot, self.session, e);
+                    }
+                }
+            }
+            self.gap_open = self.audit.has_open_gaps();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rxl_flit::Flit256;
+    use rxl_switch::{InternalErrorModel, LinkCrcMode};
 
     impl PortSet {
         /// Every member, ascending.
@@ -251,7 +731,7 @@ mod tests {
         }
     }
 
-    impl SwitchNode {
+    impl SwitchActor {
         /// Panics unless, at the end of slot `slot`, every lane is as long
         /// as its credit ledger says, `active` holds exactly the ports with
         /// a non-empty lane, and no flit is stamped later than `slot`. Adds
@@ -313,5 +793,70 @@ mod tests {
         set.insert(100);
         assert_eq!(word1.collect::<Vec<_>>(), [64, 70]);
         assert_eq!(set.members(), [3, 70, 100, 129]);
+    }
+
+    /// A protocol flit bound for endpoint `dst`, in deferred form.
+    fn flit(dst: usize) -> RoutedFlit {
+        RoutedFlit {
+            payload: FlitPayload::Clean {
+                flit: FlitRef::new(Flit256::idle()),
+                seq: 0,
+            },
+            dst,
+            staged_at: 0,
+            protocol: true,
+            retransmission: false,
+            crossed: 0,
+        }
+    }
+
+    /// One switch driven on its own, with no engine around it: output port 0
+    /// has two VC lanes holding flits under credit and sends one flit per
+    /// slot.
+    #[test]
+    fn a_port_serves_its_two_lanes_round_robin_under_credit() {
+        let config = SwitchConfig {
+            ports: 2,
+            queue_capacity: 2,
+            internal_error: InternalErrorModel::none(),
+            crc_mode: LinkCrcMode::Passthrough,
+        };
+        let mut sw = SwitchActor::new(0, config, 2, Vec::new());
+        // Slot 1: flits 10 and 12 fill VC 0's two credits, 11 enters VC 1.
+        for (dst, vc) in [(10, 0), (11, 1), (12, 0)] {
+            assert!(sw.has_credit(0, vc));
+            sw.push(0, vc, flit(dst), 1);
+        }
+        assert!(!sw.has_credit(0, 0), "VC 0 is out of credit");
+        assert!(sw.has_credit(0, 1));
+        assert_eq!(sw.active.members(), [0]);
+        // A head that entered in this slot reads as absent.
+        assert!((0..2).all(|k| sw.head(0, k, 1).1.is_none()));
+
+        let mut granted = Vec::new();
+        for slot in 2..=5 {
+            let (vc, dst) = (0..2)
+                .find_map(|k| {
+                    let (vc, head) = sw.head(0, k, slot);
+                    head.map(|rf| (vc, rf.dst))
+                })
+                .expect("a head is waiting");
+            assert_eq!(sw.pop(0, vc).dst, dst);
+            assert!(sw.has_credit(0, vc), "the pop returned the credit");
+            granted.push((vc, dst));
+            if slot == 2 {
+                // Entered in slot 2, behind 11: served after VC 0's turn.
+                sw.push(0, 1, flit(13), slot);
+            }
+            let mut bound_for = [0; 14];
+            sw.check_invariants(slot, &mut bound_for);
+            let queued: u32 = bound_for.iter().sum();
+            assert_eq!(queued as usize, 3 - (slot - 2) as usize);
+            assert_eq!(sw.active.is_empty(), queued == 0, "slot {slot}");
+        }
+        // Each grant moved the arbiter one past the winner, so the lanes
+        // alternate, and the port left `active` with its last flit.
+        assert_eq!(granted, [(0, 10), (1, 11), (0, 12), (1, 13)]);
+        assert!(sw.active.is_empty());
     }
 }

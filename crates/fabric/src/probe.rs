@@ -261,7 +261,8 @@ pub enum EnginePhase {
     /// Phase 0: paced-injection release of due arrivals.
     PacedRelease = 0,
     /// Phase 1: endpoint transmit opportunities (emission, replay, and the
-    /// injection-link channel sampling of `enter_lane`).
+    /// injection hop into the endpoint's switch: the injection link's
+    /// channel pass and the switch pipeline).
     EndpointTx = 1,
     /// Phase 2: switch output-port forwarding — trunk hops *and* endpoint
     /// deliveries (delivery happens inside this phase's port scan).
