@@ -335,9 +335,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             if P::ENABLED {
                 let egress = self.routing.egress(sw, dst);
                 let evc = self.switches[sw].escape_vc(egress, crossed);
-                let ctx = &mut self.ctx;
-                ctx.probe
-                    .on_credit_stall(ctx.slot, sw, Some(egress), Some(evc));
+                self.ctx
+                    .probe
+                    .on_credit_stall(self.ctx.slot, sw, Some(egress), Some(evc));
             }
         }
         true
@@ -397,9 +397,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         if let Some(vc) = blocked {
             self.ctx.report.credit_stalls += 1;
             if P::ENABLED {
-                let ctx = &mut self.ctx;
-                ctx.probe
-                    .on_credit_stall(ctx.slot, sw, Some(port), Some(vc));
+                self.ctx
+                    .probe
+                    .on_credit_stall(self.ctx.slot, sw, Some(port), Some(vc));
             }
         }
     }
@@ -415,9 +415,9 @@ impl<'a, P: Probe> FabricSim<'a, P> {
     /// pre-pacing engine); with it set, injection is paced at the configured
     /// deterministic fixed rate via [`InjectionPacing::fixed_rate`].
     pub fn begin(&mut self, workload: &FabricWorkload) {
-        let rate = |fraction| fraction * MESSAGES_PER_FLIT as f64;
-        let pacing =
-            (self.config.offered_load).map(|f| InjectionPacing::fixed_rate(workload, rate(f)));
+        let pacing = self.config.offered_load.map(|fraction| {
+            InjectionPacing::fixed_rate(workload, fraction * MESSAGES_PER_FLIT as f64)
+        });
         self.load_workload(workload, pacing.as_ref());
     }
 
