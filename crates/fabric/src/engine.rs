@@ -312,25 +312,19 @@ impl<'a, P: Probe> FabricSim<'a, P> {
         true
     }
 
-    /// Endpoint `e`'s transmit opportunity: a flit held in its stall
-    /// register goes first; otherwise the endpoint emits, and its flit hops
-    /// at once. A blocked hop keeps the flit and charges the stall to the
-    /// planned escape egress, the port whose lanes were out of credit.
-    /// Returns `false` if the endpoint had nothing to send.
-    fn endpoint_tx(&mut self, e: usize) -> bool {
-        let node = &mut self.endpoints[e];
-        if node.stalled.is_none() {
-            node.stalled = node.emit(e, &mut self.ctx);
-        }
-        let (sw, Some(rf)) = (node.switch, &node.stalled) else {
-            return false;
-        };
+    /// Endpoint `e`'s transmit opportunity for `rf`, the flit held in its
+    /// stall register or the one it just emitted. A blocked hop puts the
+    /// flit back in the register and charges the stall to the planned
+    /// escape egress, the port whose lanes were out of credit.
+    fn inject(&mut self, e: usize, rf: RoutedFlit) {
         // `rf` is not in the fabric yet, so `in_flight` counts only the
         // other flits of its stream.
-        let (dst, crossed) = (rf.dst, rf.crossed);
+        let (sw, dst, crossed) = (self.endpoints[e].switch, rf.dst, rf.crossed);
         let others = self.endpoints[dst].in_flight;
-        let take = |sim: &mut Self| sim.endpoints[e].stalled.take().expect("the held flit");
+        let mut held = Some(rf);
+        let take = |_: &mut Self| held.take().expect("a hop takes its flit once");
         if !self.hop(sw, e, (dst, crossed, others), take) {
+            self.endpoints[e].stalled = held;
             self.ctx.report.credit_stalls += 1;
             if P::ENABLED {
                 let egress = self.routing.egress(sw, dst);
@@ -340,7 +334,6 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                     .on_credit_stall(self.ctx.slot, sw, Some(egress), Some(evc));
             }
         }
-        true
     }
 
     /// One output port's transmit opportunity for this slot: scan the port's
@@ -524,9 +517,15 @@ impl<'a, P: Probe> FabricSim<'a, P> {
                 .phase_mark(&mut phase_clock, EnginePhase::PacedRelease);
 
             // Phase 1 — endpoint transmit opportunities, in endpoint order.
+            // A flit held in an endpoint's stall register goes first;
+            // otherwise the endpoint emits, and its flit hops at once.
             let mut all_endpoints_idle = true;
             for e in 0..self.endpoints.len() {
-                all_endpoints_idle &= !self.endpoint_tx(e);
+                let node = &mut self.endpoints[e];
+                if let Some(rf) = node.stalled.take().or_else(|| node.emit(e, &mut self.ctx)) {
+                    all_endpoints_idle = false;
+                    self.inject(e, rf);
+                }
             }
             self.ctx
                 .phase_mark(&mut phase_clock, EnginePhase::EndpointTx);

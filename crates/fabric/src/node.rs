@@ -394,6 +394,7 @@ impl SwitchActor {
     /// (`others == 0`) re-chooses its path by occupancy. The escape lane
     /// stays available as the Duato valve either way, so deadlock freedom
     /// never depends on the pins.
+    #[inline]
     pub(crate) fn plan(
         &self,
         routes: &RoutingTable,
@@ -464,7 +465,7 @@ impl SwitchActor {
         // internal error model), so only the statistics need touching. This
         // is where the skip-ahead path earns its quiet-link speedup: no FEC
         // decode, no CRC verify, no re-encode — and, for a still-deferred
-        // [`FlitPayload::Clean`] flit, no wire bytes at all.
+        // [`FlitPayload::Clean`] flit, no wire bytes at all. `corrected` is
         // `None` once the pipeline dropped the flit as uncorrectable.
         let corrected = if flips == 0 {
             self.switch.forward_clean();
@@ -619,6 +620,7 @@ impl EndpointActor {
     /// Endpoint `e`'s emission for the slot: tops the transmitter up from
     /// the injector, takes its emission and, if that carries a flit, wraps
     /// it for the fabric, bound for the peer.
+    #[inline]
     pub(crate) fn emit<P: Probe>(&mut self, e: usize, ctx: &mut SlotCtx<P>) -> Option<RoutedFlit> {
         self.injector.feed(&mut self.link);
         let emission = self.link.emit(ctx.now);
