@@ -37,7 +37,7 @@ use rand::SeedableRng;
 
 use rxl_flit::MESSAGES_PER_FLIT;
 use rxl_link::{Channel, LinkCodec, LinkStats};
-use rxl_switch::{SwitchStats, MAX_VCS};
+use rxl_switch::SwitchStats;
 use rxl_transport::{DeliveryAuditor, FailureCounts};
 
 use crate::injector::{inject_events, Injector};
@@ -51,6 +51,11 @@ use crate::topology::{FabricTopology, LinkId};
 pub use crate::trial::{
     FabricConfig, FabricCounters, FabricReport, FabricWorkload, InjectionPacing, StepOutcome,
 };
+
+/// Upper bound on `FabricConfig::vc_count`. Small on purpose: a port's
+/// round-robin index is a `u8`, and real CXL switches carry single-digit VC
+/// counts.
+const MAX_VCS: usize = 8;
 
 /// One fabric trial: an actor per switch and per endpoint, a wire per link,
 /// and the slot loop ([`Self::step`]) that gives each its turn. What a turn
@@ -179,6 +184,10 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             "vc_count must be in 1..={MAX_VCS}"
         );
         assert!(
+            config.queue_capacity >= 1,
+            "queue_capacity must be at least 1: a lane needs a credit"
+        );
+        assert!(
             !config.adaptive || vcc >= 3,
             "adaptive routing needs two escape VCs plus at least one adaptive VC (vc_count >= 3)"
         );
@@ -212,7 +221,10 @@ impl<'a, P: Probe> FabricSim<'a, P> {
             .switches
             .iter()
             .enumerate()
-            .map(|(id, sw)| SwitchActor::new(id, config.switch_config(sw.ports), vcc, pins.clone()))
+            .map(|(id, sw)| {
+                let switch = config.switch_config(sw.ports);
+                SwitchActor::new(id, switch, vcc, config.queue_capacity, pins.clone())
+            })
             .collect();
         for (id, ep) in topology.endpoints.iter().enumerate() {
             switches[ep.switch].peers[ep.port] = PortPeer::Endpoint(id);
@@ -1036,6 +1048,38 @@ mod tests {
         let config = FabricConfig::new(ProtocolVariant::Rxl)
             .with_vc_count(2)
             .with_adaptive(true);
+        let _ = FabricSim::new(&t, &routing, config);
+    }
+
+    /// A VC count outside `1..=MAX_VCS` is rejected by the constructor.
+    #[test]
+    #[should_panic(expected = "vc_count must be in 1..=8")]
+    fn zero_vcs_are_rejected() {
+        let t = FabricTopology::ring(4, 1, 1);
+        let routing = RoutingTable::new(&t);
+        let config = FabricConfig::new(ProtocolVariant::Rxl).with_vc_count(0);
+        let _ = FabricSim::new(&t, &routing, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "vc_count must be in 1..=8")]
+    fn more_than_max_vcs_are_rejected() {
+        let t = FabricTopology::ring(4, 1, 1);
+        let routing = RoutingTable::new(&t);
+        let config = FabricConfig::new(ProtocolVariant::Rxl).with_vc_count(MAX_VCS + 1);
+        let _ = FabricSim::new(&t, &routing, config);
+    }
+
+    /// A lane with no credit could never accept a flit.
+    #[test]
+    #[should_panic(expected = "queue_capacity must be at least 1")]
+    fn zero_queue_capacity_is_rejected() {
+        let t = FabricTopology::ring(4, 1, 1);
+        let routing = RoutingTable::new(&t);
+        let config = FabricConfig {
+            queue_capacity: 0,
+            ..FabricConfig::new(ProtocolVariant::Rxl)
+        };
         let _ = FabricSim::new(&t, &routing, config);
     }
 

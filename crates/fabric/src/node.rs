@@ -14,7 +14,7 @@ use rxl_link::{
     Channel, ChannelErrorModel, EventCursor, FlitRef, LinkCodec, LinkConfig, LinkEndpoint,
     TxEmission,
 };
-use rxl_switch::{ProcessVerdict, Switch, SwitchConfig, VcArbiter, VcCredits};
+use rxl_switch::{ProcessVerdict, Switch, SwitchConfig};
 use rxl_transport::{DeliveryAuditor, DeliveryVerdict};
 
 use crate::injector::Injector;
@@ -303,6 +303,13 @@ impl Wire {
 
 /// One switching device of a trial: the `rxl-switch` forwarding pipeline
 /// plus the bounded output lanes of its ports.
+///
+/// A lane is the one record of its buffer: its length is the credit count
+/// a sender checks (a lane holds at most `capacity` flits), and a port's
+/// lanes summed are the congestion signal the adaptive egress choice
+/// compares. Each VC owns a private lane, so an escape VC makes progress
+/// while the adaptive VCs of the same port are wedged (the dateline scheme
+/// on the topology types).
 pub(crate) struct SwitchActor {
     /// This switch's index in the topology, as the probe names it.
     id: usize,
@@ -311,12 +318,12 @@ pub(crate) struct SwitchActor {
     /// channel `vc` of that port, oldest first. With `vc_count == 1` the
     /// lane index degenerates to the port index — the pre-VC layout.
     lanes: Vec<VecDeque<RoutedFlit>>,
-    /// Per-port VC credit ledgers — the occupancy count over `lanes` that
-    /// senders check, and the congestion signal the adaptive egress choice
-    /// compares.
-    credits: Vec<VcCredits>,
-    /// Per-port round-robin VC output arbiters.
-    arb: Vec<VcArbiter>,
+    /// Flits one lane may hold: `FabricConfig::queue_capacity`.
+    capacity: usize,
+    /// `next[port]`: the VC that port's round-robin output arbitration
+    /// scans first. A grant moves it one past the winner, so every
+    /// non-empty VC, the escape VC included, is served within `vcc` grants.
+    next: Vec<u8>,
     pub(crate) peers: Vec<PortPeer>,
     /// Ports with a flit in any lane (the bits stay port-granular; lanes
     /// share their port's bit).
@@ -339,14 +346,20 @@ pub(crate) struct SwitchActor {
 
 impl SwitchActor {
     /// Switch `id` with `config.ports` unconnected ports of `vcc` empty
-    /// lanes, each `config.queue_capacity` flits deep.
-    pub(crate) fn new(id: usize, config: SwitchConfig, vcc: usize, pins: Vec<u32>) -> Self {
+    /// lanes, each `capacity` flits deep.
+    pub(crate) fn new(
+        id: usize,
+        config: SwitchConfig,
+        vcc: usize,
+        capacity: usize,
+        pins: Vec<u32>,
+    ) -> Self {
         let ports = config.ports;
         SwitchActor {
             id,
             lanes: (0..ports * vcc).map(|_| VecDeque::new()).collect(),
-            credits: vec![VcCredits::new(vcc, config.queue_capacity); ports],
-            arb: vec![VcArbiter::new(); ports],
+            capacity,
+            next: vec![0; ports],
             peers: vec![PortPeer::Unconnected; ports],
             active: PortSet::new(ports),
             switch: Switch::new(config),
@@ -360,12 +373,13 @@ impl SwitchActor {
     /// Free credit on VC `vc` of output port `port`.
     #[inline]
     pub(crate) fn has_credit(&self, port: usize, vc: usize) -> bool {
-        debug_assert_eq!(
-            self.credits[port].occupancy(vc),
-            self.lanes[port * self.vcc + vc].len(),
-            "credit ledger must mirror the lane"
-        );
-        self.credits[port].has_credit(vc)
+        self.lanes[port * self.vcc + vc].len() < self.capacity
+    }
+
+    /// The lanes of output port `port`, VC 0 first.
+    #[inline]
+    fn port_lanes(&self, port: usize) -> &[VecDeque<RoutedFlit>] {
+        &self.lanes[port * self.vcc..][..self.vcc]
     }
 
     /// The escape VC a flit with dateline-crossing state `crossed` rides on
@@ -421,7 +435,7 @@ impl SwitchActor {
                 if pinned != NO_PIN && port as u32 != pinned {
                     continue;
                 }
-                let occupancy = self.credits[port].total_occupancy();
+                let occupancy: usize = self.port_lanes(port).iter().map(VecDeque::len).sum();
                 for vc in 2..self.vcc {
                     if self.has_credit(port, vc) {
                         let key = (occupancy, port, vc);
@@ -514,7 +528,7 @@ impl SwitchActor {
         }
         self.push(egress, vc, rf, ctx.slot);
         if P::ENABLED {
-            let occupancy = self.credits[egress].occupancy(vc);
+            let occupancy = self.lanes[egress * self.vcc + vc].len();
             ctx.probe
                 .on_vc_occupancy(ctx.slot, self.id, egress, vc, occupancy);
         }
@@ -527,7 +541,6 @@ impl SwitchActor {
     pub(crate) fn push(&mut self, port: usize, vc: usize, mut rf: RoutedFlit, slot: u64) {
         rf.staged_at = slot as u32;
         self.lanes[port * self.vcc + vc].push_back(rf);
-        self.credits[port].occupy(vc);
         self.active.insert(port);
     }
 
@@ -538,19 +551,18 @@ impl SwitchActor {
     /// lane reads as empty.
     #[inline]
     pub(crate) fn head(&self, port: usize, k: usize, slot: u64) -> (usize, Option<&RoutedFlit>) {
-        let vc = self.arb[port].pick(k, self.vcc);
+        let vc = (usize::from(self.next[port]) + k) % self.vcc;
         let head = self.lanes[port * self.vcc + vc].front();
         (vc, head.filter(|rf| rf.staged_at != slot as u32))
     }
 
     /// Takes the head of lane `(port, vc)`, returning its credit and moving
-    /// the port's arbiter one past `vc`.
+    /// the port's arbitration one past `vc`.
     #[inline]
     pub(crate) fn pop(&mut self, port: usize, vc: usize) -> RoutedFlit {
         let lanes = &mut self.lanes[port * self.vcc..][..self.vcc];
         let rf = lanes[vc].pop_front().expect("pop follows head");
-        self.credits[port].release(vc);
-        self.arb[port].grant(vc, self.vcc);
+        self.next[port] = ((vc + 1) % self.vcc) as u8;
         if lanes.iter().all(VecDeque::is_empty) {
             self.active.remove(port);
         }
@@ -562,7 +574,6 @@ impl SwitchActor {
         for lane in &mut self.lanes {
             lane.drain(..).for_each(&mut lost);
         }
-        self.credits.iter_mut().for_each(VcCredits::purge);
         self.active = PortSet::new(self.peers.len());
     }
 }
@@ -723,6 +734,7 @@ impl EndpointActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::FabricTopology;
     use rxl_flit::Flit256;
     use rxl_switch::{InternalErrorModel, LinkCrcMode};
 
@@ -734,24 +746,22 @@ mod tests {
     }
 
     impl SwitchActor {
-        /// Panics unless, at the end of slot `slot`, every lane is as long
-        /// as its credit ledger says, `active` holds exactly the ports with
-        /// a non-empty lane, and no flit is stamped later than `slot`. Adds
+        /// Panics unless, at the end of slot `slot`, no lane holds more
+        /// than `capacity` flits, `active` holds exactly the ports with a
+        /// non-empty lane, and no flit is stamped later than `slot`. Adds
         /// each queued flit to `bound_for[its destination]`.
         pub(crate) fn check_invariants(&self, slot: u64, bound_for: &mut [u32]) {
             let mut busy = Vec::new();
             for port in 0..self.peers.len() {
-                let lanes = &self.lanes[port * self.vcc..][..self.vcc];
-                for (vc, lane) in lanes.iter().enumerate() {
-                    assert_eq!(lane.len(), self.credits[port].occupancy(vc), "ledger");
+                let lanes = self.port_lanes(port);
+                for lane in lanes {
+                    assert!(lane.len() <= self.capacity, "lane over capacity");
                     for rf in lane {
                         assert!(u64::from(rf.staged_at) <= slot, "stamped in the future");
                         bound_for[rf.dst] += 1;
                     }
                 }
-                let queued: usize = lanes.iter().map(VecDeque::len).sum();
-                assert_eq!(queued, self.credits[port].total_occupancy(), "ledger total");
-                if queued > 0 {
+                if lanes.iter().any(|lane| !lane.is_empty()) {
                     busy.push(port);
                 }
             }
@@ -819,11 +829,10 @@ mod tests {
     fn a_port_serves_its_two_lanes_round_robin_under_credit() {
         let config = SwitchConfig {
             ports: 2,
-            queue_capacity: 2,
             internal_error: InternalErrorModel::none(),
             crc_mode: LinkCrcMode::Passthrough,
         };
-        let mut sw = SwitchActor::new(0, config, 2, Vec::new());
+        let mut sw = SwitchActor::new(0, config, 2, 2, Vec::new());
         // Slot 1: flits 10 and 12 fill VC 0's two credits, 11 enters VC 1.
         for (dst, vc) in [(10, 0), (11, 1), (12, 0)] {
             assert!(sw.has_credit(0, vc));
@@ -860,5 +869,77 @@ mod tests {
         // alternate, and the port left `active` with its last flit.
         assert_eq!(granted, [(0, 10), (1, 11), (0, 12), (1, 13)]);
         assert!(sw.active.is_empty());
+    }
+
+    /// Leaf 0 of `leaf_spine(2, 3, 1)` on its own, adaptive at 3 VCs with
+    /// lanes 2 flits deep. Its uplinks, ports 2, 3 and 4, are the candidate
+    /// ports towards endpoint 3 (the device on leaf 1), and port 2 is the
+    /// escape route. VCs 0 and 1 are the escape lanes, VC 2 the adaptive one.
+    #[test]
+    fn adaptive_plan_prefers_the_emptiest_port_and_falls_back_to_escape() {
+        let t = FabricTopology::leaf_spine(2, 3, 1);
+        let routes = RoutingTable::new(&t);
+        let config = SwitchConfig::simple(t.switches[0].ports);
+        let pins = vec![NO_PIN; t.endpoints.len()];
+        let mut sw = SwitchActor::new(0, config, 3, 2, pins);
+        for (id, ep) in t.endpoints.iter().enumerate() {
+            if ep.switch == 0 {
+                sw.peers[ep.port] = PortPeer::Endpoint(id);
+            }
+        }
+        for (trunk, link) in t.trunks.iter().enumerate() {
+            for (near, far) in [(link.a, link.b), (link.b, link.a)] {
+                if near.0 == 0 {
+                    sw.peers[near.1] = PortPeer::Trunk {
+                        switch: far.0,
+                        trunk,
+                        dim: 0,
+                        dateline: 0,
+                    };
+                }
+            }
+        }
+        let dst = 3;
+        assert_eq!(routes.candidates(0, dst), [2, 3, 4]);
+        assert_eq!(routes.egress(0, dst), 2);
+        let plan = |sw: &SwitchActor, others| sw.plan(&routes, dst, 0, others);
+        let lane = |egress, vc| HopPlan::Lane { egress, vc };
+
+        // Empty ports tie at 0; the lowest port wins.
+        assert_eq!(plan(&sw, 0), lane(2, 2));
+        // A flit in port 2's escape lane counts: ports 3 and 4 now tie.
+        sw.push(2, 0, flit(dst), 1);
+        assert_eq!(plan(&sw, 0), lane(3, 2));
+
+        // Port 3 is the emptiest (2 flits) but its adaptive lane is full;
+        // ports 2 and 4 hold 3 flits each, and port 2 wins the tie.
+        sw.push(2, 1, flit(dst), 1);
+        sw.push(2, 1, flit(dst), 1);
+        for (port, vc) in [(3, 2), (3, 2), (4, 0), (4, 0), (4, 1)] {
+            sw.push(port, vc, flit(dst), 1);
+        }
+        assert!(!sw.has_credit(3, 2));
+        assert_eq!(plan(&sw, 0), lane(2, 2));
+
+        // A pin binds while other flits of the stream are in flight, and is
+        // ignored once the stream is idle.
+        sw.pins[dst] = 4;
+        assert_eq!(plan(&sw, 1), lane(4, 2));
+        assert_eq!(plan(&sw, 0), lane(2, 2));
+        // Pinned to port 3, whose adaptive lane is full: the escape lane.
+        sw.pins[dst] = 3;
+        assert_eq!(plan(&sw, 1), lane(2, 0));
+
+        // Every adaptive lane full: the escape lane, then nothing.
+        for port in [2, 4] {
+            sw.push(port, 2, flit(dst), 1);
+            sw.push(port, 2, flit(dst), 1);
+        }
+        assert_eq!(plan(&sw, 0), lane(2, 0));
+        sw.push(2, 0, flit(dst), 1);
+        assert_eq!(plan(&sw, 0), HopPlan::Blocked);
+        let mut bound_for = vec![0; t.endpoints.len()];
+        sw.check_invariants(1, &mut bound_for);
+        assert_eq!(bound_for[dst], 13);
     }
 }

@@ -22,8 +22,8 @@ pub struct FabricConfig {
     pub channel: ChannelErrorModel,
     /// ACK coalescing level (one ACK per this many accepted flits).
     pub ack_coalescing: u32,
-    /// Depth of every switch-port output queue, in flits (the credit count
-    /// advertised to the upstream sender).
+    /// Depth of every switch output lane (one per port and VC), in flits:
+    /// the credit count advertised to the upstream sender. At least 1.
     pub queue_capacity: usize,
     /// Hard limit on simulated slots.
     pub max_slots: u64,
@@ -39,7 +39,7 @@ pub struct FabricConfig {
     pub stall_slots: u64,
     /// RNG seed for channel errors and switch faults.
     pub seed: u64,
-    /// Virtual channels per switch output port, in `1..=`[`rxl_switch::MAX_VCS`].
+    /// Virtual channels per switch output port, in `1..=8`.
     /// Each VC owns a private buffer of [`Self::queue_capacity`] flits with
     /// its own credit. `1` (the default) reproduces the pre-VC engine
     /// byte-for-byte — including its ring(span ≥ 2) credit deadlock. `≥ 2`
@@ -138,7 +138,6 @@ impl FabricConfig {
     pub(crate) fn switch_config(&self, ports: usize) -> SwitchConfig {
         SwitchConfig {
             ports,
-            queue_capacity: self.queue_capacity,
             internal_error: InternalErrorModel::none(),
             crc_mode: match self.variant {
                 ProtocolVariant::Rxl => LinkCrcMode::Passthrough,

@@ -78,7 +78,6 @@ impl SimConfig {
     fn switch_config(&self) -> SwitchConfig {
         SwitchConfig {
             ports: 2,
-            queue_capacity: 64,
             internal_error: InternalErrorModel::none(),
             crc_mode: match self.variant {
                 ProtocolVariant::Rxl => LinkCrcMode::Passthrough,
@@ -97,21 +96,13 @@ pub struct PathSim {
     rng: StdRng,
 }
 
-/// Port index facing the host on every switch.
-const UPSTREAM_PORT: usize = 0;
-/// Port index facing the device on every switch.
-const DOWNSTREAM_PORT: usize = 1;
-
 impl PathSim {
     /// Builds the path described by `config`.
     pub fn new(config: SimConfig) -> Self {
         let link_cfg = config.link_config();
-        let mut switches = Vec::new();
-        for _ in 0..config.topology.levels() {
-            let mut sw = Switch::new(config.switch_config());
-            sw.connect_duplex(UPSTREAM_PORT, DOWNSTREAM_PORT);
-            switches.push(sw);
-        }
+        let switches = (0..config.topology.levels())
+            .map(|_| Switch::new(config.switch_config()))
+            .collect();
         PathSim {
             host: LinkEndpoint::new(link_cfg),
             device: LinkEndpoint::new(link_cfg),
@@ -132,12 +123,9 @@ impl PathSim {
     fn traverse_downstream(&mut self, mut wire: WireFlit) -> Option<WireFlit> {
         self.config.channel.apply(&mut wire, &mut self.rng);
         for sw in self.switches.iter_mut() {
-            if !sw.ingress(UPSTREAM_PORT, &wire, &mut self.rng).forwarded() {
+            if !sw.process_in_place(&mut wire, &mut self.rng).forwarded() {
                 return None;
             }
-            wire = sw
-                .egress(DOWNSTREAM_PORT)
-                .expect("forwarded flit must be queued on the egress port");
             self.config.channel.apply(&mut wire, &mut self.rng);
         }
         Some(wire)
@@ -147,15 +135,9 @@ impl PathSim {
     fn traverse_upstream(&mut self, mut wire: WireFlit) -> Option<WireFlit> {
         self.config.channel.apply(&mut wire, &mut self.rng);
         for sw in self.switches.iter_mut().rev() {
-            if !sw
-                .ingress(DOWNSTREAM_PORT, &wire, &mut self.rng)
-                .forwarded()
-            {
+            if !sw.process_in_place(&mut wire, &mut self.rng).forwarded() {
                 return None;
             }
-            wire = sw
-                .egress(UPSTREAM_PORT)
-                .expect("forwarded flit must be queued on the egress port");
             self.config.channel.apply(&mut wire, &mut self.rng);
         }
         Some(wire)

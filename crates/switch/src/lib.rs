@@ -19,11 +19,7 @@
 pub mod internal_error;
 pub mod stats;
 pub mod switch;
-pub mod vc;
 
 pub use internal_error::InternalErrorModel;
 pub use stats::SwitchStats;
-pub use switch::{
-    IngressOutcome, LinkCrcMode, ProcessOutcome, ProcessVerdict, Switch, SwitchConfig,
-};
-pub use vc::{VcArbiter, VcCredits, MAX_VCS};
+pub use switch::{LinkCrcMode, ProcessVerdict, Switch, SwitchConfig};

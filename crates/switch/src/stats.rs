@@ -12,9 +12,13 @@ pub struct SwitchStats {
     /// Flits silently dropped because the FEC reported an uncorrectable
     /// pattern — the drops whose downstream consequences the paper analyses.
     pub flits_dropped_uncorrectable: u64,
-    /// Flits dropped because no route existed for the ingress port.
+    /// Always 0: a switch keeps no route table, so no flit lacks a route.
+    /// Kept because its `Debug`/`Display` text is part of pinned report
+    /// digests and example output.
     pub flits_dropped_no_route: u64,
-    /// Flits dropped because the egress queue was full.
+    /// Always 0: lanes are credit-gated, so no flit meets a full buffer.
+    /// Kept because its `Debug`/`Display` text is part of pinned report
+    /// digests and example output.
     pub flits_dropped_queue_full: u64,
     /// Flits corrupted by switch-internal faults after the FEC decode.
     pub flits_internally_corrupted: u64,
