@@ -878,8 +878,9 @@ mod tests {
     #[test]
     fn tiny_queues_backpressure_without_losing_flits() {
         // Eight sessions funnel through one spine with single-flit queues:
-        // heavy credit stalling, but nothing is dropped and (with an ideal
-        // channel) everything still arrives cleanly.
+        // heavy credit stalling, but every lane stays within its bound after
+        // every slot (`run_checked`), nothing is dropped or blackholed and
+        // (with an ideal channel) everything still arrives cleanly.
         let t = FabricTopology::leaf_spine(2, 1, 4);
         let routing = RoutingTable::new(&t);
         let config = FabricConfig {
@@ -888,10 +889,14 @@ mod tests {
         }
         .with_channel(ChannelErrorModel::ideal());
         let workload = FabricWorkload::symmetric(t.session_count(), 40, 8, 3);
-        let report = FabricSim::new(&t, &routing, config).run(&workload);
+        let mut sim = FabricSim::new(&t, &routing, config);
+        sim.begin(&workload);
+        assert_eq!(sim.run_checked(|_| ()), StepOutcome::Drained);
+        let report = sim.finish();
         assert!(report.drained);
         assert!(report.credit_stalls > 0, "single-flit queues must stall");
-        assert_eq!(report.switches.flits_dropped_queue_full, 0);
+        assert_eq!(report.blackholed_flits, 0);
+        assert_eq!(report.switches.flits_dropped_uncorrectable, 0);
         assert!(
             report.total_failures().is_clean(),
             "{:?}",

@@ -662,8 +662,8 @@ impl EndpointActor {
     }
 
     /// Takes delivery of `rf` at this endpoint (`e`) after its last link
-    /// traversal: receives it, audits the delivered messages and classifies
-    /// undetected-drop events.
+    /// traversal: receives it, audits the delivered messages as one flit
+    /// and classifies undetected-drop events.
     pub(crate) fn deliver<P: Probe>(&mut self, e: usize, ctx: &mut SlotCtx<P>, rf: RoutedFlit) {
         // A flit still `Clean` after its last traversal never needed wire
         // bytes at all: the receiver takes the trusted path (no FEC decode,
@@ -679,9 +679,11 @@ impl EndpointActor {
             ctx.guard.last_accept = ctx.slot;
         }
 
+        // One audit per flit: on the auditor's run path (every flit of a
+        // link that delivers in send order) that is one slice compare, and
+        // with `NullProbe` the closure does no work per message.
         let mut out_of_order = false;
-        for msg in &result.delivered {
-            let verdict = self.audit.observe_delivery(msg);
+        self.audit.observe_flit(&result.delivered, |msg, verdict| {
             out_of_order |= verdict == DeliveryVerdict::OutOfOrder;
             if P::ENABLED {
                 ctx.probe.on_deliver(DeliverEvent {
@@ -695,7 +697,7 @@ impl EndpointActor {
                     verdict,
                 });
             }
-        }
+        });
 
         // One undetected-drop (`Fail_order`) event per drop episode — the
         // channel of the paper's Eqn (7): a dropped flit whose successor

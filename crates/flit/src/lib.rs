@@ -43,6 +43,6 @@ pub use flit256::{Flit256, FLIT_PAYLOAD_LEN};
 pub use header::{FlitHeader, FlitType, ReplayCmd, FSN_BITS, FSN_MASK};
 pub use message::{MemOp, Message, RspStatus};
 pub use slots::{
-    pack_messages, pack_messages_into, unpack_messages, unpack_messages_into, SlotError,
-    MESSAGES_PER_FLIT, SLOT_LEN,
+    encode_slot, pack_messages, pack_messages_into, unpack_messages, unpack_messages_into,
+    SlotError, MESSAGES_PER_FLIT, SLOT_LEN,
 };

@@ -53,7 +53,12 @@ impl std::fmt::Display for SlotError {
 
 impl std::error::Error for SlotError {}
 
-fn encode_slot(msg: &Message) -> [u8; SLOT_LEN] {
+/// One message as its 16-byte slot — what [`pack_messages_into`] writes
+/// per message; an all-zero slot is empty. Public for writers that fill a
+/// payload slot by slot from a source that is not one slice (the link
+/// transmitter's pending queue).
+#[inline]
+pub fn encode_slot(msg: &Message) -> [u8; SLOT_LEN] {
     let mut slot = [0u8; SLOT_LEN];
     match *msg {
         Message::Request {

@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use rxl_flit::{Flit256, FlitHeader, Message, WireFlit, MESSAGES_PER_FLIT};
+use rxl_flit::{encode_slot, Flit256, FlitHeader, Message, WireFlit, MESSAGES_PER_FLIT, SLOT_LEN};
 
 use crate::retry::ReplayBuffer;
 use crate::seq::{seq_add, seq_next};
@@ -311,13 +311,6 @@ impl LinkTx {
         //    allows it).
         if !self.pending_msgs.is_empty() && !self.replay.is_full() {
             let count = self.pending_msgs.len().min(MESSAGES_PER_FLIT);
-            // Stage the flit's messages in a stack buffer (no per-flit Vec).
-            let mut msg_buf = [Message::response_ok(0, 0); MESSAGES_PER_FLIT];
-            for (slot, msg) in msg_buf.iter_mut().zip(self.pending_msgs.iter()) {
-                *slot = *msg;
-            }
-            self.pending_msgs.drain(..count);
-            let msgs = &msg_buf[..count];
             let seq = self.next_seq;
 
             let header = if self.config.variant.piggybacks_acks() {
@@ -331,12 +324,20 @@ impl LinkTx {
                 self.default_protocol_header(seq)
             };
 
-            // The one write of this flit: from here on it is shared, not
-            // copied (replay buffer and emission hold the same handle).
-            let mut flit = Flit256::new(header);
-            flit.pack_messages(msgs)
-                .expect("message count bounded by MESSAGES_PER_FLIT");
-            let flit = Rc::new(flit);
+            // The one write of this flit, in place: the pending messages are
+            // encoded slot by slot straight into the flit's allocation
+            // (`Flit256::new` left the unused slots empty). From here on it
+            // is shared, not copied (replay buffer and emission hold the
+            // same handle).
+            let mut flit = Rc::new(Flit256::new(header));
+            let slots = Rc::get_mut(&mut flit)
+                .expect("a new flit has one handle")
+                .payload
+                .chunks_exact_mut(SLOT_LEN);
+            for (slot, msg) in slots.zip(self.pending_msgs.range(..count)) {
+                slot.copy_from_slice(&encode_slot(msg));
+            }
+            self.pending_msgs.drain(..count);
             self.replay.push(seq, Rc::clone(&flit));
             self.next_seq = seq_next(seq);
             self.stats.flits_sent += 1;

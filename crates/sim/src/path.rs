@@ -186,17 +186,13 @@ impl PathSim {
             if let Some(wire) = self.host.encode_emission(&host_emission) {
                 if let Some(arrived) = self.traverse_downstream(wire) {
                     let result = self.device.receive(&arrived, now);
-                    for msg in &result.delivered {
-                        downstream_audit.observe_delivery(msg);
-                    }
+                    downstream_audit.observe_flit(&result.delivered, |_, _| {});
                 }
             }
             if let Some(wire) = self.device.encode_emission(&device_emission) {
                 if let Some(arrived) = self.traverse_upstream(wire) {
                     let result = self.host.receive(&arrived, now);
-                    for msg in &result.delivered {
-                        upstream_audit.observe_delivery(msg);
-                    }
+                    upstream_audit.observe_flit(&result.delivered, |_, _| {});
                 }
             }
 

@@ -77,19 +77,49 @@ impl CqidCursor {
 /// [`SentStream`] that every trial over the same workload shares (see its
 /// ownership contract); what one trial owns is a delivered bit per stream
 /// position and one cursor per CQID — about a bit per message.
+///
+/// # The run state
+///
+/// An auditor starts in the *run state*: every delivery so far was exactly
+/// `stream[..prefix]`, in send order, once each (`prefix` being the count
+/// of messages delivered). A link that delivers in send order — RXL, whose
+/// implicit sequence numbers reject every out-of-order flit — keeps it
+/// there for the whole trial. In it, [`Self::observe_flit`] judges a flit
+/// whose messages are the stream's next contiguous run with one slice
+/// compare and two counter bumps, and leaves the bitset and the cursors
+/// stale.
+///
+/// The verdicts and counters are those of the per-message path, by
+/// construction: with the delivered set a prefix of the stream, each
+/// CQID's delivered messages are a prefix of its ranks, so no CQID has a
+/// gap, and the rank after the CQID's last delivery holds exactly
+/// `stream[prefix + i]` — the per-message path would find message `i` of
+/// the run there, intact and in order.
+///
+/// The first delivery that is not the stream's next run (a duplicate, a
+/// jump, a corrupted copy, a never-sent identity), and any call of
+/// [`Self::observe_delivery`], leaves the run state for good: one step
+/// sets bits `[0, prefix)` and rebuilds each CQID's cursor at `k`, the
+/// number of its positions below `prefix`, which is what the per-message
+/// path would have left.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryAuditor {
     stream: Arc<SentStream>,
-    /// Bit `p` set once the message at stream position `p` was delivered.
+    /// Bit `p` set once the message at stream position `p` was delivered
+    /// (stale in the run state).
     delivered: Vec<u64>,
-    /// Parallel to the stream index's CQID slots.
+    /// Parallel to the stream index's CQID slots (stale in the run state).
     cursors: Vec<CqidCursor>,
     counts: FailureCounts,
     /// Number of CQIDs currently holding an ordering gap (a delivered
     /// message ahead of a missing earlier one).
     gapped_cqids: usize,
-    /// Total messages delivered at least once across all CQIDs.
+    /// Total messages delivered at least once across all CQIDs; in the run
+    /// state, the length of the delivered prefix of the stream.
     delivered_unique: usize,
+    /// `false` in the run state; `true` once `delivered` and `cursors` are
+    /// kept per message.
+    cursors_live: bool,
 }
 
 impl DeliveryAuditor {
@@ -112,6 +142,7 @@ impl DeliveryAuditor {
             counts: FailureCounts::default(),
             gapped_cqids: 0,
             delivered_unique: 0,
+            cursors_live: false,
         }
     }
 
@@ -130,7 +161,71 @@ impl DeliveryAuditor {
         self.stream.len()
     }
 
-    /// Classifies one delivered message and updates the counters.
+    /// Classifies the messages of one delivered flit, in order, handing
+    /// each with its verdict to `each`; the counters end as if every
+    /// message had gone through [`Self::observe_delivery`].
+    ///
+    /// In the run state (see the type docs) a flit that is the stream's
+    /// next contiguous run is `msgs.len()` in-order verdicts at the cost of
+    /// one slice compare; any other flit leaves the run state and is judged
+    /// message by message.
+    #[inline]
+    pub fn observe_flit(
+        &mut self,
+        msgs: &[Message],
+        mut each: impl FnMut(&Message, DeliveryVerdict),
+    ) {
+        if !self.cursors_live {
+            if self.stream[self.delivered_unique..].starts_with(msgs) {
+                self.delivered_unique += msgs.len();
+                self.counts.clean_deliveries += msgs.len() as u64;
+                for msg in msgs {
+                    each(msg, DeliveryVerdict::InOrder);
+                }
+                return;
+            }
+            self.leave_run();
+        }
+        for msg in msgs {
+            let verdict = self.classify(msg);
+            each(msg, verdict);
+        }
+    }
+
+    /// Leaves the run state: marks the delivered prefix `[0, prefix)` in
+    /// the bitset and sets every CQID's cursor to `k`, the number of its
+    /// positions below `prefix` — its delivered, contiguous, in-order
+    /// ranks.
+    #[cold]
+    #[inline(never)]
+    fn leave_run(&mut self) {
+        self.cursors_live = true;
+        let prefix = self.delivered_unique;
+        for (cursor, cq) in self.cursors.iter_mut().zip(&self.stream.index().cqs) {
+            let k = cq.positions.partition_point(|&q| (q as usize) < prefix) as u32;
+            *cursor = CqidCursor {
+                next_undelivered: k,
+                after_last: k,
+                delivered_count: k,
+            };
+        }
+        let (full, rest) = (prefix / 64, prefix % 64);
+        self.delivered[..full].fill(u64::MAX);
+        if rest != 0 {
+            self.delivered[full] = (1 << rest) - 1;
+        }
+    }
+
+    /// Classifies one delivered message and updates the counters, leaving
+    /// the run state first (see the type docs).
+    pub fn observe_delivery(&mut self, msg: &Message) -> DeliveryVerdict {
+        if !self.cursors_live {
+            self.leave_run();
+        }
+        self.classify(msg)
+    }
+
+    /// The per-message verdict, over live cursors and bitset.
     ///
     /// Every verdict starts at the rank after the CQID's last delivery: one
     /// whole-message compare with the stream message there decides the
@@ -140,7 +235,7 @@ impl DeliveryAuditor {
     /// corrupted copy, a never-sent identity) the search steps outward from
     /// that rank, so its cost grows with the distance jumped, not with the
     /// CQID's length.
-    pub fn observe_delivery(&mut self, msg: &Message) -> DeliveryVerdict {
+    fn classify(&mut self, msg: &Message) -> DeliveryVerdict {
         let stream: &SentStream = &self.stream;
         let index = stream.index();
         let Some(slot) = index.slot_of(msg.cqid()) else {
@@ -432,6 +527,36 @@ mod tests {
         assert_eq!(b.observe_delivery(&req(0, 0)), DeliveryVerdict::InOrder);
         assert_eq!(a.finalize().lost_messages, 3);
         assert_eq!(b.finalize().lost_messages, 2);
+    }
+
+    #[test]
+    fn a_flit_that_is_the_streams_next_run_reads_no_position() {
+        let sent: Vec<Message> = (0..40)
+            .flat_map(|tag| (0..3).map(move |cq| req(cq, tag)))
+            .collect();
+        let mut a = DeliveryAuditor::for_stream(Arc::new(SentStream::new(sent.clone())));
+        let before = READS.with(Cell::get);
+        for flit in sent[..90].chunks(15) {
+            a.observe_flit(flit, |_, verdict| {
+                assert_eq!(verdict, DeliveryVerdict::InOrder)
+            });
+        }
+        assert_eq!(
+            READS.with(Cell::get),
+            before,
+            "the run path reads no position"
+        );
+        // A replayed flit is not the next run: the auditor leaves the run
+        // state and finds duplicates, then continues in order.
+        let mut verdicts = Vec::new();
+        a.observe_flit(&sent[75..95], |_, verdict| verdicts.push(verdict));
+        assert_eq!(verdicts[..15], [DeliveryVerdict::Duplicate; 15]);
+        assert_eq!(verdicts[15..], [DeliveryVerdict::InOrder; 5]);
+        assert!(!a.has_open_gaps());
+        let counts = a.finalize();
+        assert_eq!(counts.clean_deliveries, 95);
+        assert_eq!(counts.duplicate_deliveries, 15);
+        assert_eq!(counts.lost_messages, 25);
     }
 
     #[test]

@@ -237,20 +237,44 @@ fn delivery(stream: &[Message], walk: &mut usize, op: u8, arg: u16) -> Message {
             step(walk)
         }
         3 | 4 => pick,
-        5 => {
-            let (kind, chunk) = ((ident_of(&pick) >> 8) as u8, ident_of(&pick) as u8);
-            message(
-                pick.cqid(),
-                pick.tag(),
-                kind,
-                chunk,
-                1 + (arg >> 8) as u8 % 2,
-            )
-        }
+        5 => corrupted(&pick, arg),
         // A CQID no stream uses, or a tag past the drawn range.
         6 => message(9, arg, (arg >> 4) as u8, 0, 0),
         _ => message(pick.cqid(), 1000 + arg % 50, (arg >> 4) as u8, 0, 0),
     }
+}
+
+/// `m` with the same identity and different content.
+fn corrupted(m: &Message, arg: u16) -> Message {
+    let (kind, chunk) = ((ident_of(m) >> 8) as u8, ident_of(m) as u8);
+    message(m.cqid(), m.tag(), kind, chunk, 1 + (arg >> 8) as u8 % 2)
+}
+
+/// One scripted flit over `stream` (non-empty): the next `arg % 16`
+/// messages of the walk — on the run path, the stream's next contiguous
+/// run. A `broken` run replaces message `k` with a corrupted copy, an
+/// earlier message (a duplicate), a never-sent identity, or jumps the walk
+/// ahead from `k` on.
+fn flit_run(stream: &[Message], walk: &mut usize, arg: u16, broken: bool) -> Vec<Message> {
+    let len = stream.len();
+    let n = arg as usize % 16;
+    let k = (arg >> 4) as usize % n.max(1);
+    let (kind, far) = ((arg >> 8) % 4, 1 + (arg >> 10) as usize % 8);
+    let skip = if broken && kind == 2 && n > 0 { far } else { 0 };
+    let start = *walk;
+    let mut msgs: Vec<Message> = (0..n)
+        .map(|i| stream[(start + i + if i >= k { skip } else { 0 }) % len])
+        .collect();
+    *walk = start + n + skip;
+    if broken && n > 0 {
+        match kind {
+            0 => msgs[k] = corrupted(&msgs[k], arg),
+            1 => msgs[k] = stream[(start + k + len - far % len) % len],
+            2 => {}
+            _ => msgs[k] = message(9, arg, (arg >> 4) as u8, 0, 0),
+        }
+    }
+    msgs
 }
 
 proptest! {
@@ -261,13 +285,22 @@ proptest! {
     /// either way) and the record-copying reference give the same verdict
     /// sequence and the same `counts()` / `has_open_gaps()` /
     /// `all_delivered()` after every step, and the same `finalize()`.
+    ///
+    /// A step delivers one message through `observe_delivery` or a flit's
+    /// worth through `observe_flit`, whose verdicts (the closure's, in
+    /// order) must match the reference's message by message. The first
+    /// `lead` steps deliver only flits, so the auditor stays on its run
+    /// path until a broken run (a corrupted copy, a duplicate, a jump or a
+    /// never-sent identity at message `k`) or, after the lead, a single
+    /// delivery leaves it.
     #[test]
     fn shared_stream_auditor_matches_the_record_copying_reference(
         draws in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..4, any::<u8>()), 0..90),
         late in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..4, any::<u8>()), 0..12),
         sorted in any::<bool>(),
         shared in any::<bool>(),
-        script in proptest::collection::vec((0u8..10, any::<u16>()), 0..250),
+        lead in 0usize..40,
+        script in proptest::collection::vec((0u8..32, any::<u16>()), 0..250),
     ) {
         let mut stream = stream_of(&draws, sorted);
         // Late registrations use tags the initial stream cannot hold.
@@ -292,7 +325,10 @@ proptest! {
         prop_assert_eq!(audit.sent_count(), stream.len());
 
         let mut walk = 0usize;
-        for (op, arg) in script {
+        for (step, (op, arg)) in script.into_iter().enumerate() {
+            // Of 32 ops: 9 single deliveries (a clean run during the
+            // lead), one late registration, 18 clean runs, 4 broken ones.
+            let op = if step < lead && op < 9 { 10 } else { op };
             if op == 9 {
                 // `record_sent` after deliveries began (on a shared stream
                 // this detaches the auditor onto its own copy).
@@ -301,9 +337,18 @@ proptest! {
                     reference.record_sent(&m);
                     stream.push(m);
                 }
-            } else if !stream.is_empty() {
+            } else if stream.is_empty() {
+                audit.observe_flit(&[], |_, _| panic!("an empty flit has no verdicts"));
+            } else if op < 9 {
                 let m = delivery(&stream, &mut walk, op, arg);
                 prop_assert_eq!(audit.observe_delivery(&m), reference.observe_delivery(&m));
+            } else {
+                let msgs = flit_run(&stream, &mut walk, arg, op >= 28);
+                let mut got = Vec::new();
+                audit.observe_flit(&msgs, |m, verdict| got.push((*m, verdict)));
+                let want: Vec<(Message, DeliveryVerdict)> =
+                    msgs.iter().map(|m| (*m, reference.observe_delivery(m))).collect();
+                prop_assert_eq!(got, want);
             }
             prop_assert_eq!(audit.counts(), &reference.counts);
             prop_assert_eq!(audit.has_open_gaps(), reference.has_open_gaps());
